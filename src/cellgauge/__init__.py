@@ -73,6 +73,7 @@ from .model import (
 from .parser import ParseError, parse, parse_formula, parse_text
 from .tokens import LexError, Token, TokenKind
 from .xlsx import (
+    CorruptPartError,
     MalformedSheetXmlError,
     MissingWorkbookPartError,
     NotAZipError,

@@ -190,7 +190,9 @@ def compute_record(
             all_formula_cells += 1
             if cell.formula.expr is not None:
                 parsed_cells.append(cell)
-    input_cells = sum(1 for kind in classification.values() if kind is CellKind.INPUT_VALUE)
+    input_cells = graph.unstored_references + sum(
+        1 for kind in classification.values() if kind is CellKind.INPUT_VALUE
+    )
 
     metrics: dict[str, float | int | None] = dict.fromkeys(METRIC_IDS)
     metrics["M03"] = all_formula_cells

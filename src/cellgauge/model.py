@@ -154,14 +154,16 @@ class Workbook:
 def classify_cells(
     workbook: Workbook, graph: "DependencyGraph"
 ) -> dict[CellCoordinate, CellKind]:
-    """Assign exactly one CellKind to every stored or referenced coordinate.
+    """Assign exactly one CellKind to every stored cell.
 
     Formula wins outright; any other referenced cell is an input cell even
-    when it holds nothing (blank cells pulled into ranges are data entry
-    points); remaining non-empty cells are labels.
+    when it holds nothing; remaining non-empty cells are labels. Referenced
+    coordinates with no stored cell are input cells too (blank cells pulled
+    into ranges are data entry points), but they are not listed:
+    `graph.unstored_references` counts them.
     """
     kinds: dict[CellCoordinate, CellKind] = {}
-    referenced = graph.reverse
+    referenced = graph.cover_counts
     for sheet in workbook.sheets:
         for cell in sheet.cells.values():
             coord = cell.coordinate
@@ -173,7 +175,4 @@ def classify_cells(
                 kinds[coord] = CellKind.LABEL
             else:
                 kinds[coord] = CellKind.EMPTY
-    for coord in referenced:
-        if coord not in kinds:
-            kinds[coord] = CellKind.INPUT_VALUE
     return kinds

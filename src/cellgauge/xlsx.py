@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import zipfile
+import zlib
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -61,11 +62,17 @@ class MalformedSheetXmlError(XlsxError):
     pass
 
 
+class CorruptPartError(XlsxError):
+    """A package member fails its CRC or does not decompress."""
+
+
 def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
     try:
         data = archive.read(part)
     except KeyError:
         raise MissingWorkbookPartError(part, "part not found in package") from None
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+        raise CorruptPartError(part, f"corrupt ZIP member: {exc}") from None
     try:
         return ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:

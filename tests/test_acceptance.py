@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from cellgauge.analytics import HistogramSpec, aggregate, histogram, pearson_xy
+from cellgauge.cli import analyze_workbook
 from cellgauge.cli import main as cli_main
 from cellgauge.expressions import column_index_to_letter
 from cellgauge.graph import build_graph
@@ -59,19 +60,33 @@ def test_c1_golden_workbook_matches_brute_force_oracle():
         expected = oracle.record(workbook)
         assert record.sheet_count == expected["sheetCount"]
         assert record.non_empty_cells == expected["nonEmptyCells"]
-        assert record.input_cells == expected["inputCells"]
         assert record.formula_cells == expected["formulaCells"]
         assert record.parse_failures == expected["parseFailures"]
-        for metric_id in METRIC_IDS:
-            got = record.metrics[metric_id]
-            want = expected[metric_id]
-            if want is None:
-                assert got is None, metric_id
-            elif isinstance(want, float):
-                assert got == pytest.approx(want, abs=1e-9), metric_id
-            else:
-                assert got == want, metric_id
+        _assert_matches_oracle(record, expected)
         assert time.perf_counter() - started < 1.0
+
+
+def _assert_matches_oracle(record, expected):
+    assert record.input_cells == expected["inputCells"]
+    for metric_id in METRIC_IDS:
+        got = record.metrics[metric_id]
+        want = expected[metric_id]
+        if want is None:
+            assert got is None, metric_id
+        elif isinstance(want, float):
+            assert got == pytest.approx(want, abs=1e-9), metric_id
+        else:
+            assert got == want, metric_id
+
+
+def test_c1_generated_workbooks_match_brute_force_oracle():
+    # Overlapping ranges, full rows and columns, defined names and
+    # cross-sheet references all occur in the generated workbooks.
+    with criterion("C1 500 generated workbooks vs oracle"):
+        rng = random.Random(0xC1)
+        for _ in range(500):
+            workbook = read_interchange(gen_workbook_doc(rng))
+            _assert_matches_oracle(analyze_workbook(workbook), oracle.record(workbook))
 
 
 def test_c2_parser_round_trip_fuzz_and_precedence():
@@ -232,6 +247,10 @@ def test_c5_graph_transpose_and_deduplication_on_100_workbooks():
             formulas = set(graph.forward)
             internal = sum(len(t & formulas) for t in graph.forward.values())
             assert internal == sum(graph.fan_in(f) for f in formulas)
+            # rectangle counts agree with the exact cell-level views
+            for coord in formulas:
+                assert graph.fan_out(coord) == len(graph.forward[coord])
+                assert graph.fan_in(coord) == len(graph.reverse.get(coord, ()))
 
 
 def test_c6_analytics_anchors_and_conservation():

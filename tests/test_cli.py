@@ -131,6 +131,21 @@ class TestCorpus:
         assert "broken.json" in err
         assert "legacy" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_corrupt_zip_member_skipped_not_fatal(self, capsys, tmp_path, threads):
+        from .test_xlsx import build_bad_crc_xlsx, build_xlsx
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        build_xlsx(corpus / "good.xlsx", [("S", '<row r="1"><c r="A1"><f>B1*2</f></c></row>')])
+        build_bad_crc_xlsx(corpus / "bad.xlsx")
+        target = tmp_path / "report.csv"
+        code, _, err = run(["corpus", str(corpus), "--out", str(target), "--threads", threads], capsys)
+        assert code == 0
+        rows = target.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 2 and rows[1].startswith("good")
+        assert "bad.xlsx" in err and "CorruptPartError" in err
+
     def test_empty_directory_exit_2(self, capsys, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()

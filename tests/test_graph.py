@@ -3,15 +3,30 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellgauge.expressions import (
+    CellLocator,
+    Constant,
+    Function,
+    Operator,
+    OpKind,
+    Range,
+    Reference,
+    ValueType,
+    column_index_to_letter,
+)
 from cellgauge.graph import NotAFormulaCellError, build_graph, resolve_references
 from cellgauge.interchange import read_interchange
-from cellgauge.model import CellCoordinate
+from cellgauge.metrics import compute_record
+from cellgauge.model import Cell, CellCoordinate, Formula, Workbook, Worksheet
+from cellgauge.parser import parse_text
 
+from . import oracle
 from .genutil import gen_workbook_doc, make_workbook
 
 C = CellCoordinate
@@ -185,3 +200,113 @@ class TestGraphProperties:
         formulas = set(graph.forward)
         internal_edges = sum(len(targets & formulas) for targets in graph.forward.values())
         assert internal_edges == sum(graph.fan_in(f) for f in formulas)
+
+
+def _overlap_workbook(rng: random.Random):
+    """Formulas summing several overlapping blocks and single cells on a
+    small grid, some of them cross-sheet, next to stored literals."""
+
+    def ref(cross_sheet: bool):
+        prefix = "Two!" if cross_sheet and rng.random() < 0.2 else ""
+        c1, r1 = rng.randint(1, 7), rng.randint(1, 9)
+        if rng.random() < 0.3:
+            return f"{prefix}{column_index_to_letter(c1)}{r1}"
+        c2, r2 = rng.randint(c1, 8), rng.randint(r1, 12)
+        return f"{prefix}{column_index_to_letter(c1)}{r1}:{column_index_to_letter(c2)}{r2}"
+
+    sheets = []
+    for name in ("One", "Two"):
+        cells = {}
+        for _ in range(rng.randint(1, 25)):
+            key = f"{column_index_to_letter(rng.randint(1, 8))}{rng.randint(1, 12)}"
+            if rng.random() < 0.5:
+                terms = ",".join(ref(name == "One") for _ in range(rng.randint(1, 6)))
+                cells[key] = f"=SUM({terms})"
+            else:
+                cells[key] = rng.randint(0, 9)
+        sheets.append((name, cells))
+    return make_workbook(sheets)
+
+
+class TestRectangleCounts:
+    @given(st.integers(0, 2**48))
+    @settings(max_examples=150, deadline=None)
+    def test_overlapping_blocks_match_brute_force(self, seed):
+        workbook = _overlap_workbook(random.Random(seed))
+        graph = build_graph(workbook)
+        record = compute_record(workbook, graph)
+        expected = oracle.record(workbook)
+        assert record.input_cells == expected["inputCells"]
+        for metric_id in ("M05", "M09", "M10", "M11", "M12"):
+            assert record.metrics[metric_id] == pytest.approx(expected[metric_id]), metric_id
+        for coord in graph.formula_cells():
+            assert graph.fan_out(coord) == len(graph.forward[coord])
+            assert graph.fan_in(coord) == len(graph.reverse.get(coord, ()))
+
+
+def _running_sum(col: int, row: int) -> Formula:
+    """SUM($X$1:X{row}) over column `col`, built without the parser."""
+    letter = column_index_to_letter(col)
+    rng = Range(CellLocator(1, col, True, True), CellLocator(row, col))
+    return Formula(f"SUM(${letter}$1:{letter}{row})", Function("SUM", (rng,)))
+
+
+def _double(col: int, row: int) -> Formula:
+    """X{row}*2 for column `col`, built without the parser."""
+    ref = Reference(locator=CellLocator(row, col))
+    product = Operator(OpKind.MUL, (ref, Constant(ValueType.NUMBER, "2")))
+    return Formula(f"{column_index_to_letter(col)}{row}*2", product)
+
+
+def _column_workbook(columns: dict[int, list[Formula]], values: dict[int, int] | None = None):
+    """One sheet: the formulas of each column from row 1 down, plus numeric
+    columns holding 1..rows."""
+    cells = {}
+    for col, formulas in columns.items():
+        for row, formula in enumerate(formulas, start=1):
+            cells[(row, col)] = Cell(CellCoordinate(1, row, col), formula=formula)
+    for col, rows in (values or {}).items():
+        for row in range(1, rows + 1):
+            cells[(row, col)] = Cell(CellCoordinate(1, row, col), value=float(row), value_type=ValueType.NUMBER)
+    return Workbook("cost", (Worksheet("S", 1, cells),), {})
+
+
+class TestCostIndependentOfCoveredArea:
+    def test_whole_grid_range(self):
+        workbook = make_workbook([("S", {"B2": "=SUM(A1:XFD1048576)"})])
+        record = compute_record(workbook, build_graph(workbook))
+        assert record.metrics["M10"] == 17_179_869_184
+        assert record.metrics["M05"] == 17_179_869_183
+        assert record.metrics["M12"] == 1  # B2 lies inside its own range
+
+    def test_running_sum_and_full_columns_stay_small(self):
+        rows = 20_000
+        workbook = _column_workbook(
+            {
+                2: [_running_sum(1, r) for r in range(1, rows + 1)],
+                3: [Formula("SUM(A:A)", parse_text("SUM(A:A)"))] * 50,
+            },
+            values={1: rows},
+        )
+        tracemalloc.start()
+        try:
+            record = compute_record(workbook, build_graph(workbook))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record.metrics["M05"] == rows
+        assert record.metrics["M10"] == rows
+        assert record.metrics["M12"] == 0
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_running_sum_over_formula_column(self):
+        rows = 20_000
+        workbook = _column_workbook(
+            {
+                2: [_double(1, r) for r in range(1, rows + 1)],
+                3: [_running_sum(2, r) for r in range(1, rows + 1)],
+            }
+        )
+        record = compute_record(workbook, build_graph(workbook))
+        assert record.metrics["M11"] == 5000.25
+        assert record.metrics["M12"] == rows

@@ -154,13 +154,16 @@ class TestRoundTrip:
         from cellgauge.model import classify_cells
 
         workbook = read_interchange_file(FIXTURES / "g1.json")
-        kinds = classify_cells(workbook, build_graph(workbook))
+        graph = build_graph(workbook)
+        kinds = classify_cells(workbook, graph)
         counts = {kind: 0 for kind in CellKind}
         for kind in kinds.values():
             counts[kind] += 1
         assert counts[CellKind.FORMULA] == 15
-        assert counts[CellKind.INPUT_VALUE] == 9
         assert counts[CellKind.LABEL] == 5
-        # blank referenced cells: Inputs!B4/B5, Calc!B1/B2
-        assert kinds[CellCoordinate(1, 4, 2)] is CellKind.INPUT_VALUE
-        assert kinds[CellCoordinate(2, 1, 2)] is CellKind.INPUT_VALUE
+        # 9 input cells: 5 stored, 4 blank and referenced (Inputs!B4/B5,
+        # Calc!B1/B2), which the graph counts instead of listing
+        assert counts[CellKind.INPUT_VALUE] == 5
+        assert graph.unstored_references == 4
+        for blank in (CellCoordinate(1, 4, 2), CellCoordinate(2, 1, 2)):
+            assert blank not in kinds and blank in graph.reverse

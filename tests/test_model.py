@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from cellgauge.graph import build_graph
 from cellgauge.interchange import read_interchange
+from cellgauge.metrics import compute_record
 from cellgauge.model import CellCoordinate, CellKind, classify_cells
 
 from .genutil import gen_workbook_doc, make_workbook
@@ -25,9 +26,14 @@ class TestKinds:
 
     def test_referenced_blank_cell_is_input(self):
         workbook = make_workbook([("S", {"A1": "=SUM(B1:B3)"})])
-        kinds = classify(workbook)
+        graph = build_graph(workbook)
+        kinds = classify_cells(workbook, graph)
+        # blank referenced cells are counted by the graph, not listed
+        assert graph.unstored_references == 3
         for row in (1, 2, 3):
-            assert kinds[CellCoordinate(1, row, 2)] is CellKind.INPUT_VALUE
+            coord = CellCoordinate(1, row, 2)
+            assert coord not in kinds and coord in graph.reverse
+        assert compute_record(workbook, graph, kinds).input_cells == 3
 
     def test_unreferenced_text_is_label(self):
         workbook = make_workbook([("S", {"A1": "Revenue"})])
@@ -48,8 +54,9 @@ class TestKinds:
 
     def test_dangling_targets_are_not_classified(self):
         workbook = make_workbook([("S", {"A1": "=Missing!B2+nosuchname"})])
-        kinds = classify(workbook)
-        assert set(kinds) == {CellCoordinate(1, 1, 1)}
+        graph = build_graph(workbook)
+        assert set(classify_cells(workbook, graph)) == {CellCoordinate(1, 1, 1)}
+        assert graph.unstored_references == 0
 
 
 class TestProperties:
@@ -61,19 +68,27 @@ class TestProperties:
         kinds = classify_cells(workbook, graph)
         stored = {cell.coordinate for cell in workbook.iter_cells()}
         referenced = set(graph.reverse)
-        assert set(kinds) == stored | referenced
+        # stored cells are listed; referenced blank coordinates are counted
+        assert set(kinds) == stored
+        assert graph.unstored_references == len(referenced - stored)
+        assert {c for c, k in kinds.items() if k is CellKind.INPUT_VALUE} == (
+            referenced & stored
+        ) - {c for c, k in kinds.items() if k is CellKind.FORMULA}
 
     def test_monotonicity_of_adding_a_referencing_formula(self):
         base = make_workbook([("S", {"A1": 1, "B1": "label", "C1": "=A1"})])
-        before = classify(base)
-        assert before[CellCoordinate(1, 1, 4)] if CellCoordinate(1, 1, 4) in before else True
+        base_graph = build_graph(base)
+        before = classify_cells(base, base_graph)
         extended = make_workbook(
             [("S", {"A1": 1, "B1": "label", "C1": "=A1", "E1": "=D1"})]
         )
-        after = classify(extended)
-        # D1 was absent (empty, unreferenced); now it is an input cell
+        graph = build_graph(extended)
+        after = classify_cells(extended, graph)
+        # D1 was absent (empty, unreferenced); now it is a blank input cell
         assert CellCoordinate(1, 1, 4) not in before
-        assert after[CellCoordinate(1, 1, 4)] is CellKind.INPUT_VALUE
+        assert base_graph.unstored_references == 0
+        assert CellCoordinate(1, 1, 4) in graph.reverse
+        assert graph.unstored_references == 1
         # no other previously classified cell changed kind
         for coord, kind in before.items():
             assert after[coord] == kind

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import struct
 import zipfile
+from unittest import mock
 
 import pytest
 
 from cellgauge.model import ValueType
 from cellgauge.xlsx import (
+    CorruptPartError,
     MalformedSheetXmlError,
     MissingWorkbookPartError,
     NotAZipError,
@@ -85,6 +88,15 @@ def build_xlsx(
     with zipfile.ZipFile(path, "w") as archive:
         for part_name, content in parts.items():
             archive.writestr(part_name, content)
+    return path
+
+
+def build_bad_crc_xlsx(path):
+    """A package whose first sheet member no longer matches its stored CRC-32."""
+    build_xlsx(path, [("S", '<row r="1"><c r="A1"><v>1</v></c></row>')])
+    data = path.read_bytes()
+    assert data.count(b"<sheetData>") == 1
+    path.write_bytes(data.replace(b"<sheetData>", b"<sheetDatb>"))
     return path
 
 
@@ -260,6 +272,37 @@ class TestStructure:
         with pytest.raises(MalformedSheetXmlError) as excinfo:
             read_xlsx(path)
         assert "sheet1" in excinfo.value.part
+
+    def test_member_failing_its_crc_is_a_corrupt_part(self, tmp_path):
+        path = build_bad_crc_xlsx(tmp_path / "crc.xlsx")
+        with pytest.raises(CorruptPartError) as excinfo:
+            read_xlsx(path)
+        assert excinfo.value.part == "xl/worksheets/sheet1.xml"
+
+    def test_member_that_does_not_inflate_is_a_corrupt_part(self, tmp_path):
+        path = build_xlsx(tmp_path / "deflate.xlsx", [("S", '<row r="1"><c r="A1"><v>1</v></c></row>')])
+        part = "xl/worksheets/sheet1.xml"
+        with zipfile.ZipFile(path) as archive:
+            parts = {name: archive.read(name) for name in archive.namelist()}
+        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+            for name, content in parts.items():
+                archive.writestr(name, content)
+        with zipfile.ZipFile(path) as archive:
+            offset = archive.getinfo(part).header_offset
+        data = bytearray(path.read_bytes())
+        name_len, extra_len = struct.unpack_from("<HH", data, offset + 26)
+        data[offset + 30 + name_len + extra_len] = 0xFF  # reserved deflate block type
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptPartError) as excinfo:
+            read_xlsx(path)
+        assert excinfo.value.part == part
+
+    def test_truncated_member_is_a_corrupt_part(self, tmp_path):
+        path = build_xlsx(tmp_path / "short.xlsx", [("S", "")])
+        truncated = EOFError("Compressed file ended before the end-of-stream marker was reached")
+        with mock.patch.object(zipfile.ZipFile, "read", side_effect=truncated):
+            with pytest.raises(CorruptPartError):
+                read_xlsx(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
