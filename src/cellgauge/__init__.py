@@ -43,7 +43,7 @@ from .interchange import (
     write_interchange,
     write_interchange_file,
 )
-from .lexer import BACKEND, tokenize
+from .lexer import tokenize
 from .metrics import (
     DEFAULT_CONDITIONAL_FUNCTIONS,
     METRIC_IDS,

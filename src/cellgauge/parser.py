@@ -1,4 +1,4 @@
-"""Recursive-descent formula parser.
+"""Formula parser: recursive descent with one precedence-climbing operator loop.
 
 Precedence, loosest to tightest: comparisons; & ; + - ; * / ; ^ ; postfix % ;
 unary +- ; range colon and parentheses. All binary operators associate left,
@@ -44,40 +44,47 @@ class ParseError(FormulaError):
         self.expected = frozenset(expected)
 
 
-_COMPARISON_OPS = {
-    "=": OpKind.EQ,
-    "<>": OpKind.NEQ,
-    "<": OpKind.LT,
-    ">": OpKind.GT,
-    "<=": OpKind.LE,
-    ">=": OpKind.GE,
+# Binary and postfix operators: lexeme -> (precedence, kind); higher binds
+# tighter. Postfix % sits at the tightest binary level.
+_OPERATORS = {
+    "=": (1, OpKind.EQ),
+    "<>": (1, OpKind.NEQ),
+    "<": (1, OpKind.LT),
+    ">": (1, OpKind.GT),
+    "<=": (1, OpKind.LE),
+    ">=": (1, OpKind.GE),
+    "&": (2, OpKind.CONCAT),
+    "+": (3, OpKind.ADD),
+    "-": (3, OpKind.SUB),
+    "*": (4, OpKind.MUL),
+    "/": (4, OpKind.DIV),
+    "^": (5, OpKind.POW),
+    "%": (6, OpKind.PERCENT),
 }
-_ADDITIVE_OPS = {"+": OpKind.ADD, "-": OpKind.SUB}
-_MULTIPLICATIVE_OPS = {"*": OpKind.MUL, "/": OpKind.DIV}
 
 
-def _column_lexeme(lexeme: str) -> tuple[int, bool] | None:
-    """(column, absolute) for a full-column locator lexeme like B or $B."""
+def _column_locator(lexeme: str) -> CellLocator | None:
+    """Locator of a full-column range end like B or $B."""
     absolute = lexeme.startswith("$")
     letters = lexeme[1:] if absolute else lexeme
     if not letters or not all("A" <= c <= "Z" or "a" <= c <= "z" for c in letters):
         return None
-    value = column_letter_to_index(letters)
-    if value > MAX_COL:
+    col = column_letter_to_index(letters)
+    if col > MAX_COL:
         return None
-    return value, absolute
+    return CellLocator(row=None, col=col, col_abs=absolute)
 
 
-def _row_lexeme(lexeme: str) -> tuple[int, bool] | None:
-    """(row, absolute) for a full-row locator lexeme like 3 or $3."""
+def _row_locator(lexeme: str) -> CellLocator | None:
+    """Locator of a full-row range end like 3 or $3."""
     absolute = lexeme.startswith("$")
     digits = lexeme[1:] if absolute else lexeme
     if not digits.isascii() or not digits.isdigit() or digits[0] == "0":
         return None
-    value = int(digits)
-    if value > MAX_ROW:
+    row = int(digits)
+    if row > MAX_ROW:
         return None
-    return value, absolute
+    return CellLocator(row=row, col=None, row_abs=absolute)
 
 
 def _cellref_locator(lexeme: str) -> CellLocator:
@@ -94,6 +101,13 @@ def _cellref_locator(lexeme: str) -> CellLocator:
     if row_abs:
         i += 1
     return CellLocator(row=int(lexeme[i:]), col=col, row_abs=row_abs, col_abs=col_abs)
+
+
+_RANGE_END = {
+    TokenKind.CELL_REF: _cellref_locator,
+    TokenKind.NUMBER: _row_locator,
+    TokenKind.IDENTIFIER: _column_locator,
+}
 
 
 def _unquote_sheet(lexeme: str) -> str:
@@ -124,89 +138,43 @@ class _Parser:
             position = tok.start if tok else self.end_offset
         return ParseError(message, position, frozenset(expected))
 
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            raise self.fail(f"expected {what}", expected={what})
-        return self.advance()
-
-    # --- precedence ladder ---------------------------------------------
-
-    def expression(self) -> Expr:
+    def nest(self) -> None:
+        """Count one nesting level; callers undo it with ``self.depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.fail("formula too deeply nested")
+
+    # --- operators --------------------------------------------------------
+
+    def expression(self) -> Expr:
+        self.nest()
         try:
-            node = self.concat()
-            while True:
-                tok = self.peek()
-                if tok is None or tok.kind != TokenKind.OPERATOR:
-                    return node
-                kind = _COMPARISON_OPS.get(tok.lexeme)
-                if kind is None:
-                    return node
-                self.advance()
-                node = Operator(kind, (node, self.concat()))
+            return self.binary(1)
         finally:
             self.depth -= 1
 
-    def concat(self) -> Expr:
-        node = self.additive()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != TokenKind.OPERATOR or tok.lexeme != "&":
-                return node
-            self.advance()
-            node = Operator(OpKind.CONCAT, (node, self.additive()))
-
-    def additive(self) -> Expr:
-        node = self.multiplicative()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != TokenKind.OPERATOR:
-                return node
-            kind = _ADDITIVE_OPS.get(tok.lexeme)
-            if kind is None:
-                return node
-            self.advance()
-            node = Operator(kind, (node, self.multiplicative()))
-
-    def multiplicative(self) -> Expr:
-        node = self.exponent()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != TokenKind.OPERATOR:
-                return node
-            kind = _MULTIPLICATIVE_OPS.get(tok.lexeme)
-            if kind is None:
-                return node
-            self.advance()
-            node = Operator(kind, (node, self.exponent()))
-
-    def exponent(self) -> Expr:
-        node = self.postfix()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != TokenKind.OPERATOR or tok.lexeme != "^":
-                return node
-            self.advance()
-            node = Operator(OpKind.POW, (node, self.postfix()))
-
-    def postfix(self) -> Expr:
+    def binary(self, min_precedence: int) -> Expr:
+        """Precedence climbing: operators at ``min_precedence`` or tighter,
+        all associating left."""
         node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != TokenKind.OPERATOR or tok.lexeme != "%":
-                return node
-            self.advance()
-            node = Operator(OpKind.PERCENT, (node,))
+        tokens = self.tokens
+        while self.pos < len(tokens):
+            tok = tokens[self.pos]
+            entry = _OPERATORS.get(tok.lexeme) if tok.kind == TokenKind.OPERATOR else None
+            if entry is None or entry[0] < min_precedence:
+                break
+            precedence, kind = entry
+            self.pos += 1
+            if kind is OpKind.PERCENT:
+                node = Operator(kind, (node,))
+            else:
+                node = Operator(kind, (node, self.binary(precedence + 1)))
+        return node
 
     def unary(self) -> Expr:
         tok = self.peek()
         if tok is not None and tok.kind == TokenKind.OPERATOR and tok.lexeme in ("+", "-"):
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise self.fail("formula too deeply nested")
+            self.nest()
             try:
                 self.advance()
                 kind = OpKind.UNARY_MINUS if tok.lexeme == "-" else OpKind.UNARY_PLUS
@@ -241,9 +209,7 @@ class _Parser:
         if kind in (TokenKind.IDENTIFIER, TokenKind.CELL_REF):
             return self._reference_or_call(tok)
         if kind == TokenKind.LPAREN:
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise self.fail("formula too deeply nested")
+            self.nest()
             try:
                 self.advance()
                 inner = self.expression()
@@ -257,19 +223,9 @@ class _Parser:
         raise self.fail(f"unexpected {tok.lexeme!r}", tok.start, {"expression"})
 
     def _number(self, tok: Token) -> Expr:
-        nxt = self.peek(1)
-        row = _row_lexeme(tok.lexeme)
-        if row is not None and nxt is not None and nxt.kind == TokenKind.COLON:
-            end_tok = self.peek(2)
-            end_row = _row_lexeme(end_tok.lexeme) if end_tok is not None and end_tok.kind == TokenKind.NUMBER else None
-            if end_row is not None:
-                self.advance()
-                self.advance()
-                self.advance()
-                return Range(
-                    CellLocator(row=row[0], col=None, row_abs=row[1]),
-                    CellLocator(row=end_row[0], col=None, row_abs=end_row[1]),
-                )
+        row_range = self._range_tail()
+        if row_range is not None:
+            return row_range
         if tok.lexeme.startswith("$"):
             raise self.fail("absolute row locator outside a range", tok.start)
         self.advance()
@@ -302,46 +258,40 @@ class _Parser:
                 return Function(lexeme.upper(), tuple(args))
             raise self.fail(f"expected ',' or ')' in argument list, got {nxt.lexeme!r}", nxt.start, {",", ")"})
 
+    def _range_tail(self, sheet: str | None = None, external: bool = False) -> Range | None:
+        """A cell (A1:B2), row (1:3) or column (A:C) range at the cursor, or
+        None. A cell reference followed by ':' must end in another one."""
+        tokens, pos = self.tokens, self.pos
+        if pos + 1 >= len(tokens) or tokens[pos + 1].kind != TokenKind.COLON:
+            return None
+        first = tokens[pos]
+        last = tokens[pos + 2] if pos + 2 < len(tokens) else None
+        if first.kind == TokenKind.CELL_REF and (last is None or last.kind != TokenKind.CELL_REF):
+            raise self.fail("expected cell reference after ':'", tokens[pos + 1].start, {"cell reference"})
+        locator = _RANGE_END.get(first.kind)
+        if locator is None or last is None or last.kind != first.kind:
+            return None
+        start, end = locator(first.lexeme), locator(last.lexeme)
+        if start is None or end is None:
+            return None
+        self.pos = pos + 3
+        return Range(start, end, sheet=sheet, external=external)
+
     def _reference_or_call(self, tok: Token) -> Expr:
         nxt = self.peek(1)
         if nxt is not None and nxt.kind == TokenKind.LPAREN:
             return self._function_call(tok)
         if nxt is not None and nxt.kind == TokenKind.EXCLAMATION:
-            sheet = _unquote_sheet(tok.lexeme)
-            external = "[" in sheet
-            self.advance()  # sheet
-            self.advance()  # !
-            return self._sheet_suffix(sheet, external)
+            self.pos += 2  # sheet and !
+            return self._sheet_suffix(_unquote_sheet(tok.lexeme))
+        cell_range = self._range_tail()
+        if cell_range is not None:
+            return cell_range
         if tok.kind == TokenKind.CELL_REF:
             self.advance()
-            loc = _cellref_locator(tok.lexeme)
-            after = self.peek()
-            if after is not None and after.kind == TokenKind.COLON:
-                end_tok = self.peek(1)
-                if end_tok is None or end_tok.kind != TokenKind.CELL_REF:
-                    raise self.fail("expected cell reference after ':'", expected={"cell reference"})
-                self.advance()
-                self.advance()
-                return Range(loc, _cellref_locator(end_tok.lexeme))
-            return Reference(locator=loc)
-        # Plain identifier: full-column range or a defined-name reference.
+            return Reference(locator=_cellref_locator(tok.lexeme))
+        # Plain identifier: a defined-name reference.
         lexeme = tok.lexeme
-        col = _column_lexeme(lexeme)
-        if col is not None and nxt is not None and nxt.kind == TokenKind.COLON:
-            end_tok = self.peek(2)
-            end_col = (
-                _column_lexeme(end_tok.lexeme)
-                if end_tok is not None and end_tok.kind == TokenKind.IDENTIFIER
-                else None
-            )
-            if end_col is not None:
-                self.advance()
-                self.advance()
-                self.advance()
-                return Range(
-                    CellLocator(row=None, col=col[0], col_abs=col[1]),
-                    CellLocator(row=None, col=end_col[0], col_abs=end_col[1]),
-                )
         if lexeme.startswith("'") or "[" in lexeme:
             raise self.fail("sheet name must be followed by '!'", tok.start, {"!"})
         if "$" in lexeme:
@@ -349,65 +299,18 @@ class _Parser:
         self.advance()
         return Reference(name=lexeme)
 
-    def _sheet_suffix(self, sheet: str, external: bool) -> Expr:
+    def _sheet_suffix(self, sheet: str) -> Expr:
+        external = "[" in sheet
         tok = self.peek()
         if tok is None:
             raise self.fail("expected reference after '!'", expected={"reference"})
+        cell_range = self._range_tail(sheet, external)
+        if cell_range is not None:
+            return cell_range
         if tok.kind == TokenKind.CELL_REF:
             self.advance()
-            loc = _cellref_locator(tok.lexeme)
-            after = self.peek()
-            if after is not None and after.kind == TokenKind.COLON:
-                end_tok = self.peek(1)
-                if end_tok is None or end_tok.kind != TokenKind.CELL_REF:
-                    raise self.fail("expected cell reference after ':'", expected={"cell reference"})
-                self.advance()
-                self.advance()
-                return Range(loc, _cellref_locator(end_tok.lexeme), sheet=sheet, external=external)
-            return Reference(sheet=sheet, locator=loc, external=external)
-        if tok.kind == TokenKind.NUMBER:
-            row = _row_lexeme(tok.lexeme)
-            nxt = self.peek(1)
-            end_tok = self.peek(2)
-            if (
-                row is not None
-                and nxt is not None
-                and nxt.kind == TokenKind.COLON
-                and end_tok is not None
-                and end_tok.kind == TokenKind.NUMBER
-            ):
-                end_row = _row_lexeme(end_tok.lexeme)
-                if end_row is not None:
-                    self.advance()
-                    self.advance()
-                    self.advance()
-                    return Range(
-                        CellLocator(row=row[0], col=None, row_abs=row[1]),
-                        CellLocator(row=end_row[0], col=None, row_abs=end_row[1]),
-                        sheet=sheet,
-                        external=external,
-                    )
-            raise self.fail("expected reference after '!'", tok.start, {"reference"})
+            return Reference(sheet=sheet, locator=_cellref_locator(tok.lexeme), external=external)
         if tok.kind == TokenKind.IDENTIFIER:
-            col = _column_lexeme(tok.lexeme)
-            nxt = self.peek(1)
-            if col is not None and nxt is not None and nxt.kind == TokenKind.COLON:
-                end_tok = self.peek(2)
-                end_col = (
-                    _column_lexeme(end_tok.lexeme)
-                    if end_tok is not None and end_tok.kind == TokenKind.IDENTIFIER
-                    else None
-                )
-                if end_col is not None:
-                    self.advance()
-                    self.advance()
-                    self.advance()
-                    return Range(
-                        CellLocator(row=None, col=col[0], col_abs=col[1]),
-                        CellLocator(row=None, col=end_col[0], col_abs=end_col[1]),
-                        sheet=sheet,
-                        external=external,
-                    )
             lexeme = tok.lexeme
             if lexeme.startswith("'") or "[" in lexeme or "$" in lexeme:
                 raise self.fail(f"illegal name after '!': {lexeme!r}", tok.start)

@@ -1,4 +1,4 @@
-"""Token primitives shared by the pure-Python and compiled scanner backends."""
+"""Token primitives shared by the scanner (``lexer``) and the parser."""
 
 from __future__ import annotations
 

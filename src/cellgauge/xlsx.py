@@ -26,7 +26,7 @@ from .expressions import (
     serialize,
 )
 from .interchange import _parse_defined_target, parse_cell_ref
-from .model import Cell, CellCoordinate, DefinedName, VisualProperty, Workbook, Worksheet
+from .model import Cell, CellCoordinate, DefinedName, Formula, VisualProperty, Workbook, Worksheet
 from .parser import parse_formula
 from .tokens import MAX_COL, MAX_ROW
 
@@ -210,7 +210,7 @@ class _SheetReader:
         self.fills = fills
         self.cells: dict[tuple[int, int], Cell] = {}
         # shared-formula group id -> (anchor_row, anchor_col, parsed master)
-        self.shared: dict[str, tuple[int, int, Expr | None, str]] = {}
+        self.shared: dict[str, tuple[int, int, Formula]] = {}
 
     def _fill_for(self, style_attr: str | None) -> tuple[VisualProperty, ...]:
         if style_attr is None:
@@ -223,23 +223,26 @@ class _SheetReader:
             return (VisualProperty("fillColor", self.fills[idx]),)
         return ()
 
-    def _formula_text(self, f_el: ElementTree.Element, row: int, col: int) -> str:
+    def _formula(self, f_el: ElementTree.Element, row: int, col: int) -> Formula:
+        """The cell's formula. A shared-formula master is parsed once; each
+        follower shifts the master's tree instead of parsing text again."""
         text = (f_el.text or "").lstrip("=")
         if f_el.get("t") != "shared":
-            return text
+            return parse_formula(text)
         group = f_el.get("si", "")
         if text:
-            parsed = parse_formula(text)
-            self.shared[group] = (row, col, parsed.expr, text)
-            return text
+            master = parse_formula(text)
+            self.shared[group] = (row, col, master)
+            return master
         anchor = self.shared.get(group)
         if anchor is None:
             logger.warning("%s: shared formula follower before master (si=%s)", self.part, group)
-            return ""
-        a_row, a_col, master_expr, master_text = anchor
-        if master_expr is None:
-            return master_text  # master failed to parse; inherit verbatim
-        return serialize(_shift_expr(master_expr, row - a_row, col - a_col))
+            return parse_formula("")
+        a_row, a_col, master = anchor
+        if master.expr is None:
+            return master  # master failed to parse; inherit it verbatim
+        shifted = _shift_expr(master.expr, row - a_row, col - a_col)
+        return Formula(serialize(shifted), shifted)
 
     def read(self, root: ElementTree.Element) -> Worksheet:
         sheet_data = root.find(_MAIN + "sheetData")
@@ -281,11 +284,10 @@ class _SheetReader:
         v_text = v_el.text if v_el is not None and v_el.text is not None else None
 
         if f_el is not None:
-            text = self._formula_text(f_el, row, col)
             self.cells[(row, col)] = Cell(
                 coordinate=coordinate,
                 value_type=_cached_value_type(t, v_text is not None),
-                formula=parse_formula(text),
+                formula=self._formula(f_el, row, col),
                 visual_properties=visual,
             )
             return

@@ -1,13 +1,13 @@
-"""Pure-Python formula scanner.
+"""Character-loop formula scanner: the differential oracle for ``cellgauge.lexer``.
 
-Reference implementation of the token stream contract; the compiled backend
-in ``_tokenizer.pyx`` is a transliteration of this module and must produce
-identical tokens and errors for every input.
+Reference implementation of the token stream contract, written one
+character at a time; the master-pattern scanner in ``cellgauge.lexer`` must
+produce identical tokens and errors for every input.
 """
 
 from __future__ import annotations
 
-from .tokens import (
+from cellgauge.tokens import (
     ERROR_LITERALS,
     MAX_COL,
     MAX_ROW,

@@ -33,6 +33,25 @@ def num(lexeme):
     return Constant(ValueType.NUMBER, lexeme)
 
 
+BINARY_OPS = {
+    "=": OpKind.EQ,
+    "<>": OpKind.NEQ,
+    "<": OpKind.LT,
+    ">": OpKind.GT,
+    "<=": OpKind.LE,
+    ">=": OpKind.GE,
+    "&": OpKind.CONCAT,
+    "+": OpKind.ADD,
+    "-": OpKind.SUB,
+    "*": OpKind.MUL,
+    "/": OpKind.DIV,
+    "^": OpKind.POW,
+}
+# Precedence levels, loosest first.
+LEVELS = (("=", "<>", "<", ">", "<=", ">="), ("&",), ("+", "-"), ("*", "/"), ("^",))
+PRECEDENCE = {op: level for level, ops in enumerate(LEVELS) for op in ops}
+
+
 class TestPrecedence:
     def test_single_constant(self):
         assert parse_text("1") == num("1")
@@ -82,6 +101,18 @@ class TestPrecedence:
 
     def test_unary_plus(self):
         assert parse_text("+7") == Operator(OpKind.UNARY_PLUS, (num("7"),))
+
+    @pytest.mark.parametrize("first", BINARY_OPS)
+    @pytest.mark.parametrize("second", BINARY_OPS)
+    def test_binary_operator_pairs(self, first, second):
+        # a tighter second operator takes 2 as its left operand; an equal or
+        # looser one applies to the whole of "1 first 2" (left association)
+        one, two, three = num("1"), num("2"), num("3")
+        if PRECEDENCE[second] > PRECEDENCE[first]:
+            expected = Operator(BINARY_OPS[first], (one, Operator(BINARY_OPS[second], (two, three))))
+        else:
+            expected = Operator(BINARY_OPS[second], (Operator(BINARY_OPS[first], (one, two)), three))
+        assert parse_text(f"1 {first} 2 {second} 3") == expected
 
 
 class TestReferences:
@@ -234,6 +265,21 @@ class TestErrors:
         formula = parse_formula(text)
         assert formula.expr is None
         assert "nested" in formula.error
+
+    def test_nesting_guard_counts_parentheses_and_unary_operators(self):
+        assert parse_formula("(" * 99 + "1" + ")" * 99).expr is not None
+        assert parse_formula("-" * 199 + "1").expr is not None
+        paren = parse_formula("(" * 100 + "1" + ")" * 100)
+        assert paren.error == "formula too deeply nested (at offset 100)"
+        unary = parse_formula("-" * 200 + "1")
+        assert unary.error == "formula too deeply nested (at offset 199)"
+
+    def test_64_nested_function_calls_parse(self):
+        # 64 is the function nesting limit spreadsheet programs document
+        from cellgauge.metrics import ast_depth
+
+        expr = parse_text("SUM(" * 64 + "1" + ")" * 64)
+        assert ast_depth(expr) == 65
 
     def test_long_flat_operator_chain_fails_cleanly(self):
         # chains grow the tree through loops, not recursion; the depth bound

@@ -1,4 +1,4 @@
-"""Scanner tests: spec token walks, escaping, spans, backend equivalence."""
+"""Scanner tests: spec token walks, escaping, spans, agreement with the reference scanner."""
 
 from __future__ import annotations
 
@@ -8,16 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellgauge import _tokenizer_py
-from cellgauge.lexer import BACKEND, tokenize
+from cellgauge.lexer import tokenize
 from cellgauge.tokens import ERROR_LITERALS, LexError, TokenKind
 
+from . import reference_scanner
 from .genutil import gen_expr
-
-try:
-    from cellgauge import _tokenizer as _tokenizer_cy
-except ImportError:
-    _tokenizer_cy = None
 
 
 def kinds(text):
@@ -162,17 +157,19 @@ class TestSpans:
         assert "".join(rebuilt) == text
 
 
-@pytest.mark.skipif(_tokenizer_cy is None, reason="compiled scanner not built")
 class TestBackendEquivalence:
+    """The master-pattern scanner against the character-loop reference,
+    token for token and error for error."""
+
     def _check(self, text):
         try:
-            expected = _tokenizer_py.scan(text)
+            expected = reference_scanner.scan(text)
             expected_error = None
         except LexError as exc:
             expected = None
             expected_error = (type(exc), str(exc))
         try:
-            actual = _tokenizer_cy.scan(text)
+            actual = tokenize(text)
             actual_error = None
         except LexError as exc:
             actual = None
@@ -195,8 +192,24 @@ class TestBackendEquivalence:
     def test_arbitrary_bytes_latin1(self, data):
         self._check(data.decode("latin-1"))
 
-    def test_backend_is_compiled_by_default(self):
-        import os
-
-        if not os.environ.get("CELLGAUGE_PURE_PYTHON"):
-            assert BACKEND == "cython"
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "'''",  # a sheet quote may not end on a doubled quote
+            '"a""b',  # nor may a string
+            '""""',
+            "#N/\u1e9a",  # str.upper() expands U+1E9A to "A" plus a modifier
+            "#D\u0131V/0!",  # dotless i uppercases to I
+            "#D\u0130V/0!",  # dotted capital I does not
+            "\u0663",  # non-ASCII digits are name characters, not digits
+            "A\u0661",
+            "$",
+            "$$",
+            "XFE1",
+            "1.2.3",
+            "[ab",
+            "\x0b1",
+        ],
+    )
+    def test_fixed_inputs(self, text):
+        self._check(text)

@@ -8,7 +8,9 @@ from unittest import mock
 
 import pytest
 
+from cellgauge import xlsx
 from cellgauge.model import ValueType
+from cellgauge.parser import parse_text
 from cellgauge.xlsx import (
     CorruptPartError,
     MalformedSheetXmlError,
@@ -19,6 +21,15 @@ from cellgauge.xlsx import (
 
 NS = 'xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main"'
 NS_R = 'xmlns:r="http://schemas.openxmlformats.org/officeDocument/2006/relationships"'
+
+
+
+def assert_followers_match_their_text(cells, keys):
+    """A shared-formula follower's tree is exactly what parsing its text gives."""
+    for key in keys:
+        formula = cells[key].formula
+        assert formula.error is None
+        assert formula.expr == parse_text(formula.text)
 
 
 def build_xlsx(
@@ -176,6 +187,7 @@ class TestFormulas:
         assert cells[(2, 2)].formula.text == "A2*2"
         assert cells[(3, 2)].formula.text == "A3*2"
         assert cells[(4, 2)].formula.text == "A4*2"
+        assert_followers_match_their_text(cells, [(3, 2), (4, 2)])
 
     def test_shared_formula_preserves_absolute_parts(self, tmp_path):
         body = (
@@ -185,6 +197,7 @@ class TestFormulas:
         path = build_xlsx(tmp_path / "sharedabs.xlsx", [("S", body)])
         cells = read_xlsx(path).sheets[0].cells
         assert cells[(2, 2)].formula.text == "$A$1+A2"
+        assert_followers_match_their_text(cells, [(2, 2)])
 
     def test_shared_formula_shift_off_grid_becomes_ref_error(self, tmp_path):
         body = (
@@ -195,6 +208,50 @@ class TestFormulas:
         path = build_xlsx(tmp_path / "refershift.xlsx", [("S", body)])
         cells = read_xlsx(path).sheets[0].cells
         assert "#REF!" in cells[(2, 1)].formula.text
+        assert_followers_match_their_text(cells, [(2, 1)])
+
+    def test_shared_formula_with_sheet_ranges_and_functions(self, tmp_path):
+        body = (
+            '<row r="1"><c r="C1"><f t="shared" ref="C1:D2" si="5">'
+            "SUM('Other Data'!A1:B$2,[Book]S!C1)*-A:A+1:$3+IF(A1&gt;0,Data!B1%,&quot;x&quot;)"
+            "</f></c>"
+            '<c r="D1"><f t="shared" si="5"/></c></row>'
+            '<row r="2"><c r="C2"><f t="shared" si="5"/></c><c r="D2"><f t="shared" si="5"/></c></row>'
+        )
+        path = build_xlsx(tmp_path / "sharedmix.xlsx", [("S", body)])
+        cells = read_xlsx(path).sheets[0].cells
+        assert cells[(2, 4)].formula.text == (
+            "SUM('Other Data'!B2:C$2,'[Book]S'!D2)*-B:B+2:$3+IF(B2>0,Data!C2%,\"x\")"
+        )
+        assert_followers_match_their_text(cells, [(1, 4), (2, 3), (2, 4)])
+
+    def test_failed_shared_master_is_inherited_by_followers(self, tmp_path):
+        body = (
+            '<row r="1"><c r="B1"><f t="shared" ref="B1:B3" si="0">1+</f></c></row>'
+            '<row r="2"><c r="B2"><f t="shared" si="0"/></c></row>'
+            '<row r="3"><c r="B3"><f t="shared" si="0"/></c></row>'
+        )
+        path = build_xlsx(tmp_path / "sharedbad.xlsx", [("S", body)])
+        cells = read_xlsx(path).sheets[0].cells
+        master = cells[(1, 2)].formula
+        assert master.expr is None and "offset 2" in master.error
+        for key in [(2, 2), (3, 2)]:
+            assert cells[key].formula == master
+
+    def test_each_formula_is_parsed_once_and_followers_never(self, tmp_path):
+        body = (
+            '<row r="1"><c r="B1"><f t="shared" ref="B1:B4" si="0">A1*2</f></c>'
+            '<c r="C1"><f t="shared" ref="C1:C4" si="1">1+</f></c><c r="D1"><f>A1</f></c></row>'
+        ) + "".join(
+            f'<row r="{r}"><c r="B{r}"><f t="shared" si="0"/></c><c r="C{r}"><f t="shared" si="1"/></c></row>'
+            for r in range(2, 5)
+        )
+        path = build_xlsx(tmp_path / "sharedcount.xlsx", [("S", body)])
+        with mock.patch("cellgauge.xlsx.parse_formula", wraps=xlsx.parse_formula) as spy:
+            cells = read_xlsx(path).sheets[0].cells
+        assert sorted(call.args[0] for call in spy.call_args_list) == ["1+", "A1", "A1*2"]
+        assert len(cells) == 9
+        assert_followers_match_their_text(cells, [(r, 2) for r in range(2, 5)])
 
     def test_defined_names_load(self, tmp_path):
         path = build_xlsx(
