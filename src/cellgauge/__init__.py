@@ -48,15 +48,12 @@ from .metrics import (
     DEFAULT_CONDITIONAL_FUNCTIONS,
     METRIC_IDS,
     METRIC_NAMES,
+    AstMetrics,
     FormulaMetrics,
     MetricRecord,
-    ast_depth,
+    ast_metrics,
     compute_record,
-    conditional_count,
-    element_count,
     formula_metrics,
-    function_counts,
-    normalized_key,
     spreading_factor,
 )
 from .model import (

@@ -114,21 +114,29 @@ def pearson_xy(xs: list[float], ys: list[float]) -> float | None:
         raise ValueError("samples must have equal length")
     if n < 2:
         return None
-    mx = fmean(xs)
-    my = fmean(ys)
+    dxs = _scaled_deviations(xs)
+    dys = _scaled_deviations(ys)
+    if dxs is None or dys is None:
+        return None
     sxx = syy = sxy = 0.0
-    for x, y in zip(xs, ys):
-        dx = x - mx
-        dy = y - my
+    for dx, dy in zip(dxs, dys):
         sxx += dx * dx
         syy += dy * dy
         sxy += dx * dy
-    if sxx <= 0.0 or syy <= 0.0:
+    return sxy / (math.sqrt(sxx) * math.sqrt(syy))
+
+
+def _scaled_deviations(values: list[float]) -> list[float] | None:
+    """Deviations from the mean, scaled by one power of two so the largest
+    lies in [0.5, 1); None when all values are equal. The scaling cancels in
+    the coefficient and changes no bit of it short of underflow; it keeps
+    the squares of tiny deviations from underflowing."""
+    if min(values) == max(values):  # the rounded mean may differ from them
         return None
-    denominator = math.sqrt(sxx) * math.sqrt(syy)  # sqrt of the product underflows first
-    if denominator == 0.0:
-        return None
-    return sxy / denominator
+    mean = fmean(values)
+    deviations = [v - mean for v in values]
+    exponent = math.frexp(max(map(abs, deviations)))[1]
+    return [math.ldexp(d, -exponent) for d in deviations]
 
 
 def _ranks(values: list[float]) -> list[float]:

@@ -115,7 +115,7 @@ def _corpus_worker(args: tuple[str, str, tuple[str, ...]]) -> tuple[str, str, ob
             workbook_id=relative,
         )
         return ("ok", relative, record)
-    except (XlsxError, SchemaError, BadInputError, OSError, ValueError) as exc:
+    except Exception as exc:  # one bad file must never end a corpus run
         return ("error", relative, f"{type(exc).__name__}: {exc}")
 
 

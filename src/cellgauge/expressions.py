@@ -1,13 +1,16 @@
 """Formula AST: node types, canonical serialization, column-letter arithmetic.
 
 Leaves are constants and references/ranges; internal nodes are functions,
-operators, and explicit parentheses. Trees are immutable and hashable.
+operators, and explicit parentheses. Trees are immutable and hashable, but
+the generated equality and hash recurse once per level, so library code
+uses neither; every function here that visits a tree keeps its own stack.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class ValueType(enum.Enum):
@@ -186,46 +189,93 @@ def _locator_text(loc: CellLocator) -> str:
     return "".join(parts)
 
 
-def _serialize(expr: Expr, wildcard_refs: bool) -> str:
-    if isinstance(expr, Constant):
-        return expr.lexeme
-    if isinstance(expr, Reference):
-        if wildcard_refs:
-            return "REF"
-        if expr.ref_error:
-            return _sheet_prefix(expr.sheet) + "#REF!"
-        if expr.name is not None:
-            return _sheet_prefix(expr.sheet) + expr.name
-        assert expr.locator is not None
-        return _sheet_prefix(expr.sheet) + _locator_text(expr.locator)
-    if isinstance(expr, Range):
-        if wildcard_refs:
-            return "RANGE"
-        return (
-            _sheet_prefix(expr.sheet)
-            + _locator_text(expr.start)
-            + ":"
-            + _locator_text(expr.end)
-        )
-    if isinstance(expr, Parenthesis):
-        return "(" + _serialize(expr.inner, wildcard_refs) + ")"
-    if isinstance(expr, Function):
-        args = ",".join(_serialize(a, wildcard_refs) for a in expr.args)
-        return expr.name + "(" + args + ")"
-    if isinstance(expr, Operator):
-        sym = OP_SYMBOL[expr.kind]
-        if expr.kind is OpKind.PERCENT:
-            return _serialize(expr.operands[0], wildcard_refs) + sym
-        if expr.kind in (OpKind.UNARY_MINUS, OpKind.UNARY_PLUS):
-            return sym + _serialize(expr.operands[0], wildcard_refs)
-        left, right = expr.operands
-        return _serialize(left, wildcard_refs) + sym + _serialize(right, wildcard_refs)
-    raise TypeError(f"not an Expr node: {expr!r}")
+def _reference_text(ref: Reference) -> str:
+    if ref.ref_error:
+        return _sheet_prefix(ref.sheet) + "#REF!"
+    if ref.name is not None:
+        return _sheet_prefix(ref.sheet) + ref.name
+    assert ref.locator is not None
+    return _sheet_prefix(ref.sheet) + _locator_text(ref.locator)
+
+
+def _range_text(rng: Range) -> str:
+    return _sheet_prefix(rng.sheet) + _locator_text(rng.start) + ":" + _locator_text(rng.end)
+
+
+class WrittenTree(NamedTuple):
+    """A tree's text and shape, from one pass."""
+
+    text: str
+    depth: int  # a lone leaf is 1; parentheses add a level
+    node_count: int  # every variant included
+    functions: list[str]  # uppercase name of every Function node, preorder
+
+
+def write_tree(expr: Expr, wildcard_refs: bool = False) -> WrittenTree:
+    """Serialize the tree and measure it in one pass.
+
+    The pass keeps an explicit stack, so operator chains and nests of any
+    depth are safe. With ``wildcard_refs`` every Reference is written as REF
+    and every Range as RANGE.
+    """
+    out: list[str] = []
+    functions: list[str] = []
+    node_count = 0
+    deepest = 0
+    # Items are (node, depth) pairs still to write, or text to emit as is.
+    stack: list = [(expr, 1)]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        item = pop()
+        if type(item) is str:
+            emit(item)
+            continue
+        node, depth = item
+        node_count += 1
+        if depth > deepest:
+            deepest = depth
+        kind = type(node)
+        if kind is Operator:
+            op = node.kind
+            if op not in UNARY_OPS:
+                left, right = node.operands
+                push((right, depth + 1))
+                push(OP_SYMBOL[op])
+                push((left, depth + 1))
+            elif op is OpKind.PERCENT:
+                push("%")
+                push((node.operands[0], depth + 1))
+            else:
+                emit(OP_SYMBOL[op])
+                push((node.operands[0], depth + 1))
+        elif kind is Constant:
+            emit(node.lexeme)
+        elif kind is Reference:
+            emit("REF" if wildcard_refs else _reference_text(node))
+        elif kind is Range:
+            emit("RANGE" if wildcard_refs else _range_text(node))
+        elif kind is Function:
+            functions.append(node.name)
+            emit(node.name + "(")
+            push(")")
+            args = node.args
+            for i in range(len(args) - 1, 0, -1):
+                push((args[i], depth + 1))
+                push(",")
+            if args:
+                push((args[0], depth + 1))
+        elif kind is Parenthesis:
+            emit("(")
+            push(")")
+            push((node.inner, depth + 1))
+        else:
+            raise TypeError(f"not an Expr node: {node!r}")
+    return WrittenTree("".join(out), deepest, node_count, functions)
 
 
 def serialize(expr: Expr) -> str:
     """Canonical formula text; re-parsing yields a structurally equal tree."""
-    return _serialize(expr, wildcard_refs=False)
+    return write_tree(expr).text
 
 
 def reference_wildcard_text(expr: Expr) -> str:
@@ -234,7 +284,7 @@ def reference_wildcard_text(expr: Expr) -> str:
     Two formulas are copies of each other (same structure, possibly shifted
     references) exactly when these texts are equal.
     """
-    return _serialize(expr, wildcard_refs=True)
+    return write_tree(expr, wildcard_refs=True).text
 
 
 def walk(expr: Expr):
@@ -270,21 +320,3 @@ def reference_nodes(expr: Expr) -> list[Reference | Range]:
         elif kind is Reference or kind is Range:
             found.append(node)  # type: ignore[arg-type]
     return found
-
-
-def tree_depth(expr: Expr) -> int:
-    """Depth of the tree (a lone leaf is 1), computed without recursion so
-    left-leaning operator chains of any length are safe."""
-    deepest = 0
-    stack = [(expr, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > deepest:
-            deepest = depth
-        if isinstance(node, Function):
-            stack.extend((arg, depth + 1) for arg in node.args)
-        elif isinstance(node, Operator):
-            stack.extend((operand, depth + 1) for operand in node.operands)
-        elif isinstance(node, Parenthesis):
-            stack.append((node.inner, depth + 1))
-    return deepest

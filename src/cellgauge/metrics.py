@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import fmean
+from typing import NamedTuple
 
-from .expressions import Expr, Function, reference_wildcard_text, tree_depth, walk
+from .expressions import Expr, write_tree
 from .graph import DependencyGraph, NotAFormulaCellError
 from .model import Cell, CellCoordinate, CellKind, Workbook, classify_cells
 
@@ -58,37 +59,34 @@ METRIC_NAMES = {
 }
 
 
-def ast_depth(expr: Expr) -> int:
-    """Depth of the tree; a lone leaf has depth 1, parentheses add a level."""
-    return tree_depth(expr)
+class AstMetrics(NamedTuple):
+    """The per-formula measures read off the tree alone."""
+
+    ast_depth: int  # a lone leaf has depth 1, parentheses add a level
+    element_count: int  # total node count, every variant included
+    function_count: int
+    distinct_function_count: int  # distinct uppercase names
+    conditional_count: int
+    # Copy-equivalence key: formulas that share it have identical structure
+    # and differ at most in which cells they point at.
+    normalized_key: str
 
 
-def element_count(expr: Expr) -> int:
-    """Total node count, every variant included."""
-    return sum(1 for _ in walk(expr))
-
-
-def function_counts(expr: Expr) -> tuple[int, int]:
-    """(total function nodes, distinct uppercase function names)."""
-    names = [node.name for node in walk(expr) if isinstance(node, Function)]
-    return len(names), len(set(names))
-
-
-def conditional_count(expr: Expr, conditional_functions: frozenset[str] = DEFAULT_CONDITIONAL_FUNCTIONS) -> int:
-    return sum(
-        1
-        for node in walk(expr)
-        if isinstance(node, Function) and node.name in conditional_functions
+def ast_metrics(
+    expr: Expr, conditional_functions: frozenset[str] = DEFAULT_CONDITIONAL_FUNCTIONS
+) -> AstMetrics:
+    """Depth, element, function and conditional counts and the copy key of
+    one tree, from a single pass of the reference-wildcard writer."""
+    tree = write_tree(expr, wildcard_refs=True)
+    names = tree.functions
+    return AstMetrics(
+        ast_depth=tree.depth,
+        element_count=tree.node_count,
+        function_count=len(names),
+        distinct_function_count=len(set(names)),
+        conditional_count=sum(1 for name in names if name in conditional_functions),
+        normalized_key=tree.text,
     )
-
-
-def normalized_key(expr: Expr) -> str:
-    """Copy-equivalence key: serialization with references wildcarded.
-
-    Formulas that share a key have identical structure and differ at most in
-    which cells they point at.
-    """
-    return reference_wildcard_text(expr)
 
 
 def spreading_factor(coordinate: CellCoordinate, graph: DependencyGraph) -> float:
@@ -96,22 +94,45 @@ def spreading_factor(coordinate: CellCoordinate, graph: DependencyGraph) -> floa
 
     Coordinates are (row, column, sheet index) points in a 3-D grid. The
     maximum over a set of expanded rectangles is attained at rectangle
-    corners, so only the stored anchor points need to be compared.
+    corners, so only the stored anchor points need to be compared. Of those,
+    only the two ends of each row run and then of each column run can take
+    part: distance to a fixed point is convex along a line, so a point
+    between two others on a line is never farther from anything than both.
     """
     try:
         points = graph.anchors[coordinate]
     except KeyError:
         raise NotAFormulaCellError(coordinate) from None
-    best = 0.0
+    if len(points) > 2:
+        points = _line_ends(_line_ends(points, along=2), along=1)
+    best = 0
     count = len(points)
     for i in range(count - 1):
         s1, r1, c1 = points[i]
         for j in range(i + 1, count):
             s2, r2, c2 = points[j]
-            d = math.sqrt((r1 - r2) ** 2 + (c1 - c2) ** 2 + (s1 - s2) ** 2)
+            d = (r1 - r2) ** 2 + (c1 - c2) ** 2 + (s1 - s2) ** 2
             if d > best:
                 best = d
-    return best
+    return math.sqrt(best)
+
+
+def _line_ends(points, along: int) -> list[CellCoordinate]:
+    """Of each line of points that share the sheet and the other grid
+    component, only the points least and greatest in component ``along``
+    (1 = row, 2 = column)."""
+    other = 3 - along
+    ends: dict[tuple[int, int], list[CellCoordinate]] = {}
+    for point in points:
+        key = (point[0], point[other])
+        line = ends.get(key)
+        if line is None:
+            ends[key] = [point, point]
+        elif point[along] < line[0][along]:
+            line[0] = point
+        elif point[along] > line[1][along]:
+            line[1] = point
+    return [p for low, high in ends.values() for p in ((low,) if low is high else (low, high))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,18 +156,11 @@ def formula_metrics(
     formula = cell.formula
     if formula is None or formula.expr is None:
         raise ValueError(f"cell {cell.coordinate} has no parsed formula")
-    expr = formula.expr
-    total, distinct = function_counts(expr)
     return FormulaMetrics(
-        ast_depth=ast_depth(expr),
-        element_count=element_count(expr),
-        function_count=total,
-        distinct_function_count=distinct,
-        conditional_count=conditional_count(expr, conditional_functions),
+        **ast_metrics(formula.expr, conditional_functions)._asdict(),
         fan_out=graph.fan_out(cell.coordinate),
         fan_in=graph.fan_in(cell.coordinate),
         spreading_factor=spreading_factor(cell.coordinate, graph),
-        normalized_key=normalized_key(expr),
     )
 
 

@@ -19,7 +19,6 @@ from .expressions import (
     Reference,
     ValueType,
     column_letter_to_index,
-    tree_depth,
 )
 from .lexer import tokenize
 from .model import Formula
@@ -31,10 +30,12 @@ from .tokens import (
     TokenKind,
 )
 
-# Depth bound for accepted trees. Structural equality and serialization walk
-# trees recursively at a few Python frames per level, so this must sit well
+# Bound on the parser's own recursion: each full expression (the whole
+# formula, a function argument, a parenthesised group), each opening
+# parenthesis and each unary operator counts one level. It must sit well
 # under the interpreter recursion limit; spreadsheet software itself allows
-# far less nesting than this.
+# far less nesting than this. Operator chains build depth in a loop and are
+# not bounded: nothing downstream walks a tree recursively.
 MAX_NESTING = 200
 
 
@@ -329,11 +330,6 @@ def parse(tokens: list[Token]) -> Expr:
     leftover = parser.peek()
     if leftover is not None:
         raise parser.fail(f"unexpected {leftover.lexeme!r} after expression", leftover.start)
-    # Flat operator chains build depth through loops, not recursion, so the
-    # recursion guard cannot see them; bound the finished tree instead. Every
-    # accepted tree is then safe for recursive consumers downstream.
-    if tree_depth(expr) > MAX_NESTING:
-        raise ParseError("formula too deeply nested", tokens[0].start if tokens else 0)
     return expr
 
 

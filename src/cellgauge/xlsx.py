@@ -157,29 +157,59 @@ def _shift_locator(loc: CellLocator, d_row: int, d_col: int) -> CellLocator | No
     return CellLocator(row=row, col=col, row_abs=loc.row_abs, col_abs=loc.col_abs)
 
 
+def _shift_leaf(node: Reference | Range, d_row: int, d_col: int) -> Expr:
+    if type(node) is Range:
+        start = _shift_locator(node.start, d_row, d_col)
+        end = _shift_locator(node.end, d_row, d_col)
+        if start is None or end is None:
+            return Reference(sheet=node.sheet, ref_error=True, external=node.external)
+        return Range(start, end, sheet=node.sheet, external=node.external)
+    if node.locator is None:
+        return node
+    shifted = _shift_locator(node.locator, d_row, d_col)
+    if shifted is None:
+        return Reference(sheet=node.sheet, ref_error=True, external=node.external)
+    return Reference(sheet=node.sheet, locator=shifted, external=node.external)
+
+
 def _shift_expr(expr: Expr, d_row: int, d_col: int) -> Expr:
     """Translate relative references by a row/column offset; out-of-grid
-    results become #REF! references, mirroring spreadsheet fill semantics."""
-    if isinstance(expr, Reference):
-        if expr.locator is None:
-            return expr
-        shifted = _shift_locator(expr.locator, d_row, d_col)
-        if shifted is None:
-            return Reference(sheet=expr.sheet, ref_error=True, external=expr.external)
-        return Reference(sheet=expr.sheet, locator=shifted, external=expr.external)
-    if isinstance(expr, Range):
-        start = _shift_locator(expr.start, d_row, d_col)
-        end = _shift_locator(expr.end, d_row, d_col)
-        if start is None or end is None:
-            return Reference(sheet=expr.sheet, ref_error=True, external=expr.external)
-        return Range(start, end, sheet=expr.sheet, external=expr.external)
-    if isinstance(expr, Parenthesis):
-        return Parenthesis(_shift_expr(expr.inner, d_row, d_col))
-    if isinstance(expr, Function):
-        return Function(expr.name, tuple(_shift_expr(a, d_row, d_col) for a in expr.args))
-    if isinstance(expr, Operator):
-        return Operator(expr.kind, tuple(_shift_expr(o, d_row, d_col) for o in expr.operands))
-    return expr
+    results become #REF! references, mirroring spreadsheet fill semantics.
+
+    Rebuilds the tree bottom-up with an explicit stack, so chains and nests
+    of any depth are safe."""
+    built: list[Expr] = []  # shifted subtrees, in the order they finish
+    # (node, children already built?) pairs still to visit
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        kind = type(node)
+        if kind is Reference or kind is Range:
+            built.append(_shift_leaf(node, d_row, d_col))  # type: ignore[arg-type]
+            continue
+        if kind is Function:
+            children = node.args  # type: ignore[attr-defined]
+        elif kind is Operator:
+            children = node.operands  # type: ignore[attr-defined]
+        elif kind is Parenthesis:
+            children = (node.inner,)  # type: ignore[attr-defined]
+        else:
+            children = ()
+        if not children:
+            built.append(node)
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+        else:
+            shifted = tuple(built[-len(children):])
+            del built[-len(children):]
+            if kind is Function:
+                built.append(Function(node.name, shifted))  # type: ignore[attr-defined]
+            elif kind is Operator:
+                built.append(Operator(node.kind, shifted))  # type: ignore[attr-defined]
+            else:
+                built.append(Parenthesis(shifted[0]))
+    return built[0]
 
 
 def _cached_value_type(t: str, has_value: bool) -> ValueType | None:

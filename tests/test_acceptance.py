@@ -25,11 +25,8 @@ from cellgauge.graph import build_graph
 from cellgauge.interchange import read_interchange, read_interchange_file
 from cellgauge.metrics import (
     METRIC_IDS,
-    ast_depth,
+    ast_metrics,
     compute_record,
-    conditional_count,
-    element_count,
-    function_counts,
     spreading_factor,
 )
 from cellgauge.model import CellCoordinate, Workbook, Worksheet
@@ -127,10 +124,7 @@ def test_c3_metric_invariants_on_generated_formulas():
         rng = random.Random(0xC3)
         for _ in range(1200):
             expr = parse_text(gen_expr(rng, depth=3))
-            depth = ast_depth(expr)
-            elements = element_count(expr)
-            total, distinct = function_counts(expr)
-            conditionals = conditional_count(expr)
+            depth, elements, total, distinct, conditionals, _ = ast_metrics(expr)
             assert depth >= 1
             assert depth <= elements
             assert distinct <= total <= elements

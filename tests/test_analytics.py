@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
+import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellgauge.analytics import (
@@ -180,24 +181,39 @@ class TestPearson:
             max_size=40,
         )
     )
+    @example([(0.0, 3.960401904942631e-160), (1.5, 0.0)])  # exactly -1
     @settings(max_examples=200)
-    def test_matches_stdlib_and_symmetry(self, pairs):
+    def test_matches_exact_reference_and_symmetry(self, pairs):
         xs = [p[0] for p in pairs]
         ys = [p[1] for p in pairs]
         ours = pearson_xy(xs, ys)
         assert ours == pearson_xy(ys, xs)
-        try:
-            expected = statistics.correlation(xs, ys)
-        except statistics.StatisticsError:
-            if len(set(xs)) == 1 or len(set(ys)) == 1:
-                assert ours is None
-            elif ours is not None:
-                # stdlib underflows on subnormal variances; ours keeps going
-                assert abs(ours) <= 1 + 1e-12
+        if len(set(xs)) == 1 or len(set(ys)) == 1:
+            assert ours is None
             return
-        if ours is not None and not math.isnan(expected):
-            assert ours == pytest.approx(expected, abs=1e-9)
-            assert abs(ours) <= 1 + 1e-12
+        expected, tolerance = exact_pearson(xs, ys)
+        assert ours == pytest.approx(expected, abs=tolerance)
+        assert abs(ours) <= 1 + 1e-12
+
+
+def exact_pearson(xs, ys):
+    """(r correctly rounded from exact rational sums, the error a float
+    computation may make). Each float deviation from the rounded mean is off
+    by up to 2 * eps * max|v| plus the smallest subnormal, so the bound grows
+    as the spread shrinks against the magnitude of the values."""
+    fx = [Fraction(x) for x in xs]
+    fy = [Fraction(y) for y in ys]
+    mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+    sxx = sum((x - mx) ** 2 for x in fx)
+    syy = sum((y - my) ** 2 for y in fy)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(fx, fy))
+    r = math.copysign(math.sqrt(sxy**2 / (sxx * syy)), sxy)
+
+    def relative_error(values, s):
+        error = 2 * Fraction(sys.float_info.epsilon) * max(map(abs, values)) + Fraction(5e-324)
+        return math.sqrt(min(error**2 * len(values) / s, Fraction(1)))
+
+    return r, 1e-9 + 4 * (relative_error(fx, sxx) + relative_error(fy, syy))
 
 
 class TestSpearman:

@@ -146,6 +146,21 @@ class TestCorpus:
         assert len(rows) == 2 and rows[1].startswith("good")
         assert "bad.xlsx" in err and "CorruptPartError" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_unexpected_exception_skipped_not_fatal(self, capsys, tmp_path, threads):
+        # the JSON decoder raises RecursionError, which no reader maps to a
+        # typed input error
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "deep.json").write_text("[" * 100_000)
+        (corpus / "g1.json").write_bytes((FIXTURES / "g1.json").read_bytes())
+        target = tmp_path / "report.csv"
+        code, _, err = run(["corpus", str(corpus), "--out", str(target), "--threads", threads], capsys)
+        assert code == 0
+        rows = target.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 2 and rows[1].startswith("g1")
+        assert "deep.json" in err and "RecursionError" in err
+
     def test_empty_directory_exit_2(self, capsys, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()

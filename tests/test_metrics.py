@@ -4,24 +4,27 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import traceback
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellgauge.cli import analyze_workbook
 from cellgauge.graph import build_graph
 from cellgauge.interchange import read_interchange
 from cellgauge.metrics import (
     METRIC_IDS,
-    ast_depth,
+    ast_metrics,
     compute_record,
-    conditional_count,
-    element_count,
-    function_counts,
     spreading_factor,
 )
 from cellgauge.model import CellCoordinate
 from cellgauge.parser import parse_text
+from cellgauge.reports import render_report
+from cellgauge.tokens import MAX_COL, MAX_ROW
 
 from . import oracle
 from .genutil import gen_expr, gen_workbook_doc, make_workbook
@@ -35,56 +38,59 @@ def record_for(workbook, **kwargs):
 
 class TestAstDepth:
     def test_leaf(self):
-        assert ast_depth(parse_text("1")) == 1
+        assert ast_metrics(parse_text("1")).ast_depth == 1
 
     def test_operator_over_leaves(self):
-        assert ast_depth(parse_text("A1+B1")) == 2
+        assert ast_metrics(parse_text("A1+B1")).ast_depth == 2
 
     def test_nested_conditional(self):
-        assert ast_depth(parse_text("IF(A1>0,SUM(B1:B10),0)")) == 3
+        assert ast_metrics(parse_text("IF(A1>0,SUM(B1:B10),0)")).ast_depth == 3
 
     def test_parenthesis_adds_a_level(self):
-        assert ast_depth(parse_text("(1)")) == 2
+        assert ast_metrics(parse_text("(1)")).ast_depth == 2
 
     def test_zero_arg_function(self):
-        assert ast_depth(parse_text("RAND()")) == 1
+        assert ast_metrics(parse_text("RAND()")).ast_depth == 1
 
 
 class TestElementCount:
     def test_leaf(self):
-        assert element_count(parse_text("1")) == 1
+        assert ast_metrics(parse_text("1")).element_count == 1
 
     def test_parenthesised_sum(self):
-        assert element_count(parse_text("(A1+B1)")) == 4
+        assert ast_metrics(parse_text("(A1+B1)")).element_count == 4
 
     def test_nested_conditional(self):
-        assert element_count(parse_text("IF(A1>0,SUM(B1:B10),0)")) == 7
+        assert ast_metrics(parse_text("IF(A1>0,SUM(B1:B10),0)")).element_count == 7
 
 
 class TestFunctionCounts:
     def test_constant(self):
-        assert function_counts(parse_text("1")) == (0, 0)
+        m = ast_metrics(parse_text("1"))
+        assert (m.function_count, m.distinct_function_count) == (0, 0)
 
     def test_case_insensitive_fold(self):
-        assert function_counts(parse_text("SUM(A1)+sum(B1)")) == (2, 1)
+        m = ast_metrics(parse_text("SUM(A1)+sum(B1)"))
+        assert (m.function_count, m.distinct_function_count) == (2, 1)
 
     def test_nested_conditional(self):
-        assert function_counts(parse_text("IF(A1>0,SUM(B1:B10),0)")) == (2, 2)
+        m = ast_metrics(parse_text("IF(A1>0,SUM(B1:B10),0)"))
+        assert (m.function_count, m.distinct_function_count) == (2, 2)
 
 
 class TestConditionalCount:
     def test_plain_sum(self):
-        assert conditional_count(parse_text("SUM(A1:A3)")) == 0
+        assert ast_metrics(parse_text("SUM(A1:A3)")).conditional_count == 0
 
     def test_single_if(self):
-        assert conditional_count(parse_text("IF(A1>0,SUM(B1:B10),0)")) == 1
+        assert ast_metrics(parse_text("IF(A1>0,SUM(B1:B10),0)")).conditional_count == 1
 
     def test_nested_conditionals(self):
-        assert conditional_count(parse_text("IF(A1,IF(B1,1,2),SUMIF(C:C,1))")) == 3
+        assert ast_metrics(parse_text("IF(A1,IF(B1,1,2),SUMIF(C:C,1))")).conditional_count == 3
 
     def test_custom_set(self):
         expr = parse_text("IF(A1,SUMIF(B:B,1),0)")
-        assert conditional_count(expr, frozenset({"IF"})) == 1
+        assert ast_metrics(expr, frozenset({"IF"})).conditional_count == 1
 
 
 class TestSpreadingFactor:
@@ -123,6 +129,26 @@ class TestSpreadingFactor:
         graph = build_graph(workbook)
         cells = graph.forward[C(1, 99, 26)]
         assert spreading_factor(C(1, 99, 26), graph) == oracle.spreading(cells)
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 3),
+                st.one_of(st.integers(1, 4), st.integers(1, MAX_ROW)),
+                st.one_of(st.integers(1, 4), st.integers(1, MAX_COL)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pruned_anchors_match_all_pairs(self, points):
+        # small coordinates make collinear and duplicate points likely,
+        # grid-wide ones make far corners
+        anchors = [C(*p) for p in points]
+        graph = SimpleNamespace(anchors={C(1, 1, 1): anchors})
+        assert spreading_factor(C(1, 1, 1), graph) == oracle.spreading(anchors)
 
 
 class TestNormalizedKeys:
@@ -229,10 +255,7 @@ class TestInvariants:
     @settings(max_examples=300, deadline=None)
     def test_per_formula_inequalities(self, seed):
         expr = parse_text(gen_expr(random.Random(seed)))
-        depth = ast_depth(expr)
-        elements = element_count(expr)
-        total, distinct = function_counts(expr)
-        conditionals = conditional_count(expr)
+        depth, elements, total, distinct, conditionals, _ = ast_metrics(expr)
         assert 1 <= depth <= elements
         assert distinct <= total <= elements
         assert conditionals <= total
@@ -259,3 +282,35 @@ class TestInvariants:
         ):
             if m[avg_id] is not None:
                 assert m[avg_id] <= m[max_id] + 1e-12
+
+
+class TestDeepChain:
+    def test_analysis_does_not_recurse_per_tree_level(self):
+        # B1 is A1 followed by 5000 more terms. The recursion limit sits only
+        # 150 frames above this test, so any per-level recursion in reading,
+        # parsing, resolving, measuring or reporting fails.
+        doc = {
+            "name": "deep",
+            "sheets": [
+                {
+                    "name": "S",
+                    "cells": [
+                        {"ref": "A1", "value": 1, "type": "number"},
+                        {"ref": "B1", "formula": "=A1" + "+1" * 5000},
+                    ],
+                }
+            ],
+        }
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 150)
+        try:
+            record = analyze_workbook(read_interchange(doc))
+            report = render_report([record], "csv")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert record.parse_failures == 0
+        m = record.metrics
+        assert m["M01"] == m["M02"] == 5001  # the leftmost leaf is 5001 deep
+        assert m["M21"] == m["M22"] == 10_001  # 5001 leaves, 5000 operators
+        assert (m["M03"], m["M05"], m["M09"], m["M08"]) == (1, 1, 1, 1)
+        assert "10001" in report

@@ -276,26 +276,35 @@ class TestErrors:
 
     def test_64_nested_function_calls_parse(self):
         # 64 is the function nesting limit spreadsheet programs document
-        from cellgauge.metrics import ast_depth
+        from cellgauge.metrics import ast_metrics
 
         expr = parse_text("SUM(" * 64 + "1" + ")" * 64)
-        assert ast_depth(expr) == 65
+        assert ast_metrics(expr).ast_depth == 65
 
-    def test_long_flat_operator_chain_fails_cleanly(self):
-        # chains grow the tree through loops, not recursion; the depth bound
-        # must still catch them so downstream recursive walks stay safe
-        formula = parse_formula("1" + "+1" * 5000)
-        assert formula.expr is None
-        assert "nested" in formula.error
+    def test_long_flat_operator_chain_parses(self):
+        # spreadsheet programs bound formula length, not chain length
+        from cellgauge.metrics import ast_metrics
+
+        text = "1" + "+1" * 5000
+        formula = parse_formula(text)
+        assert formula.error is None
+        m = ast_metrics(formula.expr)
+        assert m.ast_depth == 5001
+        assert m.element_count == 10_001
+        assert (m.function_count, m.distinct_function_count, m.conditional_count) == (0, 0, 0)
+        assert m.normalized_key == text
+        # round trip compared as text: the generated equality recurses once
+        # per level
+        assert serialize(formula.expr) == text
 
     def test_moderate_chain_parses_and_analyzes(self):
-        from cellgauge.expressions import serialize
-        from cellgauge.metrics import ast_depth, element_count
+        from cellgauge.metrics import ast_metrics
 
         formula = parse_formula("1" + "*2" * 150)
         assert formula.expr is not None
-        assert ast_depth(formula.expr) == 151
-        assert element_count(formula.expr) == 301
+        m = ast_metrics(formula.expr)
+        assert m.ast_depth == 151
+        assert m.element_count == 301
         assert parse_formula(serialize(formula.expr)).expr == formula.expr
 
 

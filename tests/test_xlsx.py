@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 
 from cellgauge import xlsx
+from cellgauge.expressions import serialize
 from cellgauge.model import ValueType
 from cellgauge.parser import parse_text
 from cellgauge.xlsx import (
@@ -224,6 +225,21 @@ class TestFormulas:
             "SUM('Other Data'!B2:C$2,'[Book]S'!D2)*-B:B+2:$3+IF(B2>0,Data!C2%,\"x\")"
         )
         assert_followers_match_their_text(cells, [(1, 4), (2, 3), (2, 4)])
+
+    def test_long_chain_shared_master_shifts_followers(self, tmp_path):
+        def chain(first_row):
+            return "+".join(f"A{first_row + i}" for i in range(2000))
+
+        body = f'<row r="1"><c r="B1"><f t="shared" ref="B1:B3" si="0">{chain(1)}</f></c></row>' + "".join(
+            f'<row r="{r}"><c r="B{r}"><f t="shared" si="0"/></c></row>' for r in (2, 3)
+        )
+        path = build_xlsx(tmp_path / "sharedchain.xlsx", [("S", body)])
+        cells = read_xlsx(path).sheets[0].cells
+        for r in (1, 2, 3):
+            formula = cells[(r, 2)].formula
+            assert formula.error is None
+            # compared as text: the generated equality recurses once per level
+            assert formula.text == serialize(formula.expr) == chain(r)
 
     def test_failed_shared_master_is_inherited_by_followers(self, tmp_path):
         body = (
