@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -268,7 +269,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument(
         "--histogram", metavar="METRIC", choices=METRIC_IDS, help="also emit a histogram of METRIC"
     )
-    p_corpus.add_argument("--bins", type=int, help="histogram bin count (default 20)")
+    p_corpus.add_argument("--bins", type=_bins_option, help="histogram bin count (default 20)")
     p_corpus.add_argument(
         "--range",
         type=_range_option,
@@ -289,6 +290,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bins_option(text: str) -> int:
+    try:
+        bins = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer") from None
+    if bins < 1:
+        raise argparse.ArgumentTypeError("bin count must be at least 1")
+    return bins
+
+
 def _range_option(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -297,6 +308,8 @@ def _range_option(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError("expected two numbers") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("range bounds must be finite")
     if not hi > lo:
         raise argparse.ArgumentTypeError("range must be ascending")
     return lo, hi

@@ -178,6 +178,10 @@ def read_interchange_file(path: str | Path) -> Workbook:
             document = json.load(fp)
         except json.JSONDecodeError as exc:
             raise SchemaError("$", f"not valid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError("$", f"not UTF-8 text: {exc}") from None
+        except RecursionError:
+            raise SchemaError("$", "JSON nested too deeply to decode") from None
     return read_interchange(document, default_name=path.stem)
 
 

@@ -1,4 +1,9 @@
-"""Formula parser: recursive descent with one precedence-climbing operator loop.
+"""Formula parser: one operator-precedence loop with explicit stacks.
+
+``_Parser.expression`` keeps the operands it has built, the operators waiting
+for a right operand and the open groups (parentheses and function calls) on
+lists, not on the call stack, so only a formula's length bounds what parses.
+``primary`` reads one leaf: a constant, a reference or a range.
 
 Precedence, loosest to tightest: comparisons; & ; + - ; * / ; ^ ; postfix % ;
 unary +- ; range colon and parentheses. All binary operators associate left,
@@ -22,21 +27,7 @@ from .expressions import (
 )
 from .lexer import tokenize
 from .model import Formula
-from .tokens import (
-    MAX_COL,
-    MAX_ROW,
-    FormulaError,
-    Token,
-    TokenKind,
-)
-
-# Bound on the parser's own recursion: each full expression (the whole
-# formula, a function argument, a parenthesised group), each opening
-# parenthesis and each unary operator counts one level. It must sit well
-# under the interpreter recursion limit; spreadsheet software itself allows
-# far less nesting than this. Operator chains build depth in a loop and are
-# not bounded: nothing downstream walks a tree recursively.
-MAX_NESTING = 200
+from .tokens import MAX_COL, MAX_ROW, FormulaError, Token, TokenKind
 
 
 class ParseError(FormulaError):
@@ -62,6 +53,19 @@ _OPERATORS = {
     "^": (5, OpKind.POW),
     "%": (6, OpKind.PERCENT),
 }
+# Prefix signs bind tighter than every binary operator and postfix %.
+_PREFIX_PRECEDENCE = 7
+_PREFIX = {"+": (_PREFIX_PRECEDENCE, OpKind.UNARY_PLUS), "-": (_PREFIX_PRECEDENCE, OpKind.UNARY_MINUS)}
+# Pending-operator entry that opens a group; every reduction stops at it.
+_GROUP = (0, None)
+
+# Members the parse loop compares on every token.
+_OPERATOR = TokenKind.OPERATOR
+_LPAREN = TokenKind.LPAREN
+_RPAREN = TokenKind.RPAREN
+_COMMA = TokenKind.COMMA
+_CALLABLE = (TokenKind.IDENTIFIER, TokenKind.CELL_REF, TokenKind.BOOLEAN)
+_PERCENT = OpKind.PERCENT
 
 
 def _column_locator(lexeme: str) -> CellLocator | None:
@@ -121,7 +125,6 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.depth = 0
         self.end_offset = tokens[-1].end if tokens else 0
 
     def peek(self, ahead: int = 0) -> Token | None:
@@ -139,54 +142,97 @@ class _Parser:
             position = tok.start if tok else self.end_offset
         return ParseError(message, position, frozenset(expected))
 
-    def nest(self) -> None:
-        """Count one nesting level; callers undo it with ``self.depth -= 1``."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.fail("formula too deeply nested")
-
-    # --- operators --------------------------------------------------------
-
     def expression(self) -> Expr:
-        self.nest()
-        try:
-            return self.binary(1)
-        finally:
-            self.depth -= 1
-
-    def binary(self, min_precedence: int) -> Expr:
-        """Precedence climbing: operators at ``min_precedence`` or tighter,
-        all associating left."""
-        node = self.unary()
+        """The expression at the cursor, up to the first token that cannot
+        continue it. The outer loop reads an operand's prefix signs, then a
+        group opening or a leaf; the inner loop the operators after it."""
         tokens = self.tokens
-        while self.pos < len(tokens):
-            tok = tokens[self.pos]
-            entry = _OPERATORS.get(tok.lexeme) if tok.kind == TokenKind.OPERATOR else None
-            if entry is None or entry[0] < min_precedence:
-                break
-            precedence, kind = entry
-            self.pos += 1
-            if kind is OpKind.PERCENT:
-                node = Operator(kind, (node,))
+        count = len(tokens)
+        values: list[Expr] = []
+        # (precedence, kind) of each pending operator; _GROUP marks where an
+        # open group starts, the first one the whole expression.
+        ops: list[tuple[int, OpKind | None]] = [_GROUP]
+        # (opening token, upper-cased function name or None for a
+        # parenthesis, index of the group's first operand in values)
+        groups: list[tuple[Token, str | None, int]] = []
+        while True:
+            pos = self.pos
+            tok = tokens[pos] if pos < count else None
+            while tok is not None and tok.kind == _OPERATOR and tok.lexeme in _PREFIX:
+                ops.append(_PREFIX[tok.lexeme])
+                pos += 1
+                tok = tokens[pos] if pos < count else None
+            self.pos = pos
+            if tok is not None and tok.kind == _LPAREN:
+                self.pos = pos + 1
+                ops.append(_GROUP)
+                groups.append((tok, None, len(values)))
+                continue
+            if pos + 1 < count and tokens[pos + 1].kind == _LPAREN and tok.kind in _CALLABLE:
+                name = tok.lexeme
+                if name.startswith("'") or "[" in name or "$" in name:
+                    raise self.fail(f"illegal function name {name!r}", tok.start)
+                self.pos = pos + 2
+                first = self.peek()
+                if first is None or first.kind != _RPAREN:
+                    if first is not None and first.kind == _COMMA:
+                        raise self.fail("empty function argument")
+                    ops.append(_GROUP)
+                    groups.append((tok, name.upper(), len(values)))
+                    continue
+                self.pos += 1
+                values.append(Function(name.upper(), ()))
             else:
-                node = Operator(kind, (node, self.binary(precedence + 1)))
-        return node
-
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok is not None and tok.kind == TokenKind.OPERATOR and tok.lexeme in ("+", "-"):
-            self.nest()
-            try:
-                self.advance()
-                kind = OpKind.UNARY_MINUS if tok.lexeme == "-" else OpKind.UNARY_PLUS
-                return Operator(kind, (self.unary(),))
-            finally:
-                self.depth -= 1
-        return self.primary()
-
-    # --- primaries ------------------------------------------------------
+                values.append(self.primary())
+            while True:
+                pos = self.pos
+                tok = tokens[pos] if pos < count else None
+                entry = _OPERATORS.get(tok.lexeme) if tok is not None and tok.kind == _OPERATOR else None
+                # Apply the pending operators that bind at least as tightly
+                # as this one (left association); without one, every
+                # operator of the innermost open group.
+                precedence = entry[0] if entry is not None else 1
+                while ops[-1][0] >= precedence:
+                    op_precedence, kind = ops.pop()
+                    if op_precedence == _PREFIX_PRECEDENCE:
+                        values[-1] = Operator(kind, (values[-1],))
+                    else:
+                        right = values.pop()
+                        values[-1] = Operator(kind, (values[-1], right))
+                if entry is not None:
+                    self.pos = pos + 1
+                    if entry[1] is _PERCENT:
+                        values[-1] = Operator(_PERCENT, (values[-1],))
+                        continue
+                    ops.append(entry)
+                    break
+                if not groups:
+                    return values[0]
+                opener, name, base = groups[-1]
+                if name is None:
+                    if tok is None or tok.kind != _RPAREN:
+                        raise self.fail("unbalanced parentheses: expected ')'", opener.start, {")"})
+                    values[-1] = Parenthesis(values[-1])
+                elif tok is None:
+                    raise self.fail("unbalanced parentheses: expected ',' or ')'", expected={",", ")"})
+                elif tok.kind == _COMMA:
+                    self.pos = pos + 1
+                    nxt = self.peek()
+                    if nxt is not None and nxt.kind in (_COMMA, _RPAREN):
+                        raise self.fail("empty function argument")
+                    break
+                elif tok.kind == _RPAREN:
+                    args = tuple(values[base:])
+                    del values[base:]
+                    values.append(Function(name, args))
+                else:
+                    raise self.fail(f"expected ',' or ')' in argument list, got {tok.lexeme!r}", tok.start, {",", ")"})
+                self.pos = pos + 1
+                ops.pop()
+                groups.pop()
 
     def primary(self) -> Expr:
+        """The leaf at the cursor: a constant, a reference or a range."""
         tok = self.peek()
         if tok is None:
             raise self.fail("expected expression", expected={"expression"})
@@ -197,9 +243,6 @@ class _Parser:
             self.advance()
             return Constant(ValueType.TEXT, tok.lexeme)
         if kind == TokenKind.BOOLEAN:
-            nxt = self.peek(1)
-            if nxt is not None and nxt.kind == TokenKind.LPAREN:
-                return self._function_call(tok)
             self.advance()
             return Constant(ValueType.BOOLEAN, tok.lexeme)
         if kind == TokenKind.ERROR_LITERAL:
@@ -208,19 +251,7 @@ class _Parser:
                 return Reference(ref_error=True)
             return Constant(ValueType.ERROR, tok.lexeme)
         if kind in (TokenKind.IDENTIFIER, TokenKind.CELL_REF):
-            return self._reference_or_call(tok)
-        if kind == TokenKind.LPAREN:
-            self.nest()
-            try:
-                self.advance()
-                inner = self.expression()
-            finally:
-                self.depth -= 1
-            closing = self.peek()
-            if closing is None or closing.kind != TokenKind.RPAREN:
-                raise self.fail("unbalanced parentheses: expected ')'", tok.start, {")"})
-            self.advance()
-            return Parenthesis(inner)
+            return self._reference(tok)
         raise self.fail(f"unexpected {tok.lexeme!r}", tok.start, {"expression"})
 
     def _number(self, tok: Token) -> Expr:
@@ -231,33 +262,6 @@ class _Parser:
             raise self.fail("absolute row locator outside a range", tok.start)
         self.advance()
         return Constant(ValueType.NUMBER, tok.lexeme)
-
-    def _function_call(self, name_tok: Token) -> Expr:
-        lexeme = name_tok.lexeme
-        if lexeme.startswith("'") or "[" in lexeme or "$" in lexeme:
-            raise self.fail(f"illegal function name {lexeme!r}", name_tok.start)
-        self.advance()  # name
-        self.advance()  # (
-        args: list[Expr] = []
-        closing = self.peek()
-        if closing is not None and closing.kind == TokenKind.RPAREN:
-            self.advance()
-            return Function(lexeme.upper(), ())
-        while True:
-            nxt = self.peek()
-            if nxt is not None and nxt.kind in (TokenKind.COMMA, TokenKind.RPAREN):
-                raise self.fail("empty function argument")
-            args.append(self.expression())
-            nxt = self.peek()
-            if nxt is None:
-                raise self.fail("unbalanced parentheses: expected ',' or ')'", expected={",", ")"})
-            if nxt.kind == TokenKind.COMMA:
-                self.advance()
-                continue
-            if nxt.kind == TokenKind.RPAREN:
-                self.advance()
-                return Function(lexeme.upper(), tuple(args))
-            raise self.fail(f"expected ',' or ')' in argument list, got {nxt.lexeme!r}", nxt.start, {",", ")"})
 
     def _range_tail(self, sheet: str | None = None, external: bool = False) -> Range | None:
         """A cell (A1:B2), row (1:3) or column (A:C) range at the cursor, or
@@ -278,10 +282,8 @@ class _Parser:
         self.pos = pos + 3
         return Range(start, end, sheet=sheet, external=external)
 
-    def _reference_or_call(self, tok: Token) -> Expr:
+    def _reference(self, tok: Token) -> Expr:
         nxt = self.peek(1)
-        if nxt is not None and nxt.kind == TokenKind.LPAREN:
-            return self._function_call(tok)
         if nxt is not None and nxt.kind == TokenKind.EXCLAMATION:
             self.pos += 2  # sheet and !
             return self._sheet_suffix(_unquote_sheet(tok.lexeme))
@@ -344,5 +346,3 @@ def parse_formula(formula_text: str) -> Formula:
         return Formula(text=formula_text, expr=parse_text(formula_text))
     except FormulaError as exc:
         return Formula(text=formula_text, expr=None, error=str(exc))
-    except RecursionError:
-        return Formula(text=formula_text, expr=None, error="formula too deeply nested")

@@ -63,7 +63,8 @@ class MalformedSheetXmlError(XlsxError):
 
 
 class CorruptPartError(XlsxError):
-    """A package member fails its CRC or does not decompress."""
+    """A package member fails its CRC, does not decompress or uses a
+    compression method the reader does not support."""
 
 
 def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
@@ -71,8 +72,8 @@ def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
         data = archive.read(part)
     except KeyError:
         raise MissingWorkbookPartError(part, "part not found in package") from None
-    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
-        raise CorruptPartError(part, f"corrupt ZIP member: {exc}") from None
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError) as exc:
+        raise CorruptPartError(part, f"unreadable ZIP member: {exc}") from None
     try:
         return ElementTree.fromstring(data)
     except ElementTree.ParseError as exc:

@@ -67,6 +67,23 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)[0]["M03"] == 15
 
+    @pytest.mark.parametrize("case", ["non_utf8", "deep_json", "unsupported_compression"])
+    def test_unreadable_input_is_bad_input(self, capsys, tmp_path, case):
+        from .test_xlsx import build_unsupported_compression_xlsx
+
+        if case == "non_utf8":
+            path = tmp_path / "latin1.json"
+            path.write_bytes('{"name": "caf\u00e9", "sheets": []}'.encode("latin-1"))
+        elif case == "deep_json":
+            path = tmp_path / "deep.json"
+            path.write_text("[" * 100_000)
+        else:
+            path = build_unsupported_compression_xlsx(tmp_path / "implode.xlsx")
+        code, out, err = run(["analyze", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert path.name in err and "internal error" not in err
+
     def test_bad_arguments_exit_3(self, capsys):
         for argv in (["analyze"], ["frobnicate"]):
             with pytest.raises(SystemExit) as excinfo:
@@ -147,19 +164,29 @@ class TestCorpus:
         assert "bad.xlsx" in err and "CorruptPartError" in err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_unexpected_exception_skipped_not_fatal(self, capsys, tmp_path, threads):
-        # the JSON decoder raises RecursionError, which no reader maps to a
-        # typed input error
+    def test_unexpected_exception_skipped_not_fatal(self, capsys, tmp_path, monkeypatch, threads):
+        # an error no reader maps to a typed input error, raised while
+        # analyzing one file; pool workers are forked, so they see the patch
+        import cellgauge.cli
+
+        analyze = cellgauge.cli.analyze_workbook
+
+        def fail_on_boom(workbook, **kwargs):
+            if kwargs["workbook_id"] == "boom.json":
+                raise RuntimeError("injected failure")
+            return analyze(workbook, **kwargs)
+
+        monkeypatch.setattr(cellgauge.cli, "analyze_workbook", fail_on_boom)
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        (corpus / "deep.json").write_text("[" * 100_000)
-        (corpus / "g1.json").write_bytes((FIXTURES / "g1.json").read_bytes())
+        for name in ("boom.json", "g1.json"):
+            (corpus / name).write_bytes((FIXTURES / "g1.json").read_bytes())
         target = tmp_path / "report.csv"
         code, _, err = run(["corpus", str(corpus), "--out", str(target), "--threads", threads], capsys)
         assert code == 0
         rows = target.read_text(encoding="utf-8").splitlines()
         assert len(rows) == 2 and rows[1].startswith("g1")
-        assert "deep.json" in err and "RecursionError" in err
+        assert "boom.json" in err and "RuntimeError: injected failure" in err
 
     def test_empty_directory_exit_2(self, capsys, tmp_path):
         empty = tmp_path / "nothing"
@@ -230,6 +257,18 @@ class TestCorpus:
         assert len(hist["counts"]) == 4
         assert hist["binEdges"][0] == 0.0 and hist["binEdges"][-1] == 8.0
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--bins", "-2"], ["--bins", "0"], ["--range", "0,1e400"]],
+        ids=["negative", "zero", "infinite"],
+    )
+    def test_bad_histogram_option_exit_3(self, capsys, tmp_path, option):
+        write_corpus(tmp_path / "corpus", 2, seed=11)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", str(tmp_path / "corpus"), "--histogram", "M03", *option])
+        assert excinfo.value.code == 3
+        assert option[0] in capsys.readouterr().err
+
     def test_planted_linear_dependence_correlates_exactly(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -284,6 +323,25 @@ class TestCorpus:
         monkeypatch.setenv("CELLGAUGE_THREADS", "2")
         assert run(["corpus", str(tmp_path / "corpus"), "--out", str(via_env), "--quiet"], capsys)[0] == 0
         assert via_flag.read_bytes() == via_env.read_bytes()
+
+    def test_nested_calls_identical_at_any_parallelism(self, capsys, tmp_path):
+        # 150 to 199 nested SUM calls: the parse outcome must not depend on
+        # how deep the caller's stack is, in this process or in a worker
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for n in range(150, 200):
+            cell = {"ref": "B1", "formula": "=" + "SUM(" * n + "A1" + ")" * n}
+            doc = {"name": f"n{n}", "sheets": [{"name": "S", "cells": [cell]}]}
+            (corpus / f"n{n}.json").write_text(json.dumps(doc))
+        reports = []
+        for threads in ("1", "2"):
+            target = tmp_path / f"threads{threads}.json"
+            args = ["corpus", str(corpus), "--out", str(target), "--format", "json", "--threads", threads]
+            assert run([*args, "--quiet"], capsys)[0] == 0
+            reports.append(target.read_bytes())
+        assert reports[0] == reports[1]
+        depths = [record["M01"] for record in json.loads(reports[0])]
+        assert depths == [n + 1 for n in range(150, 200)]
 
     def test_determinism_across_parallelism(self, capsys, tmp_path):
         write_corpus(tmp_path / "corpus", 16, seed=21)

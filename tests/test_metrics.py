@@ -286,9 +286,10 @@ class TestInvariants:
 
 class TestDeepChain:
     def test_analysis_does_not_recurse_per_tree_level(self):
-        # B1 is A1 followed by 5000 more terms. The recursion limit sits only
-        # 150 frames above this test, so any per-level recursion in reading,
-        # parsing, resolving, measuring or reporting fails.
+        # B1 is A1 followed by 5000 more terms; B2, B3 and B4 nest A1 in 5000
+        # parentheses, SUM calls and minus signs. The recursion limit sits
+        # only 150 frames above this test, so any per-level recursion in
+        # reading, parsing, resolving, measuring or reporting fails.
         doc = {
             "name": "deep",
             "sheets": [
@@ -297,6 +298,9 @@ class TestDeepChain:
                     "cells": [
                         {"ref": "A1", "value": 1, "type": "number"},
                         {"ref": "B1", "formula": "=A1" + "+1" * 5000},
+                        {"ref": "B2", "formula": "=" + "(" * 5000 + "A1" + ")" * 5000},
+                        {"ref": "B3", "formula": "=" + "SUM(" * 5000 + "A1" + ")" * 5000},
+                        {"ref": "B4", "formula": "=" + "-" * 5000 + "A1"},
                     ],
                 }
             ],
@@ -310,7 +314,9 @@ class TestDeepChain:
             sys.setrecursionlimit(limit)
         assert record.parse_failures == 0
         m = record.metrics
-        assert m["M01"] == m["M02"] == 5001  # the leftmost leaf is 5001 deep
-        assert m["M21"] == m["M22"] == 10_001  # 5001 leaves, 5000 operators
-        assert (m["M03"], m["M05"], m["M09"], m["M08"]) == (1, 1, 1, 1)
+        assert m["M01"] == m["M02"] == 5001  # A1 is 5001 deep in every formula
+        assert m["M22"] == 10_001  # B1: 5001 leaves, 5000 operators
+        assert m["M21"] == (10_001 + 3 * 5001) / 4
+        assert (m["M17"], m["M18"]) == (1250, 5000)
+        assert (m["M03"], m["M05"], m["M09"], m["M08"]) == (4, 1, 1, 4)
         assert "10001" in report

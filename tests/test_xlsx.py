@@ -112,6 +112,23 @@ def build_bad_crc_xlsx(path):
     return path
 
 
+def build_unsupported_compression_xlsx(path):
+    """A package whose first sheet member names compression method 6
+    (implode), which zipfile cannot decompress."""
+    build_xlsx(path, [("S", '<row r="1"><c r="A1"><v>1</v></c></row>')])
+    part = b"xl/worksheets/sheet1.xml"
+    with zipfile.ZipFile(path) as archive:
+        offset = archive.getinfo(part.decode()).header_offset
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<H", data, offset + 8, 6)  # local file header
+    central = data.index(b"PK\x01\x02")
+    while data[central + 46 : central + 46 + len(part)] != part:
+        central = data.index(b"PK\x01\x02", central + 4)
+    struct.pack_into("<H", data, central + 10, 6)  # central directory record
+    path.write_bytes(bytes(data))
+    return path
+
+
 class TestLiterals:
     def test_minimal_number_cell(self, tmp_path):
         path = build_xlsx(
@@ -369,6 +386,12 @@ class TestStructure:
         with pytest.raises(CorruptPartError) as excinfo:
             read_xlsx(path)
         assert excinfo.value.part == part
+
+    def test_member_with_unsupported_compression_is_a_corrupt_part(self, tmp_path):
+        path = build_unsupported_compression_xlsx(tmp_path / "implode.xlsx")
+        with pytest.raises(CorruptPartError) as excinfo:
+            read_xlsx(path)
+        assert excinfo.value.part == "xl/worksheets/sheet1.xml"
 
     def test_truncated_member_is_a_corrupt_part(self, tmp_path):
         path = build_xlsx(tmp_path / "short.xlsx", [("S", "")])
