@@ -189,10 +189,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         return EXIT_BAD_INPUT
     conditional = _parse_conditional_set(args.conditional_functions)
     paths, legacy_skips = _scan_paths(root)
-    degree = _parallelism(args.threads)
-
     tasks = [(path, relative, tuple(sorted(conditional))) for path, relative in paths]
-    if degree > 1 and len(tasks) > 1:
+    # Never more workers than files: a pool may start every worker up front.
+    degree = min(_parallelism(args.threads), len(tasks))
+    if degree > 1:
         with ProcessPoolExecutor(max_workers=degree) as pool:
             outcomes = list(pool.map(_corpus_worker, tasks, chunksize=8))
     else:

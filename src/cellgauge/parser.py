@@ -5,6 +5,15 @@ for a right operand and the open groups (parentheses and function calls) on
 lists, not on the call stack, so only a formula's length bounds what parses.
 ``primary`` reads one leaf: a constant, a reference or a range.
 
+A REFERENCE token (a whole reference the scanner took as one lexeme) becomes
+its Reference or Range through one module-level dict keyed by lexeme, so
+each distinct reference text is built once per process and its node shared
+by every formula that writes it. Sharing is safe because nodes are frozen
+and a reference resolves the same wherever it appears. The dict holds at
+most ``_NODE_CAP`` entries and is cleared when full. References split by
+whitespace, row and column ranges, names and ``#REF!`` arrive as fine tokens
+and are read token by token.
+
 Precedence, loosest to tightest: comparisons; & ; + - ; * / ; ^ ; postfix % ;
 unary +- ; range colon and parentheses. All binary operators associate left,
 including ^. Unary minus binds tighter than ^, so -2^2 parses as (-2)^2.
@@ -25,7 +34,7 @@ from .expressions import (
     ValueType,
     column_letter_to_index,
 )
-from .lexer import tokenize
+from .lexer import reference_parts, tokenize
 from .model import Formula
 from .tokens import MAX_COL, MAX_ROW, FormulaError, Token, TokenKind
 
@@ -66,6 +75,11 @@ _RPAREN = TokenKind.RPAREN
 _COMMA = TokenKind.COMMA
 _CALLABLE = (TokenKind.IDENTIFIER, TokenKind.CELL_REF, TokenKind.BOOLEAN)
 _PERCENT = OpKind.PERCENT
+_REFERENCE = TokenKind.REFERENCE
+
+# Reference and Range nodes by REFERENCE lexeme; cleared when it reaches the cap.
+_NODE_CAP = 8192
+_NODES: dict[str, Reference | Range] = {}
 
 
 def _column_locator(lexeme: str) -> CellLocator | None:
@@ -119,6 +133,33 @@ def _unquote_sheet(lexeme: str) -> str:
     if lexeme.startswith("'") and lexeme.endswith("'") and len(lexeme) >= 2:
         return lexeme[1:-1].replace("''", "'")
     return lexeme
+
+
+def _reference_node(lexeme: str) -> Reference | Range:
+    """Build the node of a REFERENCE lexeme not in ``_NODES`` and keep it there."""
+    sheet, first, last = reference_parts(lexeme)
+    external = False
+    if sheet is not None:
+        sheet = _unquote_sheet(sheet)
+        external = "[" in sheet
+    start = _cellref_locator(first)
+    if last is None:
+        node = Reference(sheet=sheet, locator=start, external=external)
+    else:
+        node = Range(start, _cellref_locator(last), sheet=sheet, external=external)
+    if len(_NODES) >= _NODE_CAP:
+        _NODES.clear()
+    _NODES[lexeme] = node
+    return node
+
+
+def _shown(tok: Token) -> str:
+    """The lexeme an error message quotes: for a whole reference, the first
+    fine token it was scanned in place of (its sheet prefix or first cell)."""
+    if tok.kind != _REFERENCE:
+        return tok.lexeme
+    sheet, first, _ = reference_parts(tok.lexeme)
+    return first if sheet is None else sheet
 
 
 class _Parser:
@@ -226,7 +267,7 @@ class _Parser:
                     del values[base:]
                     values.append(Function(name, args))
                 else:
-                    raise self.fail(f"expected ',' or ')' in argument list, got {tok.lexeme!r}", tok.start, {",", ")"})
+                    raise self.fail(f"expected ',' or ')' in argument list, got {_shown(tok)!r}", tok.start, {",", ")"})
                 self.pos = pos + 1
                 ops.pop()
                 groups.pop()
@@ -237,6 +278,9 @@ class _Parser:
         if tok is None:
             raise self.fail("expected expression", expected={"expression"})
         kind = tok.kind
+        if kind == _REFERENCE:
+            self.pos += 1
+            return _NODES.get(tok.lexeme) or _reference_node(tok.lexeme)
         if kind == TokenKind.NUMBER:
             return self._number(tok)
         if kind == TokenKind.STRING:
@@ -331,7 +375,7 @@ def parse(tokens: list[Token]) -> Expr:
     expr = parser.expression()
     leftover = parser.peek()
     if leftover is not None:
-        raise parser.fail(f"unexpected {leftover.lexeme!r} after expression", leftover.start)
+        raise parser.fail(f"unexpected {_shown(leftover)!r} after expression", leftover.start)
     return expr
 
 

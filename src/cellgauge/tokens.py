@@ -19,6 +19,7 @@ class TokenKind(enum.IntEnum):
     COMMA = 9
     COLON = 10
     EXCLAMATION = 11
+    REFERENCE = 12  # a whole cell or cell range, optionally sheet-qualified
 
 
 class Token(NamedTuple):

@@ -76,7 +76,7 @@ def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
         raise CorruptPartError(part, f"unreadable ZIP member: {exc}") from None
     try:
         return ElementTree.fromstring(data)
-    except ElementTree.ParseError as exc:
+    except (ElementTree.ParseError, LookupError) as exc:  # LookupError: an unknown declared encoding
         raise MalformedSheetXmlError(part, f"malformed XML: {exc}") from None
 
 

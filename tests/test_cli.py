@@ -67,9 +67,19 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)[0]["M03"] == 15
 
-    @pytest.mark.parametrize("case", ["non_utf8", "deep_json", "unsupported_compression"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "non_utf8",
+            "deep_json",
+            "unsupported_compression",
+            "xl/worksheets/sheet1.xml",
+            "xl/workbook.xml",
+            "xl/sharedStrings.xml",
+        ],
+    )
     def test_unreadable_input_is_bad_input(self, capsys, tmp_path, case):
-        from .test_xlsx import build_unsupported_compression_xlsx
+        from .test_xlsx import build_unknown_encoding_xlsx, build_unsupported_compression_xlsx
 
         if case == "non_utf8":
             path = tmp_path / "latin1.json"
@@ -77,8 +87,10 @@ class TestAnalyze:
         elif case == "deep_json":
             path = tmp_path / "deep.json"
             path.write_text("[" * 100_000)
-        else:
+        elif case == "unsupported_compression":
             path = build_unsupported_compression_xlsx(tmp_path / "implode.xlsx")
+        else:  # a package part that declares an unknown encoding
+            path = build_unknown_encoding_xlsx(tmp_path / "utf9.xlsx", case)
         code, out, err = run(["analyze", str(path)], capsys)
         assert code == 2
         assert out == ""
@@ -323,6 +335,33 @@ class TestCorpus:
         monkeypatch.setenv("CELLGAUGE_THREADS", "2")
         assert run(["corpus", str(tmp_path / "corpus"), "--out", str(via_env), "--quiet"], capsys)[0] == 0
         assert via_flag.read_bytes() == via_env.read_bytes()
+
+    def test_pool_never_has_more_workers_than_files(self, capsys, tmp_path, monkeypatch):
+        # the stub records the requested pool size and runs the tasks
+        # in-process, so no worker is ever started
+        import cellgauge.cli
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cellgauge.cli, "ProcessPoolExecutor", RecordingPool)
+        write_corpus(tmp_path / "corpus", 2, seed=3)
+        target = tmp_path / "report.csv"
+        assert run(["corpus", str(tmp_path / "corpus"), "--out", str(target), "--threads", "5000"], capsys)[0] == 0
+        assert sizes == [2]
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 3
 
     def test_nested_calls_identical_at_any_parallelism(self, capsys, tmp_path):
         # 150 to 199 nested SUM calls: the parse outcome must not depend on

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellgauge import parser as parser_module
 from cellgauge.expressions import (
     CellLocator,
     Constant,
@@ -18,10 +19,13 @@ from cellgauge.expressions import (
     Reference,
     ValueType,
     serialize,
+    write_tree,
 )
-from cellgauge.parser import ParseError, parse_formula, parse_text
-from cellgauge.tokens import FormulaError
+from cellgauge.lexer import tokenize
+from cellgauge.parser import ParseError, parse, parse_formula, parse_text
+from cellgauge.tokens import FormulaError, LexError, TokenKind
 
+from . import reference_scanner
 from .genutil import gen_expr
 
 
@@ -305,6 +309,118 @@ class TestErrors:
         assert m.ast_depth == 151
         assert m.element_count == 301
         assert parse_formula(serialize(formula.expr)).expr == formula.expr
+
+
+SHEETS = ("Alpha", "Beta Data", "TRUE", "ABC1", "1st", "[B]S")
+
+# Pieces of references and their surroundings, for texts that stress where a
+# whole reference may and may not be taken as one lexeme.
+REFERENCE_PIECES = (
+    "Data", "'Q1 Sales'", "'a''b'", "'x[y]z'", "[Book1]Sheet1", "TRUE", "fal\u017fe", "AB12", "XFE1", "$A", "$5", "1st",
+    "A1", "$B$2", "XFD1048576", "A1048577", "A01", "LOG10", "A", "$3", "#REF!", "name",
+    "!", "!", ":", ":", " ", "(", ")", ",", "+", "SUM(",
+)
+
+
+def outcome(parse_call, text):
+    """The tree, or the error's message, offset and expected set."""
+    try:
+        return parse_call(text)
+    except ParseError as exc:
+        return (str(exc), exc.position, sorted(exc.expected))
+    except LexError as exc:
+        return (str(exc), exc.position)
+
+
+def parse_fine(text):
+    """The parse of the reference scanner's fine tokens, which hold no whole reference."""
+    return parse(reference_scanner.scan(text))
+
+
+def split_references(text):
+    """The text with a space on each side of every ! and : token."""
+    cuts = [t.start for t in reference_scanner.scan(text) if t.kind in (TokenKind.EXCLAMATION, TokenKind.COLON)]
+    pieces, last = [], 0
+    for cut in cuts:
+        pieces += [text[last:cut], " ", text[cut], " "]
+        last = cut + 1
+    return "".join(pieces) + text[last:]
+
+
+class TestWholeReferences:
+    """A whole-reference lexeme parses exactly as its fine tokens do."""
+
+    @given(st.lists(st.sampled_from(REFERENCE_PIECES), max_size=10).map("".join))
+    @settings(max_examples=800, deadline=None)
+    def test_same_outcome_as_fine_tokens_on_reference_pieces(self, text):
+        assert outcome(parse_text, text) == outcome(parse_fine, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "'x[y]z'!A1",
+            "[B]S!A1:B2",
+            "'[B]S'!$A$1",
+            "TRUE!A1",
+            "A1:XFE1",
+            "Data! A1:B2",
+            "A1 :B2:C3",
+            "LOG10(1)",
+            "A1!B2",
+            "A1!B2!C3",
+            "'a''b'!A1",
+            "$5!A1",
+            "1st!A1",
+            "SUM(A1:B2 (1))",
+        ],
+    )
+    def test_same_outcome_as_fine_tokens_on_fixed_inputs(self, text):
+        assert outcome(parse_text, text) == outcome(parse_fine, text)
+
+    @given(st.integers(0, 2**48))
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_fine_tokens_on_generated_formulas(self, seed):
+        text = gen_expr(random.Random(seed), sheets=SHEETS)
+        assert outcome(parse_text, text) == outcome(parse_fine, text)
+
+    @given(st.integers(0, 2**48))
+    @settings(max_examples=300, deadline=None)
+    def test_spaces_inside_references_give_the_same_tree(self, seed):
+        text = gen_expr(random.Random(seed), sheets=SHEETS)
+        spaced = split_references(text)
+        whole = [t.lexeme for t in tokenize(spaced) if t.kind == TokenKind.REFERENCE]
+        assert not any("!" in lexeme or ":" in lexeme for lexeme in whole)
+        assert write_tree(parse_text(spaced)) == write_tree(parse_text(text))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Data Data!A1", "unexpected 'Data' after expression (at offset 5)"),
+            ("1 B1:B2", "unexpected 'B1' after expression (at offset 2)"),
+            ("#REF!A1", "unexpected 'A1' after expression (at offset 5)"),
+            ("SUM(1 'x y'!B1:B2)", "expected ',' or ')' in argument list, got \"'x y'\" (at offset 6)"),
+        ],
+    )
+    def test_errors_quote_the_first_fine_lexeme(self, text, message):
+        assert str(parse_formula(text).error) == message
+        assert outcome(parse_text, text) == outcome(parse_fine, text)
+
+    def test_same_reference_text_shares_one_node(self):
+        first = parse_text("Data!B2+1").operands[0]
+        second = parse_text("SUM('Q1'!A1,Data!B2)").args[1]
+        assert first is second
+        assert first == Reference(sheet="Data", locator=CellLocator(row=2, col=2))
+
+    def test_node_dict_never_exceeds_its_cap(self, monkeypatch):
+        nodes = {}
+        monkeypatch.setattr(parser_module, "_NODES", nodes)
+        monkeypatch.setattr(parser_module, "_NODE_CAP", 16)
+        for row in range(1, 101):
+            assert parse_text(f"Data!A{row}:B{row}") == Range(
+                CellLocator(row=row, col=1), CellLocator(row=row, col=2), sheet="Data"
+            )
+            assert 0 < len(nodes) <= 16
+        assert "Data!A1:B1" not in nodes  # cleared on the way
 
 
 class TestPublicSurface:

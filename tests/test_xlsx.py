@@ -129,6 +129,21 @@ def build_unsupported_compression_xlsx(path):
     return path
 
 
+def build_unknown_encoding_xlsx(path, part):
+    """A package whose ``part`` declares the encoding UTF-9, which the XML
+    parser does not know."""
+    body = '<row r="1"><c r="A1" t="s"><v>0</v></c></row>'
+    build_xlsx(path, [("S", body)], shared_strings=("x",), styles_xml=f'<?xml version="1.0"?><styleSheet {NS}/>')
+    with zipfile.ZipFile(path) as archive:
+        parts = {name: archive.read(name) for name in archive.namelist()}
+    declaration_end = parts[part].index(b"?>") + 2
+    parts[part] = b'<?xml version="1.0" encoding="UTF-9"?>' + parts[part][declaration_end:]
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, content in parts.items():
+            archive.writestr(name, content)
+    return path
+
+
 class TestLiterals:
     def test_minimal_number_cell(self, tmp_path):
         path = build_xlsx(
@@ -392,6 +407,19 @@ class TestStructure:
         with pytest.raises(CorruptPartError) as excinfo:
             read_xlsx(path)
         assert excinfo.value.part == "xl/worksheets/sheet1.xml"
+
+    @pytest.mark.parametrize("part", ["xl/worksheets/sheet1.xml", "xl/workbook.xml", "xl/sharedStrings.xml"])
+    def test_unknown_declared_encoding_is_malformed_xml(self, tmp_path, part):
+        path = build_unknown_encoding_xlsx(tmp_path / "utf9.xlsx", part)
+        with pytest.raises(MalformedSheetXmlError) as excinfo:
+            read_xlsx(path)
+        assert excinfo.value.part == part
+        assert "unknown encoding" in str(excinfo.value)
+
+    def test_unknown_declared_encoding_in_styles_is_skipped(self, tmp_path):
+        path = build_unknown_encoding_xlsx(tmp_path / "utf9.xlsx", "xl/styles.xml")
+        cell = read_xlsx(path).sheets[0].cells[(1, 1)]
+        assert cell.value == "x" and cell.visual_properties == ()
 
     def test_truncated_member_is_a_corrupt_part(self, tmp_path):
         path = build_xlsx(tmp_path / "short.xlsx", [("S", "")])
