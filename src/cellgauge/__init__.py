@@ -34,7 +34,6 @@ from .graph import (
     DependencyGraph,
     NotAFormulaCellError,
     build_graph,
-    resolve_references,
 )
 from .interchange import (
     SchemaError,
@@ -49,11 +48,9 @@ from .metrics import (
     METRIC_IDS,
     METRIC_NAMES,
     AstMetrics,
-    FormulaMetrics,
     MetricRecord,
     ast_metrics,
     compute_record,
-    formula_metrics,
     spreading_factor,
 )
 from .model import (

@@ -1,6 +1,7 @@
 """Command-line front end: per-file analysis and corpus runs.
 
-Exit codes: 0 ok, 1 internal error, 2 bad input, 3 bad arguments.
+Exit codes: 0 ok, 1 internal error, 2 bad input, 3 bad arguments (including
+a report file that cannot be opened).
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ _SKIP_EXTENSIONS = {".xls", ".ods"}  # legacy formats: logged and counted, never
 
 class BadInputError(Exception):
     pass
+
+
+class ReportFileError(Exception):
+    """A report file that cannot be opened for writing (a bad --out)."""
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -124,13 +129,22 @@ def _artifact_path(out: Path, label: str, fmt: str) -> Path:
     return out.with_name(f"{out.stem}.{label}.{fmt}")
 
 
+def _write_file(payload, fmt: str, path: Path) -> None:
+    try:
+        report = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ReportFileError(f"cannot open report file {path}: {exc.strerror or exc}") from None
+    with report:
+        write_report(payload, fmt, report)
+
+
 def _emit(payload, fmt: str, out: Path | None, label: str | None, to_stdout_sections: list) -> None:
     if out is None:
         to_stdout_sections.append((label, payload))
     elif label is None:
-        write_report(payload, fmt, out)
+        _write_file(payload, fmt, out)
     else:
-        write_report(payload, fmt, _artifact_path(out, label, fmt))
+        _write_file(payload, fmt, _artifact_path(out, label, fmt))
 
 
 def _flush_stdout_sections(sections: list, fmt: str) -> None:
@@ -161,7 +175,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         logger.error("cannot read %s: %s", args.file, exc)
         return EXIT_BAD_INPUT
     record = analyze_workbook(workbook, conditional_functions=conditional)
-    write_report(record, args.format, Path(args.out) if args.out else None)
+    if args.out:
+        _write_file(record, args.format, Path(args.out))
+    else:
+        write_report(record, args.format, None)
     return EXIT_OK
 
 
@@ -187,6 +204,10 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if not root.is_dir():
         logger.error("not a directory: %s", root)
         return EXIT_BAD_INPUT
+    out = Path(args.out) if args.out else None
+    if out is not None and not out.parent.is_dir():
+        # Fail before the analysis rather than after it.
+        raise ReportFileError(f"cannot open report file {out}: no directory {out.parent}")
     conditional = _parse_conditional_set(args.conditional_functions)
     paths, legacy_skips = _scan_paths(root)
     tasks = [(path, relative, tuple(sorted(conditional))) for path, relative in paths]
@@ -212,7 +233,6 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if failures or legacy_skips:
         logger.warning("skipped %d unreadable / %d legacy files", failures, legacy_skips)
 
-    out = Path(args.out) if args.out else None
     sections: list = []
     _emit(records, args.format, out, None, sections)
     if args.summary:
@@ -329,6 +349,9 @@ def main(argv: list[str] | None = None) -> int:
     except (XlsxError, SchemaError, BadInputError) as exc:
         logger.error("%s", exc)
         return EXIT_BAD_INPUT
+    except ReportFileError as exc:
+        logger.error("%s", exc)
+        return EXIT_BAD_ARGS
     except BrokenPipeError:
         return EXIT_OK
     except Exception:  # pragma: no cover - last-resort diagnostics

@@ -278,15 +278,6 @@ def serialize(expr: Expr) -> str:
     return write_tree(expr).text
 
 
-def reference_wildcard_text(expr: Expr) -> str:
-    """Serialization with every Reference as REF and every Range as RANGE.
-
-    Two formulas are copies of each other (same structure, possibly shifted
-    references) exactly when these texts are equal.
-    """
-    return write_tree(expr, wildcard_refs=True).text
-
-
 def walk(expr: Expr):
     """Yield every node of the tree, preorder."""
     stack = [expr]

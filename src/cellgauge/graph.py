@@ -15,9 +15,9 @@ rectangles, never with the number of cells a range covers:
   rectangles (Klee's measure, Bentley 1977).
 
 Single-cell references, the common case, stay out of the sweep and are
-counted in dicts. ``DependencyGraph.forward``/``reverse`` are exact
-cell-level views expanded from the rectangles on first access; the metric
-pipeline never reads them.
+counted in dicts. ``DependencyGraph.reverse`` is the one cell-level view,
+expanded from the rectangles on first access; the metric pipeline never
+reads it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .expressions import CellLocator, Expr, Range, Reference, reference_nodes
-from .model import Cell, CellCoordinate, Workbook
+from .model import CellCoordinate, Workbook
 from .tokens import MAX_COL, MAX_ROW
 
 # (sheet, first row, first column, last row, last column), bounds inclusive.
@@ -39,20 +39,6 @@ class NotAFormulaCellError(LookupError):
     pass
 
 
-def expand(points, rectangles) -> set[CellCoordinate]:
-    """Every coordinate covered by the points and rectangles, fully expanded.
-
-    Costs time and memory proportional to the covered area: for views and
-    tests, never for metrics.
-    """
-    cells = set(points)
-    for sheet, r1, c1, r2, c2 in rectangles:
-        cells.update(
-            CellCoordinate(sheet, r, c) for r in range(r1, r2 + 1) for c in range(c1, c2 + 1)
-        )
-    return cells
-
-
 class ResolvedReferences(NamedTuple):  # builds faster than a frozen dataclass
     points: frozenset[CellCoordinate]  # single-cell targets
     rectangles: frozenset[Rectangle]  # targets covering more than one cell
@@ -61,19 +47,13 @@ class ResolvedReferences(NamedTuple):  # builds faster than a frozen dataclass
     # sufficient for the maximal pairwise distance over the full cell set.
     anchor_points: tuple[CellCoordinate, ...]
 
-    @property
-    def cells(self) -> frozenset[CellCoordinate]:
-        """The referenced coordinates, expanded (see `expand`)."""
-        return frozenset(expand(self.points, self.rectangles))
-
 
 class DependencyGraph:
     """Formula cells, their resolved references and the counts metrics need.
 
-    ``forward`` (formula -> referenced cells) and ``reverse`` (cell ->
-    formulas referencing it) are exact cell-level reference views. They are
-    expanded from the rectangles on first access and cost time and memory
-    proportional to the covered area.
+    ``reverse`` (cell -> formulas referencing it) is the exact cell-level
+    view of ``references``. It is expanded from the rectangles on first
+    access and costs time and memory proportional to the covered area.
     """
 
     def __init__(
@@ -108,15 +88,15 @@ class DependencyGraph:
         return self.cover_counts.get(coordinate, 0)
 
     @cached_property
-    def forward(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
-        return {coord: resolved.cells for coord, resolved in self.references.items()}
-
-    @cached_property
     def reverse(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
         sources: dict[CellCoordinate, set[CellCoordinate]] = defaultdict(set)
-        for source, targets in self.forward.items():
-            for target in targets:
+        for source, resolved in self.references.items():
+            for target in resolved.points:
                 sources[target].add(source)
+            for sheet, r1, c1, r2, c2 in resolved.rectangles:
+                for r in range(r1, r2 + 1):
+                    for c in range(c1, c2 + 1):
+                        sources[CellCoordinate(sheet, r, c)].add(source)
         return {coord: frozenset(found) for coord, found in sources.items()}
 
 
@@ -245,14 +225,6 @@ def resolve_expr(expr: Expr, own_sheet: int, workbook: Workbook) -> ResolvedRefe
         else:
             resolver.add_reference(node)
     return resolver.result()
-
-
-def resolve_references(formula_cell: Cell, workbook: Workbook) -> ResolvedReferences:
-    """Resolve a formula cell's references to clipped points and rectangles."""
-    formula = formula_cell.formula
-    if formula is None or formula.expr is None:
-        raise ValueError(f"cell {formula_cell.coordinate} has no parsed formula")
-    return resolve_expr(formula.expr, formula_cell.coordinate.sheet, workbook)
 
 
 # Sheets are stacked into one tall grid: row r of sheet s is stacked row

@@ -40,12 +40,12 @@ class SchemaError(ValueError):
         self.path = path
 
 
-_REF_RE = re.compile(r"^([A-Za-z]{1,3})([1-9][0-9]*)$")
+_REF_RE = re.compile(r"([A-Za-z]{1,3})([1-9][0-9]*)")
 
 
 def parse_cell_ref(text: str) -> tuple[int, int]:
     """(row, col) for an A1-style reference; raises ValueError when invalid."""
-    match = _REF_RE.match(text)
+    match = _REF_RE.fullmatch(text)
     if not match:
         raise ValueError(f"not an A1-style reference: {text!r}")
     col = column_letter_to_index(match.group(1))

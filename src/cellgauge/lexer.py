@@ -21,16 +21,16 @@ from __future__ import annotations
 
 import re
 
-from .expressions import column_index_to_letter
-from .tokens import ERROR_LITERALS, MAX_COL, MAX_ROW, LexError, Token, TokenKind
+from .tokens import ERROR_LITERALS, LexError, Token, TokenKind
 
 # One unquoted name character: an ASCII letter or digit, one of _ . \ $, or
 # any non-ASCII code point. Spelled as a negated ASCII class: the positive
 # form [\x80-\U0010ffff] makes re.compile several times slower.
 _NAME = r"[^\x00-\x23\x25-\x2d\x2f\x3a-\x40\x5b\x5d\x5e\x60\x7b-\x7f]"
 
-# Grid-bounded cell parts: columns A-XFD and rows 1-1048576, so an end past
-# the grid never matches the reference group and scans as a name, as before.
+# Grid-bounded cell parts: columns A-XFD and rows 1-1048576, so a cell-shaped
+# name past the grid (XFE1, A1048577) matches neither the reference nor the
+# CELL_REF group and scans as a name.
 _COLUMN = r"(?:[A-Wa-w][A-Za-z]{2}|[Xx](?:[A-Ea-e][A-Za-z]|[Ff][A-Da-d])|[A-Za-z]{1,2})"
 _ROW = r"(?:10(?:[0-3][0-9]{4}|4(?:[0-7][0-9]{3}|8(?:[0-4][0-9]{2}|5(?:[0-6][0-9]|7[0-6]))))|[1-9][0-9]{0,5})"
 _CELL = rf"\$?{_COLUMN}\$?{_ROW}(?!{_NAME})"
@@ -54,7 +54,7 @@ _GROUPS = (
     ("IDENTIFIER", rf"'[^']*(?:''[^']*)*'(?!')|\[[^\]]*\]{_NAME}*"),
     ("error", r"#"),
     ("NUMBER", r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|\$[0-9]+"),
-    ("cell", rf"\$?(?P<col>[A-Za-z]{{1,3}})\$?(?P<row>[1-9][0-9]*)(?!{_NAME})"),
+    ("CELL_REF", _CELL),
     ("name", rf"{_NAME}+"),
     ("OPERATOR", r"<[=>]?|>=?|[-+*/^&%=]"),
     ("LPAREN", r"\("),
@@ -75,7 +75,6 @@ _UNTERMINATED = {
 _BOOLEANS = ("TRUE", "FALSE")
 _REFERENCE_KIND = TokenKind.REFERENCE
 _SPLITS = (TokenKind.EXCLAMATION, TokenKind.COLON)
-_LAST_COLUMN = column_index_to_letter(MAX_COL)  # three letters, like every column past ZZ
 
 
 def _error_literal(text: str, start: int) -> int:
@@ -117,12 +116,6 @@ def tokenize(formula_text: str) -> list[Token]:
                     pattern, pos, stop = _FINE, start, end
                     break
                 append(Token(_REFERENCE_KIND, match.group(), start, end))
-            elif group == "cell":
-                # Cell-shaped names past the grid (XFE1, A1048577) are plain
-                # names. Column names of equal length order like their indices.
-                col, row = match.group("col", "row")
-                in_grid = int(row) <= MAX_ROW and (len(col) < len(_LAST_COLUMN) or col.upper() <= _LAST_COLUMN)
-                append(Token(TokenKind.CELL_REF if in_grid else TokenKind.IDENTIFIER, match.group(), start, end))
             elif group == "name":
                 lexeme = match.group()
                 if lexeme == "$":

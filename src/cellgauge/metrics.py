@@ -135,35 +135,6 @@ def _line_ends(points, along: int) -> list[CellCoordinate]:
     return [p for low, high in ends.values() for p in ((low,) if low is high else (low, high))]
 
 
-@dataclass(frozen=True, slots=True)
-class FormulaMetrics:
-    ast_depth: int
-    element_count: int
-    function_count: int
-    distinct_function_count: int
-    conditional_count: int
-    fan_out: int
-    fan_in: int
-    spreading_factor: float
-    normalized_key: str
-
-
-def formula_metrics(
-    cell: Cell,
-    graph: DependencyGraph,
-    conditional_functions: frozenset[str] = DEFAULT_CONDITIONAL_FUNCTIONS,
-) -> FormulaMetrics:
-    formula = cell.formula
-    if formula is None or formula.expr is None:
-        raise ValueError(f"cell {cell.coordinate} has no parsed formula")
-    return FormulaMetrics(
-        **ast_metrics(formula.expr, conditional_functions)._asdict(),
-        fan_out=graph.fan_out(cell.coordinate),
-        fan_in=graph.fan_in(cell.coordinate),
-        spreading_factor=spreading_factor(cell.coordinate, graph),
-    )
-
-
 @dataclass(frozen=True)
 class MetricRecord:
     workbook_id: str
@@ -216,23 +187,22 @@ def compute_record(
     metrics["M07"] = _ratio(all_formula_cells, input_cells)
 
     if parsed_cells:
-        per_formula = [
-            formula_metrics(cell, graph, conditional_functions) for cell in parsed_cells
-        ]
+        trees = [ast_metrics(cell.formula.expr, conditional_functions) for cell in parsed_cells]
+        coords = [cell.coordinate for cell in parsed_cells]
         pairs = (
-            ("M01", "M02", [m.ast_depth for m in per_formula]),
-            ("M09", "M10", [m.fan_out for m in per_formula]),
-            ("M11", "M12", [m.fan_in for m in per_formula]),
-            ("M13", "M14", [m.conditional_count for m in per_formula]),
-            ("M15", "M16", [m.spreading_factor for m in per_formula]),
-            ("M17", "M18", [m.function_count for m in per_formula]),
-            ("M19", "M20", [m.distinct_function_count for m in per_formula]),
-            ("M21", "M22", [m.element_count for m in per_formula]),
+            ("M01", "M02", [m.ast_depth for m in trees]),
+            ("M09", "M10", [graph.fan_out(c) for c in coords]),
+            ("M11", "M12", [graph.fan_in(c) for c in coords]),
+            ("M13", "M14", [m.conditional_count for m in trees]),
+            ("M15", "M16", [spreading_factor(c, graph) for c in coords]),
+            ("M17", "M18", [m.function_count for m in trees]),
+            ("M19", "M20", [m.distinct_function_count for m in trees]),
+            ("M21", "M22", [m.element_count for m in trees]),
         )
         for avg_id, max_id, values in pairs:
             metrics[avg_id] = fmean(values)
             metrics[max_id] = max(values)
-        metrics["M08"] = len({m.normalized_key for m in per_formula})
+        metrics["M08"] = len({m.normalized_key for m in trees})
 
     return MetricRecord(
         workbook_id=workbook_id if workbook_id is not None else workbook.name,

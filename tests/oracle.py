@@ -201,21 +201,26 @@ def spreading(points) -> float:
     return best
 
 
+def expansions(workbook: Workbook) -> dict:
+    """Each parsed formula cell's coordinate -> (cells, dangling) of `expand`."""
+    return {
+        cell.coordinate: expand(cell.formula.expr, cell.coordinate.sheet, workbook)
+        for sheet in workbook.sheets
+        for cell in sheet.cells.values()
+        if cell.formula is not None and cell.formula.expr is not None
+    }
+
+
 def record(workbook: Workbook, conditional_set=CONDITIONALS) -> dict:
     """All 22 metric values (keyed M01..M22) plus bookkeeping, brute force."""
     all_cells = [cell for sheet in workbook.sheets for cell in sheet.cells.values()]
     non_empty = sum(1 for c in all_cells if c.value is not None or c.formula is not None)
     formula_cells = [c for c in all_cells if c.formula is not None]
     parsed = [c for c in formula_cells if c.formula.expr is not None]
-
-    expansions = {}
-    for cell in parsed:
-        expansions[cell.coordinate] = expand(
-            cell.formula.expr, cell.coordinate.sheet, workbook
-        )
+    expanded = expansions(workbook)
 
     referenced = set()
-    for cells, _ in expansions.values():
+    for cells, _ in expanded.values():
         referenced |= cells
     formula_coords = {tuple(c.coordinate) for c in formula_cells}
     stored_nonformula_content = {
@@ -226,8 +231,8 @@ def record(workbook: Workbook, conditional_set=CONDITIONALS) -> dict:
     labels = {c for c in stored_nonformula_content if c not in referenced}
 
     fan_in = {
-        coord: sum(1 for cells, _ in expansions.values() if tuple(coord) in cells)
-        for coord in expansions
+        coord: sum(1 for cells, _ in expanded.values() if tuple(coord) in cells)
+        for coord in expanded
     }
 
     values: dict[str, object] = {f"M{i:02d}": None for i in range(1, 23)}
@@ -243,9 +248,9 @@ def record(workbook: Workbook, conditional_set=CONDITIONALS) -> dict:
         funcs = [len(function_names(c.formula.expr)) for c in parsed]
         distinct = [len(set(function_names(c.formula.expr))) for c in parsed]
         conds = [conditionals(c.formula.expr, conditional_set) for c in parsed]
-        fan_outs = [len(expansions[c.coordinate][0]) for c in parsed]
+        fan_outs = [len(expanded[c.coordinate][0]) for c in parsed]
         fan_ins = [fan_in[c.coordinate] for c in parsed]
-        spreads = [spreading(expansions[c.coordinate][0]) for c in parsed]
+        spreads = [spreading(expanded[c.coordinate][0]) for c in parsed]
         keys = {copy_key(c.formula.expr) for c in parsed}
 
         def put(avg_id, max_id, vals):

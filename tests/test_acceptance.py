@@ -178,10 +178,10 @@ def test_c4_spreading_factor_corner_shortcut_is_exact():
         )
         graph = build_graph(single)
         host = 4
-        for coord in graph.forward:
+        for coord, (cells, _) in oracle.expansions(single).items():
             assert coord.sheet == host
             engine = spreading_factor(coord, graph)
-            brute = oracle.spreading(graph.forward[coord])
+            brute = oracle.spreading(cells)
             assert engine == brute  # exact float equality
 
         # Range pairs: every unordered pair of rectangles in a 3x3 grid across
@@ -206,9 +206,9 @@ def test_c4_spreading_factor_corner_shortcut_is_exact():
             [(g, {}) for g in grids] + [("Host", pair_cells)], name="range-pairs"
         )
         graph = build_graph(pairs)
-        for coord in graph.forward:
+        for coord, (cells, _) in oracle.expansions(pairs).items():
             engine = spreading_factor(coord, graph)
-            brute = oracle.spreading(graph.forward[coord])
+            brute = oracle.spreading(cells)
             assert engine == brute
 
 
@@ -221,29 +221,23 @@ def test_c5_graph_transpose_and_deduplication_on_100_workbooks():
         for _ in range(100):
             workbook = read_interchange(gen_workbook_doc(rng))
             graph = build_graph(workbook)
-            # forward sets match naive expansion (includes dedup)
-            for sheet in workbook.sheets:
-                for cell in sheet.cells.values():
-                    if cell.formula is None or cell.formula.expr is None:
-                        continue
-                    cells, dangling = oracle.expand(
-                        cell.formula.expr, cell.coordinate.sheet, workbook
-                    )
-                    assert graph.forward[cell.coordinate] == cells
-                    assert graph.dangling[cell.coordinate] == dangling
-            # reverse is the exact transpose
+            expanded = oracle.expansions(workbook)
+            formulas = set(graph.formula_cells())
+            assert formulas == set(expanded)
+            # fan-out and dangling counts match naive expansion (includes dedup)
+            for coord, (cells, dangling) in expanded.items():
+                assert graph.fan_out(coord) == len(cells)
+                assert graph.dangling[coord] == dangling
+            # reverse is the exact transpose of the naive expansion
             rebuilt: dict = {}
-            for source, targets in graph.forward.items():
-                for target in targets:
+            for source, (cells, _) in expanded.items():
+                for target in cells:
                     rebuilt.setdefault(target, set()).add(source)
             assert {k: frozenset(v) for k, v in rebuilt.items()} == graph.reverse
-            # edge-count identity
-            formulas = set(graph.forward)
-            internal = sum(len(t & formulas) for t in graph.forward.values())
+            # edge-count identity; fan-in agrees with the cell-level view
+            internal = sum(len(cells & formulas) for cells, _ in expanded.values())
             assert internal == sum(graph.fan_in(f) for f in formulas)
-            # rectangle counts agree with the exact cell-level views
             for coord in formulas:
-                assert graph.fan_out(coord) == len(graph.forward[coord])
                 assert graph.fan_in(coord) == len(graph.reverse.get(coord, ()))
 
 

@@ -72,6 +72,7 @@ class TestAnalyze:
         [
             "non_utf8",
             "deep_json",
+            "newline_ref",
             "unsupported_compression",
             "xl/worksheets/sheet1.xml",
             "xl/workbook.xml",
@@ -87,6 +88,10 @@ class TestAnalyze:
         elif case == "deep_json":
             path = tmp_path / "deep.json"
             path.write_text("[" * 100_000)
+        elif case == "newline_ref":
+            path = tmp_path / "newline.json"
+            cell = {"ref": "B2\n", "value": 1, "type": "number"}
+            path.write_text(json.dumps({"name": "x", "sheets": [{"name": "S", "cells": [cell]}]}))
         elif case == "unsupported_compression":
             path = build_unsupported_compression_xlsx(tmp_path / "implode.xlsx")
         else:  # a package part that declares an unknown encoding
@@ -95,6 +100,18 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert path.name in err and "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "corpus"])
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_unopenable_report_file_exit_3(self, capsys, tmp_path, command, target):
+        out = tmp_path / "nope" / "x.csv" if target == "missing_directory" else tmp_path
+        if command == "analyze":
+            argv = ["analyze", str(FIXTURES / "g1.json")]
+        else:
+            argv = ["corpus", str(FIXTURES), "--threads", "1"]
+        code, stdout, err = run([*argv, "--out", str(out)], capsys)
+        assert code == 3 and stdout == ""
+        assert err.count("\n") == 1 and str(out) in err and "internal error" not in err
 
     def test_bad_arguments_exit_3(self, capsys):
         for argv in (["analyze"], ["frobnicate"]):

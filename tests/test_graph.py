@@ -20,7 +20,7 @@ from cellgauge.expressions import (
     ValueType,
     column_index_to_letter,
 )
-from cellgauge.graph import NotAFormulaCellError, build_graph, resolve_references
+from cellgauge.graph import NotAFormulaCellError, build_graph
 from cellgauge.interchange import read_interchange
 from cellgauge.metrics import compute_record
 from cellgauge.model import Cell, CellCoordinate, Formula, Workbook, Worksheet
@@ -32,101 +32,103 @@ from .genutil import gen_workbook_doc, make_workbook
 C = CellCoordinate
 
 
+def targets(graph, coord) -> set:
+    """The cells a formula references, read off the transpose ``reverse``."""
+    return {target for target, sources in graph.reverse.items() if coord in sources}
+
+
 def resolved(workbook, sheet=1, row=1, col=1):
+    """(cells, dangling) of one formula cell, as the oracle expands them;
+    the graph's fan-out, dangling count and reverse view must agree."""
+    coord = C(sheet, row, col)
     cell = workbook.sheets[sheet - 1].cells[(row, col)]
-    return resolve_references(cell, workbook)
+    cells, dangling = oracle.expand(cell.formula.expr, sheet, workbook)
+    graph = build_graph(workbook)
+    assert graph.fan_out(coord) == len(cells)
+    assert graph.dangling[coord] == dangling
+    assert targets(graph, coord) == cells
+    return cells, dangling
 
 
 class TestResolve:
     def test_single_reference(self):
         workbook = make_workbook([("Sheet1", {"D4": "=A1"})])
-        result = resolved(workbook, row=4, col=4)
-        assert result.cells == {C(1, 1, 1)}
-        assert result.dangling == 0
+        assert resolved(workbook, row=4, col=4) == ({C(1, 1, 1)}, 0)
 
     def test_range_plus_overlapping_cell_deduplicates(self):
         workbook = make_workbook([("Sheet1", {"D4": "=SUM(B1:B3)+B2"})])
-        result = resolved(workbook, row=4, col=4)
-        assert result.cells == {C(1, 1, 2), C(1, 2, 2), C(1, 3, 2)}
-        assert result.dangling == 0
+        assert resolved(workbook, row=4, col=4) == ({C(1, 1, 2), C(1, 2, 2), C(1, 3, 2)}, 0)
 
     def test_unknown_name_dangles(self):
         workbook = make_workbook([("Sheet1", {"A1": "=UNKNOWN_NAME+1"})])
-        result = resolved(workbook)
-        assert result.cells == frozenset()
-        assert result.dangling == 1
+        assert resolved(workbook) == (set(), 1)
 
     def test_self_reference_within_same_cell_deduplicates(self):
         workbook = make_workbook([("Sheet1", {"A1": "=B2+B2"})])
-        assert len(resolved(workbook).cells) == 1
+        assert resolved(workbook) == ({C(1, 2, 2)}, 0)
 
     def test_inverted_range_normalizes(self):
         workbook = make_workbook([("Sheet1", {"A1": "=SUM(B3:A1)"})])
-        assert resolved(workbook).cells == {
-            C(1, r, c) for r in (1, 2, 3) for c in (1, 2)
-        }
+        assert resolved(workbook) == ({C(1, r, c) for r in (1, 2, 3) for c in (1, 2)}, 0)
 
     def test_cross_sheet_reference(self):
         workbook = make_workbook([("One", {"A1": "=Two!B2"}), ("Two", {})])
-        assert resolved(workbook).cells == {C(2, 2, 2)}
+        assert resolved(workbook) == ({C(2, 2, 2)}, 0)
 
     def test_sheet_names_resolve_case_insensitively(self):
         workbook = make_workbook([("One", {"A1": "=two!B2"}), ("Two", {})])
-        assert resolved(workbook).cells == {C(2, 2, 2)}
+        assert resolved(workbook) == ({C(2, 2, 2)}, 0)
 
     def test_missing_sheet_dangles(self):
         workbook = make_workbook([("One", {"A1": "=Missing!B2"})])
-        result = resolved(workbook)
-        assert result.cells == frozenset() and result.dangling == 1
+        assert resolved(workbook) == (set(), 1)
 
     def test_external_reference_dangles(self):
         workbook = make_workbook([("One", {"A1": "=[Book2]Sheet1!A1"})])
-        assert resolved(workbook).dangling == 1
+        assert resolved(workbook) == (set(), 1)
 
     def test_ref_error_dangles(self):
         workbook = make_workbook([("One", {"A1": "=#REF!+1"})])
-        assert resolved(workbook).dangling == 1
+        assert resolved(workbook) == (set(), 1)
 
     def test_defined_name_expands_to_block(self):
         workbook = make_workbook(
             [("Data", {"A1": "=TOTAL*2"})],
             defined_names={"TOTAL": "Data!$B$1:$B$3"},
         )
-        assert resolved(workbook).cells == {C(1, 1, 2), C(1, 2, 2), C(1, 3, 2)}
+        assert resolved(workbook) == ({C(1, 1, 2), C(1, 2, 2), C(1, 3, 2)}, 0)
 
     def test_defined_name_lookup_is_case_insensitive(self):
         workbook = make_workbook(
             [("Data", {"A1": "=total*2"})],
             defined_names={"TOTAL": "Data!$B$1"},
         )
-        assert resolved(workbook).cells == {C(1, 1, 2)}
+        assert resolved(workbook) == ({C(1, 1, 2)}, 0)
 
     def test_defined_name_without_sheet_dangles(self):
         workbook = make_workbook(
             [("Data", {"A1": "=LOOSE"})], defined_names={"LOOSE": "B2"}
         )
-        assert resolved(workbook).dangling == 1
+        assert resolved(workbook) == (set(), 1)
 
     def test_full_column_clips_to_used_box(self):
         workbook = make_workbook(
             [("Data", {"A1": "=SUM(C:C)", "B4": 1, "B9": 2})]
         )
         # used rows are 1..9 (A1 itself plus B4/B9)
-        assert resolved(workbook).cells == {C(1, r, 3) for r in range(1, 10)}
+        assert resolved(workbook) == ({C(1, r, 3) for r in range(1, 10)}, 0)
 
     def test_full_row_clips_to_used_box(self):
         workbook = make_workbook([("Data", {"A1": "=SUM(3:3)", "D2": 1})])
-        assert resolved(workbook).cells == {C(1, 3, c) for c in range(1, 5)}
+        assert resolved(workbook) == ({C(1, 3, c) for c in range(1, 5)}, 0)
 
     def test_full_column_on_empty_sheet_is_empty_not_dangling(self):
         workbook = make_workbook([("One", {"A1": "=SUM(Two!A:A)"}), ("Two", {})])
-        result = resolved(workbook)
-        assert result.cells == frozenset() and result.dangling == 0
+        assert resolved(workbook) == (set(), 0)
 
     def test_anchor_points_are_singles_and_corners(self):
         workbook = make_workbook([("S", {"F6": "=A1+SUM(B2:C4)"})])
-        result = resolved(workbook, row=6, col=6)
-        assert set(result.anchor_points) == {
+        assert set(build_graph(workbook).anchors[C(1, 6, 6)]) == {
             C(1, 1, 1),
             C(1, 2, 2),
             C(1, 2, 3),
@@ -136,20 +138,21 @@ class TestResolve:
 
     def test_unparsed_formula_rejected(self):
         workbook = make_workbook([("S", {"A1": "=1+"})])
-        with pytest.raises(ValueError):
-            resolved(workbook)
+        graph = build_graph(workbook)
+        assert graph.references == {} and graph.dangling == {} and graph.anchors == {}
+        with pytest.raises(NotAFormulaCellError):
+            graph.fan_out(C(1, 1, 1))
 
 
 class TestGraph:
     def test_empty_workbook_gives_empty_graph(self):
         graph = build_graph(make_workbook([("S", {"A1": 3})]))
-        assert graph.forward == {} and graph.reverse == {}
+        assert graph.references == {} and graph.reverse == {}
 
     def test_two_cell_cycle(self):
         workbook = make_workbook([("S", {"A1": "=B1", "B1": "=A1"})])
         graph = build_graph(workbook)
-        assert graph.forward[C(1, 1, 1)] == {C(1, 1, 2)}
-        assert graph.forward[C(1, 1, 2)] == {C(1, 1, 1)}
+        assert graph.reverse == {C(1, 1, 2): {C(1, 1, 1)}, C(1, 1, 1): {C(1, 1, 2)}}
         assert graph.fan_in(C(1, 1, 1)) == 1
         assert graph.fan_in(C(1, 1, 2)) == 1
 
@@ -172,7 +175,7 @@ class TestGraph:
     def test_parse_failures_are_not_in_the_graph(self):
         workbook = make_workbook([("S", {"A1": "=1+", "B1": "=2"})])
         graph = build_graph(workbook)
-        assert set(graph.forward) == {C(1, 1, 2)}
+        assert set(graph.formula_cells()) == set(graph.references) == {C(1, 1, 2)}
 
     def test_dangling_counts_recorded_per_formula(self):
         workbook = make_workbook([("S", {"A1": "=nope+Missing!A1+B1"})])
@@ -187,8 +190,8 @@ class TestGraphProperties:
         workbook = read_interchange(gen_workbook_doc(random.Random(seed)))
         graph = build_graph(workbook)
         rebuilt: dict = {}
-        for source, targets in graph.forward.items():
-            for target in targets:
+        for source, (cells, _) in oracle.expansions(workbook).items():
+            for target in cells:
                 rebuilt.setdefault(target, set()).add(source)
         assert {k: frozenset(v) for k, v in rebuilt.items()} == graph.reverse
 
@@ -197,8 +200,10 @@ class TestGraphProperties:
     def test_transpose_identity_of_edge_counts(self, seed):
         workbook = read_interchange(gen_workbook_doc(random.Random(seed)))
         graph = build_graph(workbook)
-        formulas = set(graph.forward)
-        internal_edges = sum(len(targets & formulas) for targets in graph.forward.values())
+        expanded = oracle.expansions(workbook)
+        formulas = set(graph.formula_cells())
+        assert formulas == set(expanded)
+        internal_edges = sum(len(cells & formulas) for cells, _ in expanded.values())
         assert internal_edges == sum(graph.fan_in(f) for f in formulas)
 
 
@@ -239,8 +244,9 @@ class TestRectangleCounts:
         assert record.input_cells == expected["inputCells"]
         for metric_id in ("M05", "M09", "M10", "M11", "M12"):
             assert record.metrics[metric_id] == pytest.approx(expected[metric_id]), metric_id
+        expanded = oracle.expansions(workbook)
         for coord in graph.formula_cells():
-            assert graph.fan_out(coord) == len(graph.forward[coord])
+            assert graph.fan_out(coord) == len(expanded[coord][0])
             assert graph.fan_in(coord) == len(graph.reverse.get(coord, ()))
 
 

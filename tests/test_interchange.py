@@ -56,7 +56,7 @@ class TestRead:
     def test_cell_ref_parsing(self):
         assert parse_cell_ref("A1") == (1, 1)
         assert parse_cell_ref("AA10") == (10, 27)
-        for bad in ("", "1A", "A0", "A", "$A$1", "XFE1"):
+        for bad in ("", "1A", "A0", "A", "$A$1", "XFE1", "A1\n"):
             with pytest.raises(ValueError):
                 parse_cell_ref(bad)
 
@@ -119,6 +119,10 @@ class TestSchemaErrors:
             ),
             ({"name": "x", "sheets": [{"name": "S"}, {"name": "s"}]}, "$.sheets"),
             ({"name": "x", "definedNames": [{"name": "n"}], "sheets": []}, ".target"),
+            (
+                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "B2\n", "value": 1, "type": "number"}]}]},
+                ".ref",
+            ),
         ],
     )
     def test_rejects_with_path(self, document, path_fragment):

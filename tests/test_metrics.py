@@ -127,7 +127,8 @@ class TestSpreadingFactor:
         )
         workbook = make_workbook([("S", {"Z99": f"=SUM({ref})"})])
         graph = build_graph(workbook)
-        cells = graph.forward[C(1, 99, 26)]
+        cells, _ = oracle.expand(workbook.sheets[0].cells[(99, 26)].formula.expr, 1, workbook)
+        assert len(cells) == (r2 - r1 + 1) * (c2 - c1 + 1)
         assert spreading_factor(C(1, 99, 26), graph) == oracle.spreading(cells)
 
 

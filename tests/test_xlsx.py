@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import struct
 import zipfile
 from unittest import mock
@@ -191,6 +192,14 @@ class TestLiterals:
         cells = read_xlsx(path).sheets[0].cells
         assert set(cells) == {(3, 1)}
         assert all(row >= 1 and col >= 1 for row, col in cells)
+
+    def test_reference_with_trailing_newline_is_skipped(self, tmp_path, caplog):
+        body = '<row r="2"><c r="A2"><v>1</v></c><c r="B2&#10;"><v>2</v></c></row>'
+        path = build_xlsx(tmp_path / "newline.xlsx", [("S", body)])
+        caplog.set_level(logging.WARNING, logger="cellgauge")
+        cells = read_xlsx(path).sheets[0].cells
+        assert set(cells) == {(2, 1)}
+        assert "skipping cell with bad reference 'B2\\n'" in caplog.text
 
     def test_date_serial_stays_numeric(self, tmp_path):
         body = '<row r="1"><c r="A1" s="1"><v>44927</v></c></row>'
