@@ -48,7 +48,8 @@ def aggregate(records: list[MetricRecord]) -> CorpusSummary:
 @dataclass(frozen=True, slots=True)
 class HistogramSpec:
     bins: int = 20
-    bounds: tuple[float, float] | None = None  # None: min..max observed
+    # None: [0, 1] for ratio metrics, min..max observed otherwise.
+    bounds: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,11 +77,14 @@ def histogram(
     if not values:
         raise NoDataError(f"no values present for {metric_id}")
     if spec is None:
-        spec = HistogramSpec(bounds=(0.0, 1.0) if metric_id in RATIO_METRICS else None)
+        spec = HistogramSpec()
     if spec.bins < 1:
         raise ValueError("bin count must be >= 1")
-    if spec.bounds is not None:
-        lo, hi = spec.bounds
+    bounds = spec.bounds
+    if bounds is None and metric_id in RATIO_METRICS:
+        bounds = (0.0, 1.0)
+    if bounds is not None:
+        lo, hi = bounds
         if not hi > lo:
             raise ValueError("histogram range must be ascending")
     else:

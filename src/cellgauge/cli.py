@@ -102,12 +102,6 @@ def _parse_conditional_set(option: str | None) -> frozenset[str]:
 def _parallelism(option: int | None) -> int:
     if option is not None:
         return max(1, option)
-    env = os.environ.get("CELLGAUGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning("ignoring non-integer CELLGAUGE_THREADS=%r", env)
     return os.cpu_count() or 1
 
 
@@ -241,10 +235,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
         except EmptyCorpusError:
             pass
     if args.histogram:
-        bounds = tuple(args.range) if args.range else None
-        spec = None
-        if args.bins or bounds:
-            spec = HistogramSpec(bins=args.bins or 20, bounds=bounds)
+        spec = HistogramSpec(bins=args.bins or 20, bounds=args.range)
         try:
             _emit(histogram(records, args.histogram, spec), args.format, out, f"histogram.{args.histogram}", sections)
         except NoDataError as exc:
@@ -303,7 +294,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument(
         "--threads",
         type=int,
-        help="worker processes (default: CELLGAUGE_THREADS or all cores)",
+        help="worker processes (default: all cores)",
     )
     common(p_corpus)
     p_corpus.set_defaults(func=cmd_corpus)
@@ -338,12 +329,14 @@ def _range_option(text: str) -> tuple[float, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.ERROR if args.quiet else logging.WARNING,
-        format="cellgauge: %(levelname)s: %(message)s",
-        force=True,
-    )
+    # The package logger gets its own handler for this run only, so the
+    # caller's logging setup is left as it was.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("cellgauge: %(levelname)s: %(message)s"))
+    level, propagate = logger.level, logger.propagate
+    logger.addHandler(handler)
+    logger.setLevel(logging.ERROR if args.quiet else logging.WARNING)
+    logger.propagate = False
     try:
         return args.func(args)
     except (XlsxError, SchemaError, BadInputError) as exc:
@@ -357,6 +350,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:  # pragma: no cover - last-resort diagnostics
         logger.exception("internal error")
         return EXIT_INTERNAL
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+        logger.propagate = propagate
 
 
 if __name__ == "__main__":

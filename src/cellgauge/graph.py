@@ -1,23 +1,22 @@
 """Cell dependency graph: reference resolution, fan-in/fan-out.
 
-Every reference resolves to one clipped rectangle on a sheet; unresolvable
-targets (unknown names, missing sheets, external workbooks, #REF!) are
-counted as dangling instead of failing. Every graph quantity is computed
-from rectangles, so cost grows with the number of formulas and referenced
-rectangles, never with the number of cells a range covers:
+Sheets are stacked into one tall grid, and every reference resolves to one
+clipped block of it; unresolvable targets (unknown names, missing sheets,
+external workbooks, #REF!) are counted as dangling instead of failing.
+Every graph quantity is computed from blocks, so cost grows with the
+number of formulas and referenced blocks, never with the number of cells
+a range covers:
 
-* fan-out: a formula's rectangles are split into disjoint pieces; fan-out
-  is the sum of the piece areas;
-* fan-in and the input/label split: one row sweep per workbook (sheets
-  stacked into one tall grid), over a cover-count segment tree on the
-  compressed column boundaries, counts the formulas covering every stored
-  cell; the same sweep measures the area of the union of all referenced
-  rectangles (Klee's measure, Bentley 1977).
+* fan-out: a formula's blocks are split into disjoint pieces; fan-out is
+  the sum of the piece areas;
+* fan-in and the input/label split: one row sweep per workbook, over a
+  cover-count segment tree on the compressed column boundaries, counts the
+  formulas covering every stored cell; the same sweep measures the area of
+  the union of all referenced blocks (Klee's measure, Bentley 1977).
 
 Single-cell references, the common case, stay out of the sweep and are
-counted in dicts. ``DependencyGraph.reverse`` is the one cell-level view,
-expanded from the rectangles on first access; the metric pipeline never
-reads it.
+counted in dicts. ``DependencyGraph.reverse`` is the one cell-level view;
+the metric pipeline never reads it.
 """
 
 from __future__ import annotations
@@ -25,53 +24,53 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import defaultdict
 from functools import cached_property
-from typing import NamedTuple
 
-from .expressions import CellLocator, Expr, Range, Reference, reference_nodes
+from .expressions import Expr, Range, Reference, reference_nodes
 from .model import CellCoordinate, Workbook
 from .tokens import MAX_COL, MAX_ROW
 
-# (sheet, first row, first column, last row, last column), bounds inclusive.
-Rectangle = tuple[int, int, int, int, int]
+# Sheets are stacked into one tall grid: row r of sheet s is stacked row
+# s * _SHEET_STRIDE + r. The stride leaves a gap row between sheets, so no
+# block spans two sheets and one sweep covers the whole workbook.
+_SHEET_STRIDE = MAX_ROW + 2
+
+# (first stacked row, first column, last stacked row, last column), inclusive.
+_Block = tuple[int, int, int, int]
 
 
 class NotAFormulaCellError(LookupError):
     pass
 
 
-class ResolvedReferences(NamedTuple):  # builds faster than a frozen dataclass
-    points: frozenset[CellCoordinate]  # single-cell targets
-    rectangles: frozenset[Rectangle]  # targets covering more than one cell
-    dangling: int
-    # Single-cell targets plus the four corners of every rectangle;
-    # sufficient for the maximal pairwise distance over the full cell set.
-    anchor_points: tuple[CellCoordinate, ...]
-
-
 class DependencyGraph:
-    """Formula cells, their resolved references and the counts metrics need.
+    """Formula cells and the counts metrics need.
 
-    ``reverse`` (cell -> formulas referencing it) is the exact cell-level
-    view of ``references``. It is expanded from the rectangles on first
-    access and costs time and memory proportional to the covered area.
+    Per parsed formula cell: its fan-out, its dangling references and its
+    anchor points (single-cell targets plus the four corners of every block,
+    enough for the maximal pairwise distance over the cells it covers).
+    ``reverse`` (cell -> formulas referencing it) re-resolves every formula
+    on first access and costs time and memory proportional to the covered
+    area.
     """
 
     def __init__(
         self,
-        references: dict[CellCoordinate, ResolvedReferences],
+        workbook: Workbook,
         fan_outs: dict[CellCoordinate, int],
+        dangling: dict[CellCoordinate, int],
+        anchors: dict[CellCoordinate, tuple[CellCoordinate, ...]],
         cover_counts: dict[CellCoordinate, int],
         unstored_references: int,
     ):
-        self.references = references
+        self.workbook = workbook
         self._fan_outs = fan_outs
+        self.dangling = dangling
+        self.anchors = anchors
         # Stored cells referenced by at least one formula -> number of
         # distinct formulas referencing each.
         self.cover_counts = cover_counts
         # Referenced coordinates that hold no stored cell.
         self.unstored_references = unstored_references
-        self.dangling = {coord: resolved.dangling for coord, resolved in references.items()}
-        self.anchors = {coord: resolved.anchor_points for coord, resolved in references.items()}
 
     def formula_cells(self):
         return self._fan_outs.keys()
@@ -90,163 +89,90 @@ class DependencyGraph:
     @cached_property
     def reverse(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
         sources: dict[CellCoordinate, set[CellCoordinate]] = defaultdict(set)
-        for source, resolved in self.references.items():
-            for target in resolved.points:
-                sources[target].add(source)
-            for sheet, r1, c1, r2, c2 in resolved.rectangles:
-                for r in range(r1, r2 + 1):
-                    for c in range(c1, c2 + 1):
-                        sources[CellCoordinate(sheet, r, c)].add(source)
+        for source in self._fan_outs:
+            cell = self.workbook.sheet(source.sheet).cells[source.row, source.col]
+            blocks, _ = _resolve(cell.formula.expr, source.sheet, self.workbook)  # type: ignore[union-attr]
+            for r1, c1, r2, c2 in blocks:
+                for stacked in range(r1, r2 + 1):
+                    sheet, row = divmod(stacked, _SHEET_STRIDE)
+                    for col in range(c1, c2 + 1):
+                        sources[CellCoordinate(sheet, row, col)].add(source)
         return {coord: frozenset(found) for coord, found in sources.items()}
 
 
-def _clip(lo: int, hi: int, bound_lo: int, bound_hi: int) -> tuple[int, int] | None:
-    lo, hi = max(lo, bound_lo), min(hi, bound_hi)
-    if lo > hi:
+def _region(
+    node: Reference | Range, sheet: int | None, workbook: Workbook
+) -> _Block | tuple[()] | None:
+    """The block `node` covers, () when it covers no cell, None when it dangles.
+
+    An unqualified reference means `sheet`, the formula's own sheet. A
+    defined name resolves to the block of its target, found with
+    ``sheet=None``: the target must name its sheet and cannot be another
+    name. A range clips to the grid, and a full-row or full-column range to
+    the used box of its sheet.
+    """
+    if node.external:
         return None
-    return lo, hi
+    kind = type(node)
+    if kind is Reference:
+        if node.ref_error:
+            return None
+        if node.name is not None:
+            defined = workbook.defined_name(node.name) if sheet is not None else None
+            target = defined.expr if defined is not None else None
+            if type(target) is Reference or type(target) is Range:
+                return _region(target, None, workbook)  # type: ignore[arg-type]
+            return None
+    if node.sheet is not None:
+        sheet = workbook.sheet_index(node.sheet)
+    if sheet is None:
+        return None
+    base = sheet * _SHEET_STRIDE
+    if kind is Reference:
+        row, col = node.locator.row, node.locator.col  # type: ignore[union-attr]
+        if row is None or col is None or not (0 < row <= MAX_ROW and 0 < col <= MAX_COL):
+            return None
+        return (base + row, col, base + row, col)
+    r1, c1, r2, c2 = node.start.row, node.start.col, node.end.row, node.end.col  # type: ignore[union-attr]
+    if r1 is None or r2 is None or c1 is None or c2 is None:
+        box = workbook.sheet(sheet).used_box()
+        if box is None:
+            return ()
+        if r1 is None or r2 is None:
+            r1, r2 = box[0], box[2]
+        if c1 is None or c2 is None:
+            c1, c2 = box[1], box[3]
+    r1, r2 = max(1, min(r1, r2)), min(MAX_ROW, max(r1, r2))
+    c1, c2 = max(1, min(c1, c2)), min(MAX_COL, max(c1, c2))
+    if r1 > r2 or c1 > c2:
+        return ()
+    return (base + r1, c1, base + r2, c2)
 
 
-class _Resolver:
-    def __init__(self, workbook: Workbook, own_sheet: int):
-        self.workbook = workbook
-        self.own_sheet = own_sheet
-        self.points: set[CellCoordinate] = set()
-        self.rectangles: set[Rectangle] = set()
-        self.anchor_points: set[CellCoordinate] = set()
-        self.dangling = 0
-
-    def _sheet_index(self, sheet_name: str | None) -> int | None:
-        if sheet_name is None:
-            return self.own_sheet
-        return self.workbook.sheet_index(sheet_name)
-
-    def add_reference(self, ref: Reference) -> None:
-        if ref.ref_error or ref.external:
-            self.dangling += 1
-            return
-        if ref.by_name:
-            self._add_defined_name(ref.name)  # type: ignore[arg-type]
-            return
-        self._add_single(ref.sheet, ref.locator)  # type: ignore[arg-type]
-
-    def _add_defined_name(self, name: str) -> None:
-        defined = self.workbook.defined_name(name)
-        target = defined.expr if defined is not None else None
-        if isinstance(target, Reference):
-            # Only a concrete sheet-qualified grid target resolves; nested
-            # names, externals and #REF! targets dangle.
-            if (
-                target.sheet is not None
-                and target.locator is not None
-                and not target.external
-                and not target.ref_error
-            ):
-                self._add_single(target.sheet, target.locator)
-                return
-        elif isinstance(target, Range):
-            if target.sheet is not None and not target.external:
-                self._add_range(target.sheet, target.start, target.end)
-                return
-        self.dangling += 1
-
-    def _add_single(self, sheet_name: str | None, locator: CellLocator) -> None:
-        sheet = self._sheet_index(sheet_name)
-        if (
-            sheet is None
-            or locator.row is None
-            or locator.col is None
-            or not 1 <= locator.row <= MAX_ROW
-            or not 1 <= locator.col <= MAX_COL
-        ):
-            self.dangling += 1
-            return
-        coord = CellCoordinate(sheet, locator.row, locator.col)
-        self.points.add(coord)
-        self.anchor_points.add(coord)
-
-    def add_range(self, rng: Range) -> None:
-        if rng.external:
-            self.dangling += 1
-            return
-        self._add_range(rng.sheet, rng.start, rng.end)
-
-    def _add_range(self, sheet_name: str | None, start: CellLocator, end: CellLocator) -> None:
-        sheet = self._sheet_index(sheet_name)
-        if sheet is None:
-            self.dangling += 1
-            return
-        rows: tuple[int, int] | None
-        cols: tuple[int, int] | None
-        if start.row is not None and end.row is not None:
-            rows = _clip(min(start.row, end.row), max(start.row, end.row), 1, MAX_ROW)
-        else:
-            # Full-column range: rows clip to the sheet's used bounding box.
-            box = self.workbook.sheet(sheet).used_box()
-            rows = (box[0], box[2]) if box is not None else None
-        if start.col is not None and end.col is not None:
-            cols = _clip(min(start.col, end.col), max(start.col, end.col), 1, MAX_COL)
-        else:
-            box = self.workbook.sheet(sheet).used_box()
-            cols = (box[1], box[3]) if box is not None else None
-        if rows is None or cols is None:
-            return  # resolvable but empty (e.g. full-column range on an empty sheet)
-        r1, r2 = rows
-        c1, c2 = cols
-        if r1 == r2 and c1 == c2:
-            coord = CellCoordinate(sheet, r1, c1)
-            self.points.add(coord)
-            self.anchor_points.add(coord)
-            return
-        self.rectangles.add((sheet, r1, c1, r2, c2))
-        self.anchor_points.update(
-            (
-                CellCoordinate(sheet, r1, c1),
-                CellCoordinate(sheet, r1, c2),
-                CellCoordinate(sheet, r2, c1),
-                CellCoordinate(sheet, r2, c2),
-            )
-        )
-
-    def result(self) -> ResolvedReferences:
-        return ResolvedReferences(
-            frozenset(self.points),
-            frozenset(self.rectangles),
-            self.dangling,
-            tuple(sorted(self.anchor_points)),
-        )
-
-
-def resolve_expr(expr: Expr, own_sheet: int, workbook: Workbook) -> ResolvedReferences:
-    resolver = _Resolver(workbook, own_sheet)
+def _resolve(expr: Expr, sheet: int, workbook: Workbook) -> tuple[set[_Block], int]:
+    """(distinct blocks the references of `expr` cover, dangling references)."""
+    blocks = set()
+    dangling = 0
     for node in reference_nodes(expr):
-        if type(node) is Range:
-            resolver.add_range(node)
-        else:
-            resolver.add_reference(node)
-    return resolver.result()
+        block = _region(node, sheet, workbook)
+        if block is None:
+            dangling += 1
+        elif block:
+            blocks.add(block)
+    return blocks, dangling
 
 
-# Sheets are stacked into one tall grid: row r of sheet s is stacked row
-# s * _SHEET_STRIDE + r. The stride leaves a gap row between sheets, so no
-# rectangle spans two sheets and one sweep covers the whole workbook.
-_SHEET_STRIDE = MAX_ROW + 2
+def _disjoint(blocks: list[_Block]) -> list[_Block]:
+    """Disjoint pieces whose union is the union of `blocks`.
 
-# (first stacked row, first column, last stacked row, last column), inclusive.
-_Block = tuple[int, int, int, int]
-
-
-def _disjoint(rects: list[_Block]) -> list[_Block]:
-    """Disjoint pieces whose union is the union of `rects`.
-
-    Cuts the rows at every rectangle edge and merges the column spans within
+    Cuts the rows at every block edge and merges the column spans within
     each band; a piece grows downward while its span stays the same.
     """
     pieces = []
     growing: dict[tuple[int, int], int] = {}  # column span -> first row
-    for top in sorted({r[0] for r in rects} | {r[2] + 1 for r in rects}):
+    for top in sorted({b[0] for b in blocks} | {b[2] + 1 for b in blocks}):
         spans: list[list[int]] = []
-        for c1, c2 in sorted((c1, c2) for r1, c1, r2, c2 in rects if r1 <= top <= r2):
+        for c1, c2 in sorted((c1, c2) for r1, c1, r2, c2 in blocks if r1 <= top <= r2):
             if spans and c1 <= spans[-1][1] + 1:
                 spans[-1][1] = max(spans[-1][1], c2)
             else:
@@ -258,7 +184,7 @@ def _disjoint(rects: list[_Block]) -> list[_Block]:
 
 
 def _sweep(pieces: list[_Block], queries: list[tuple[int, int, object]]) -> tuple[int, dict]:
-    """Row sweep over rectangles.
+    """Row sweep over blocks.
 
     `queries` are sorted (row, col, key) triples. Returns the area of the
     union of `pieces` and, for the key of every query point that some piece
@@ -328,8 +254,8 @@ def _coverage(
     """(formulas covering each referenced stored cell, referenced area).
 
     `singles` counts, per coordinate, the formulas that reference it as a
-    single cell; `pieces` holds the stacked rectangles of every formula,
-    split so that one formula's pieces never overlap.
+    single cell; `pieces` holds the blocks of every formula, split so that
+    one formula's pieces never overlap.
     """
     area, hits = 0, {}
     if pieces:
@@ -353,8 +279,9 @@ def _coverage(
 
 def build_graph(workbook: Workbook) -> DependencyGraph:
     """Resolve every successfully parsed formula cell; cycles are legal."""
-    references: dict[CellCoordinate, ResolvedReferences] = {}
     fan_outs: dict[CellCoordinate, int] = {}
+    dangling: dict[CellCoordinate, int] = {}
+    anchors: dict[CellCoordinate, tuple[CellCoordinate, ...]] = {}
     singles: dict[CellCoordinate, int] = {}
     pieces: list[_Block] = []
     for sheet in workbook.sheets:
@@ -362,30 +289,41 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             formula = cell.formula
             if formula is None or formula.expr is None:
                 continue
-            resolved = resolve_expr(formula.expr, sheet.index, workbook)
             coord = cell.coordinate
-            references[coord] = resolved
-            points = resolved.points
+            blocks, dangling[coord] = _resolve(formula.expr, sheet.index, workbook)
+            points: list[tuple[int, int]] = []  # single-cell blocks, stacked
+            own: list[_Block] = []
+            corners: set[tuple[int, int]] = set()
+            for block in blocks:
+                r1, c1, r2, c2 = block
+                if r1 == r2 and c1 == c2:
+                    points.append((r1, c1))
+                else:
+                    own.append(block)
+                    corners.update(((r1, c1), (r1, c2), (r2, c1), (r2, c2)))
+            corners.update(points)
+            # Each distinct anchor becomes a CellCoordinate once.
+            located = {
+                (row, col): CellCoordinate(row // _SHEET_STRIDE, row % _SHEET_STRIDE, col)
+                for row, col in sorted(corners)
+            }
+            anchors[coord] = tuple(located.values())
             area = 0
-            if resolved.rectangles:
-                own = [
-                    (s * _SHEET_STRIDE + r1, c1, s * _SHEET_STRIDE + r2, c2)
-                    for s, r1, c1, r2, c2 in resolved.rectangles
-                ]
+            if own:
                 if len(own) > 1:
                     own = _disjoint(own)
                 pieces.extend(own)
                 area = sum((r2 - r1 + 1) * (c2 - c1 + 1) for r1, c1, r2, c2 in own)
-                if points:  # a point inside one of its own rectangles is counted there
-                    points = [p for p in points if not _inside(p, own)]
+                # A point inside one of its own blocks is counted there.
+                points = [
+                    (row, col)
+                    for row, col in points
+                    if not any(r1 <= row <= r2 and c1 <= col <= c2 for r1, c1, r2, c2 in own)
+                ]
             for point in points:
-                singles[point] = singles.get(point, 0) + 1
+                target = located[point]
+                singles[target] = singles.get(target, 0) + 1
             fan_outs[coord] = area + len(points)
     cover_counts, referenced = _coverage(workbook, singles, pieces)
     unstored = referenced - len(cover_counts)
-    return DependencyGraph(references, fan_outs, cover_counts, unstored)
-
-
-def _inside(point: CellCoordinate, blocks: list[_Block]) -> bool:
-    row = point.sheet * _SHEET_STRIDE + point.row
-    return any(r1 <= row <= r2 and c1 <= point.col <= c2 for r1, c1, r2, c2 in blocks)
+    return DependencyGraph(workbook, fan_outs, dangling, anchors, cover_counts, unstored)

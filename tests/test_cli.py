@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -286,6 +287,15 @@ class TestCorpus:
         assert len(hist["counts"]) == 4
         assert hist["binEdges"][0] == 0.0 and hist["binEdges"][-1] == 8.0
 
+    def test_bins_alone_keeps_the_ratio_range(self, capsys, tmp_path):
+        write_corpus(tmp_path / "corpus", 6, seed=11)
+        default = ["corpus", str(tmp_path / "corpus"), "--histogram", "M04", "--quiet"]
+        code, out, _ = run(default, capsys)
+        assert code == 0
+        assert run([*default, "--bins", "20"], capsys) == (0, out, "")
+        rows = list(csv.reader(io.StringIO(out.split("\n\n")[-1])))
+        assert (rows[1][1], rows[-1][2]) == ("0", "1")
+
     @pytest.mark.parametrize(
         "option",
         [["--bins", "-2"], ["--bins", "0"], ["--range", "0,1e400"]],
@@ -331,6 +341,14 @@ class TestCorpus:
         assert ids == sorted(ids)
         assert ids[0].startswith("a-sub/") and ids[-1].startswith("z-sub/")
 
+    def test_main_leaves_logging_as_it_found_it(self, capsys, caplog):
+        root = logging.getLogger()
+        before = root.level, list(root.handlers)
+        assert run(["analyze", str(FIXTURES / "g1.json"), "--quiet"], capsys)[0] == 0
+        assert (root.level, root.handlers) == before
+        logging.getLogger("cellgauge.xlsx").warning("still heard")
+        assert "still heard" in caplog.text
+
     def test_analyze_xlsx_through_cli(self, capsys, tmp_path):
         from .test_xlsx import build_xlsx
 
@@ -343,15 +361,6 @@ class TestCorpus:
         payload = json.loads(out)[0]
         assert payload["workbookId"] == "book"
         assert payload["M09"] == 4  # B1:B4 expanded
-
-    def test_threads_env_var_respected(self, capsys, tmp_path, monkeypatch):
-        write_corpus(tmp_path / "corpus", 6, seed=2)
-        via_flag = tmp_path / "flag.csv"
-        via_env = tmp_path / "env.csv"
-        assert run(["corpus", str(tmp_path / "corpus"), "--out", str(via_flag), "--threads", "2", "--quiet"], capsys)[0] == 0
-        monkeypatch.setenv("CELLGAUGE_THREADS", "2")
-        assert run(["corpus", str(tmp_path / "corpus"), "--out", str(via_env), "--quiet"], capsys)[0] == 0
-        assert via_flag.read_bytes() == via_env.read_bytes()
 
     def test_pool_never_has_more_workers_than_files(self, capsys, tmp_path, monkeypatch):
         # the stub records the requested pool size and runs the tasks

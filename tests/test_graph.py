@@ -111,6 +111,33 @@ class TestResolve:
         )
         assert resolved(workbook) == (set(), 1)
 
+    @pytest.mark.parametrize(
+        ("target", "covered", "dangling"),
+        [
+            ("OTHER", 0, 1),
+            ("Data!OTHER", 0, 1),
+            ("Data!#REF!", 0, 1),
+            ("[Book2]Data!A1", 0, 1),
+            ("Data!C:C", 4, 0),
+            ("Data!2:2", 4, 0),
+            ("Data!A1+1", 0, 1),
+            ("7", 0, 1),
+            ("Nope!A1", 0, 1),
+            ("Empty!A:A", 0, 0),
+            ("data!b2", 1, 0),
+            ("Data!C3:A1", 9, 0),
+        ],
+    )
+    def test_defined_name_targets_match_oracle(self, target, covered, dangling):
+        # A name resolves only to a sheet-qualified cell or range; a target
+        # naming another name dangles, as does anything but a reference.
+        workbook = make_workbook(
+            [("Data", {"A1": "=NAME", "B2": 1, "D4": 2}), ("Empty", {})],
+            defined_names={"NAME": target, "OTHER": "Data!B2"},
+        )
+        cells, found = resolved(workbook)
+        assert (len(cells), found) == (covered, dangling)
+
     def test_full_column_clips_to_used_box(self):
         workbook = make_workbook(
             [("Data", {"A1": "=SUM(C:C)", "B4": 1, "B9": 2})]
@@ -139,7 +166,7 @@ class TestResolve:
     def test_unparsed_formula_rejected(self):
         workbook = make_workbook([("S", {"A1": "=1+"})])
         graph = build_graph(workbook)
-        assert graph.references == {} and graph.dangling == {} and graph.anchors == {}
+        assert not graph.formula_cells() and graph.dangling == {} and graph.anchors == {}
         with pytest.raises(NotAFormulaCellError):
             graph.fan_out(C(1, 1, 1))
 
@@ -147,7 +174,7 @@ class TestResolve:
 class TestGraph:
     def test_empty_workbook_gives_empty_graph(self):
         graph = build_graph(make_workbook([("S", {"A1": 3})]))
-        assert graph.references == {} and graph.reverse == {}
+        assert not graph.formula_cells() and graph.reverse == {}
 
     def test_two_cell_cycle(self):
         workbook = make_workbook([("S", {"A1": "=B1", "B1": "=A1"})])
@@ -175,7 +202,7 @@ class TestGraph:
     def test_parse_failures_are_not_in_the_graph(self):
         workbook = make_workbook([("S", {"A1": "=1+", "B1": "=2"})])
         graph = build_graph(workbook)
-        assert set(graph.formula_cells()) == set(graph.references) == {C(1, 1, 2)}
+        assert set(graph.formula_cells()) == set(graph.dangling) == set(graph.anchors) == {C(1, 1, 2)}
 
     def test_dangling_counts_recorded_per_formula(self):
         workbook = make_workbook([("S", {"A1": "=nope+Missing!A1+B1"})])
