@@ -7,6 +7,7 @@ excluded from every computation rather than imputed as zero.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from statistics import fmean
@@ -113,24 +114,12 @@ def histogram(
 
 def pearson_xy(xs: list[float], ys: list[float]) -> float | None:
     """Pearson product-moment coefficient; None when n < 2 or variance is 0."""
-    n = len(xs)
-    if n != len(ys):
+    if len(xs) != len(ys):
         raise ValueError("samples must have equal length")
-    if n < 2:
-        return None
-    dxs = _scaled_deviations(xs)
-    dys = _scaled_deviations(ys)
-    if dxs is None or dys is None:
-        return None
-    sxx = syy = sxy = 0.0
-    for dx, dy in zip(dxs, dys):
-        sxx += dx * dx
-        syy += dy * dy
-        sxy += dx * dy
-    return sxy / (math.sqrt(sxx) * math.sqrt(syy))
+    return _coefficient(_centre(xs), _centre(ys))
 
 
-def _scaled_deviations(values: list[float]) -> list[float] | None:
+def _scaled_deviations(values: list[float]) -> array | None:
     """Deviations from the mean, scaled by one power of two so the largest
     lies in [0.5, 1); None when all values are equal. The scaling cancels in
     the coefficient and changes no bit of it short of underflow; it keeps
@@ -140,7 +129,37 @@ def _scaled_deviations(values: list[float]) -> list[float] | None:
     mean = fmean(values)
     deviations = [v - mean for v in values]
     exponent = math.frexp(max(map(abs, deviations)))[1]
-    return [math.ldexp(d, -exponent) for d in deviations]
+    return array("d", [math.ldexp(d, -exponent) for d in deviations])
+
+
+# The part of a coefficient that depends on one series only: its scaled
+# deviations and the square root of their sum of squares.
+_Centred = tuple[array, float]
+
+
+def _centre(values: list[float]) -> _Centred | None:
+    """None when n < 2 or the variance is 0."""
+    if len(values) < 2:
+        return None
+    deviations = _scaled_deviations(values)
+    if deviations is None:
+        return None
+    # Explicit += loops, never sum(): float sum() is compensated from
+    # Python 3.12 on and would change the last bits between versions.
+    sxx = 0.0
+    for d in deviations:
+        sxx += d * d
+    return deviations, math.sqrt(sxx)
+
+
+def _coefficient(x: _Centred | None, y: _Centred | None) -> float | None:
+    if x is None or y is None:
+        return None
+    (dxs, root_x), (dys, root_y) = x, y
+    sxy = 0.0
+    for dx, dy in zip(dxs, dys):
+        sxy += dx * dy
+    return sxy / (root_x * root_y)
 
 
 def _ranks(values: list[float]) -> list[float]:
@@ -159,30 +178,57 @@ def _ranks(values: list[float]) -> list[float]:
     return ranks
 
 
-def _pairwise(records: list[MetricRecord], a: str, b: str) -> tuple[list[float], list[float]]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for r in records:
-        x = r.metrics[a]
-        y = r.metrics[b]
-        if x is not None and y is not None:
-            xs.append(x)
-            ys.append(y)
-    return xs, ys
+class _Columns:
+    """The metric columns of a corpus for pairwise-complete correlation.
+
+    Each column is extracted, ranked (Spearman) and centred once per
+    pairwise-complete sample it is correlated on, not once per pair, so a
+    pair costs one cross-product loop over its sample. Columns with the
+    same missing values share their sample, so a corpus with absent
+    metrics reuses the centred columns too.
+    """
+
+    def __init__(self, records: list[MetricRecord], metric_ids: tuple[str, ...], rank: bool):
+        self._values = [[r.metrics[m] for r in records] for m in metric_ids]
+        self._rank = rank
+        # One tuple object per distinct sample (ascending record indices),
+        # alive as long as this object: samples compare by identity, and
+        # id() keys the cache without hashing a whole sample per lookup.
+        self._samples: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._present = [
+            self._shared(tuple(k for k, v in enumerate(column) if v is not None))
+            for column in self._values
+        ]
+        self._centred: dict[tuple[int, int], _Centred | None] = {}
+
+    def _shared(self, sample: tuple[int, ...]) -> tuple[int, ...]:
+        return self._samples.setdefault(sample, sample)
+
+    def correlate(self, i: int, j: int) -> tuple[float | None, int]:
+        """(r, n) of columns i and j over the records where both are present."""
+        sample = self._present[i]
+        if sample is not self._present[j]:
+            other = self._values[j]
+            sample = self._shared(tuple(k for k in sample if other[k] is not None))
+        return _coefficient(self._column(i, sample), self._column(j, sample)), len(sample)
+
+    def _column(self, i: int, sample: tuple[int, ...]) -> _Centred | None:
+        key = (i, id(sample))
+        if key not in self._centred:
+            column = self._values[i]
+            values = [column[k] for k in sample]
+            self._centred[key] = _centre(_ranks(values) if self._rank else values)
+        return self._centred[key]
 
 
 def pearson(records: list[MetricRecord], metric_a: str, metric_b: str) -> tuple[float | None, int]:
     """(r, n) over the pairwise-complete observations of two metrics."""
-    xs, ys = _pairwise(records, metric_a, metric_b)
-    return pearson_xy(xs, ys), len(xs)
+    return _Columns(records, (metric_a, metric_b), rank=False).correlate(0, 1)
 
 
 def spearman(records: list[MetricRecord], metric_a: str, metric_b: str) -> tuple[float | None, int]:
     """Rank correlation: Pearson on average ranks of the pairwise sample."""
-    xs, ys = _pairwise(records, metric_a, metric_b)
-    if len(xs) < 2:
-        return None, len(xs)
-    return pearson_xy(_ranks(xs), _ranks(ys)), len(xs)
+    return _Columns(records, (metric_a, metric_b), rank=True).correlate(0, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,18 +244,15 @@ def correlation_matrix(
     method: str = "pearson",
 ) -> CorrelationMatrix:
     """Symmetric matrix of pairwise correlations with per-pair sample sizes."""
-    if method == "pearson":
-        corr = pearson
-    elif method == "spearman":
-        corr = spearman
-    else:
+    if method not in ("pearson", "spearman"):
         raise ValueError(f"unknown correlation method {method!r}")
+    columns = _Columns(records, metric_ids, rank=method == "spearman")
     size = len(metric_ids)
     r_rows: list[list[float | None]] = [[None] * size for _ in range(size)]
     n_rows: list[list[int]] = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            value, count = corr(records, metric_ids[i], metric_ids[j])
+            value, count = columns.correlate(i, j)
             r_rows[i][j] = r_rows[j][i] = value
             n_rows[i][j] = n_rows[j][i] = count
     return CorrelationMatrix(

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .analytics import (
@@ -105,7 +106,13 @@ def _parallelism(option: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _corpus_worker(args: tuple[str, str, tuple[str, ...]]) -> tuple[str, str, object]:
+# (absolute path, relative path, conditional function names) of one file,
+# and its outcome: ("ok", relative, record) or ("error", relative, message).
+_Task = tuple[str, str, tuple[str, ...]]
+_Outcome = tuple[str, str, object]
+
+
+def _corpus_worker(args: _Task) -> _Outcome:
     path, relative, conditional = args
     try:
         workbook = load_workbook(path)
@@ -117,6 +124,45 @@ def _corpus_worker(args: tuple[str, str, tuple[str, ...]]) -> tuple[str, str, ob
         return ("ok", relative, record)
     except Exception as exc:  # one bad file must never end a corpus run
         return ("error", relative, f"{type(exc).__name__}: {exc}")
+
+
+_CHUNK = 8  # files per pool task
+
+
+def _corpus_chunk(tasks: list[_Task]) -> list[_Outcome]:
+    return [_corpus_worker(task) for task in tasks]
+
+
+def _run_pool(tasks: list[_Task], degree: int) -> list[_Outcome]:
+    """The outcome of every task, in order, from a pool of `degree` workers.
+
+    A worker that dies (killed for memory, say) breaks the pool and loses
+    the chunks it had not finished; the outcomes already returned are kept,
+    and each unfinished file is rerun alone in a fresh worker.
+    """
+    chunks = [tasks[i : i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
+    results: list[list[_Outcome] | None] = [None] * len(chunks)
+    with ProcessPoolExecutor(max_workers=degree) as pool:
+        futures = [pool.submit(_corpus_chunk, chunk) for chunk in chunks]
+        for index, future in enumerate(futures):
+            try:
+                results[index] = future.result()
+            except BrokenProcessPool:
+                pass
+    outcomes: list[_Outcome] = []
+    for chunk, result in zip(chunks, results):
+        outcomes.extend(result if result is not None else map(_run_alone, chunk))
+    return outcomes
+
+
+def _run_alone(task: _Task) -> _Outcome:
+    """The outcome of one task in a worker of its own; a file that kills that
+    worker too is a failure like any unreadable file."""
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(_corpus_worker, task).result()
+    except BrokenProcessPool as exc:
+        return ("error", task[1], f"{type(exc).__name__}: {exc}")
 
 
 def _artifact_path(out: Path, label: str, fmt: str) -> Path:
@@ -208,8 +254,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     # Never more workers than files: a pool may start every worker up front.
     degree = min(_parallelism(args.threads), len(tasks))
     if degree > 1:
-        with ProcessPoolExecutor(max_workers=degree) as pool:
-            outcomes = list(pool.map(_corpus_worker, tasks, chunksize=8))
+        outcomes = _run_pool(tasks, degree)
     else:
         outcomes = [_corpus_worker(task) for task in tasks]
 

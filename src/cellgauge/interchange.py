@@ -11,7 +11,8 @@ Schema (values in <> are JSON types):
                                  "fill": <string> } ] } ] }
 
 Exactly one of formula/value per cell; "type" is required alongside "value";
-empty cells are omitted.
+empty cells are omitted. Defined names are global only: the schema has no
+sheet-local names, and writing a workbook leaves its sheet-local names out.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def read_interchange(document: Any, *, default_name: str | None = None) -> Workb
             )
             cells[key] = cell
         sheets.append(Worksheet(sheet_name, s_idx + 1, cells))
-    defined: dict[str, DefinedName] = {}
+    defined: dict[tuple[None, str], DefinedName] = {}
     names_doc = document.get("definedNames", [])
     _expect(isinstance(names_doc, list), "$.definedNames", "expected a list")
     for n_idx, entry in enumerate(names_doc):
@@ -162,7 +163,7 @@ def read_interchange(document: Any, *, default_name: str | None = None) -> Workb
         target = entry.get("target")
         _expect(isinstance(dn_name, str) and dn_name != "", n_path + ".name", "expected a name")
         _expect(isinstance(target, str), n_path + ".target", "expected a target string")
-        key = dn_name.casefold()
+        key = (None, dn_name.casefold())
         if key not in defined:  # first definition wins
             defined[key] = DefinedName(dn_name, target, _parse_defined_target(target))
     try:
@@ -214,7 +215,9 @@ def write_interchange(workbook: Workbook) -> dict[str, Any]:
     return {
         "name": workbook.name,
         "definedNames": [
-            {"name": dn.name, "target": dn.target} for dn in workbook.defined_names.values()
+            {"name": dn.name, "target": dn.target}
+            for dn in workbook.defined_names.values()
+            if dn.scope is None
         ],
         "sheets": sheets,
     }

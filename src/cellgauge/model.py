@@ -83,6 +83,7 @@ class DefinedName:
     name: str
     target: str  # target text as found in the workbook, e.g. "Sheet1!$A$1:$B$2"
     expr: Expr | None  # parsed target; None when unparseable (uses dangle)
+    scope: int | None = None  # index of the sheet it is local to; None: global
 
 
 class Worksheet:
@@ -120,7 +121,7 @@ class Workbook:
         self,
         name: str,
         sheets: tuple[Worksheet, ...],
-        defined_names: dict[str, DefinedName] | None = None,
+        defined_names: dict[tuple[int | None, str], DefinedName] | None = None,
     ):
         seen: dict[str, int] = {}
         for sheet in sheets:
@@ -130,6 +131,7 @@ class Workbook:
             seen[key] = sheet.index
         self.name = name
         self.sheets = sheets
+        # (scope, casefolded name) -> definition; see DefinedName.scope.
         self.defined_names = defined_names or {}
         self._sheet_index_by_name = seen
 
@@ -140,8 +142,11 @@ class Workbook:
     def sheet(self, index: int) -> Worksheet:
         return self.sheets[index - 1]
 
-    def defined_name(self, name: str) -> DefinedName | None:
-        return self.defined_names.get(name.casefold())
+    def defined_name(self, name: str, sheet: int | None = None) -> DefinedName | None:
+        """The definition a formula on `sheet` sees: the one local to that
+        sheet, else the global one (case-insensitive)."""
+        key = name.casefold()
+        return self.defined_names.get((sheet, key)) or self.defined_names.get((None, key))
 
     def iter_cells(self):
         for sheet in self.sheets:

@@ -2,8 +2,9 @@
 
 Reads sheets in workbook order, types literals via cell-type markers and the
 shared-strings table, expands shared-formula groups per cell, and loads
-defined names. Cached formula results are used only to infer a result value
-type, never as literals. Per-cell anomalies are logged, not fatal.
+defined names, global and sheet-local (``localSheetId``). Cached formula
+results are used only to infer a result value type, never as literals.
+Per-cell anomalies are logged, not fatal.
 """
 
 from __future__ import annotations
@@ -397,7 +398,7 @@ def read_xlsx(path: str | Path) -> Workbook:
             reader = _SheetReader(part, sheet_name, position, shared_strings, fills)
             worksheets.append(reader.read(root))
 
-        defined: dict[str, DefinedName] = {}
+        defined: dict[tuple[int | None, str], DefinedName] = {}
         names_el = workbook_root.find(_MAIN + "definedNames")
         if names_el is not None:
             for dn_el in names_el.findall(_MAIN + "definedName"):
@@ -405,9 +406,17 @@ def read_xlsx(path: str | Path) -> Workbook:
                 target = (dn_el.text or "").strip()
                 if not dn_name or not target:
                     continue
-                key = dn_name.casefold()
+                scope = None
+                local = dn_el.get("localSheetId")
+                if local is not None:
+                    # 0-based position in <sheets>; sheet indices are 1-based
+                    if not (local.isdecimal() and int(local) < len(worksheets)):
+                        logger.warning("skipping defined name %r: bad localSheetId %r", dn_name, local)
+                        continue
+                    scope = int(local) + 1
+                key = (scope, dn_name.casefold())
                 if key in defined:
-                    continue  # first (typically global) definition wins
-                defined[key] = DefinedName(dn_name, target, _parse_defined_target(target))
+                    continue  # first definition in each scope wins
+                defined[key] = DefinedName(dn_name, target, _parse_defined_target(target), scope)
 
     return Workbook(path.stem, tuple(worksheets), defined)

@@ -179,7 +179,7 @@ def make_workbook(sheets, defined_names=None, name="test"):
             cells[(row, col)] = cell
         worksheets.append(Worksheet(sheet_name, index, cells))
     defined = {
-        name_.casefold(): DefinedName(name_, target, _parse_defined_target(target))
+        (None, name_.casefold()): DefinedName(name_, target, _parse_defined_target(target))
         for name_, target in (defined_names or {}).items()
     }
     return Workbook(name, tuple(worksheets), defined)

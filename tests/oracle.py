@@ -163,7 +163,9 @@ def expand(expr, own_sheet: int, workbook: Workbook):
             if node.ref_error or node.external:
                 dangling += 1
             elif node.name is not None:
-                defined = workbook.defined_name(node.name)
+                key = node.name.casefold()
+                names = workbook.defined_names
+                defined = names.get((own_sheet, key)) or names.get((None, key))
                 target = defined.expr if defined else None
                 if isinstance(target, Reference) and target.sheet and target.locator and not (
                     target.external or target.ref_error

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cellgauge import analytics
 from cellgauge.analytics import (
     EmptyCorpusError,
     HistogramSpec,
@@ -257,3 +258,69 @@ class TestCorrelationMatrix:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             correlation_matrix([record(M01=1.0)], method="kendall")
+
+
+# Element strategies for one metric column: holes and ties, a constant,
+# ordinary floats, and magnitudes whose squares underflow.
+_COLUMN_ELEMENTS = st.sampled_from(
+    [
+        st.none() | st.integers(-2, 2).map(float),
+        st.none() | st.just(5.0),
+        st.none() | st.floats(-1e3, 1e3),
+        st.floats(-2e-160, 2e-160),
+        st.floats(-1e3, 1e3),
+    ]
+)
+_COLUMN_IDS = ("M01", "M02", "M07", "M09", "M11")
+
+
+@st.composite
+def _corpora(draw):
+    n = draw(st.integers(0, 40))
+    width = draw(st.integers(1, len(_COLUMN_IDS)))
+    columns = [draw(st.lists(draw(_COLUMN_ELEMENTS), min_size=n, max_size=n)) for _ in range(width)]
+    ids = _COLUMN_IDS[:width]
+    return ids, [record(**dict(zip(ids, row))) for row in zip(*columns)]
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+class TestCorrelationCache:
+    @given(_corpora(), st.sampled_from(["pearson", "spearman"]))
+    @settings(max_examples=300)
+    def test_matrix_equals_per_pair_reference(self, corpus, method):
+        ids, records = corpus
+        matrix = correlation_matrix(records, metric_ids=ids, method=method)
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                pairs = [
+                    (r.metrics[a], r.metrics[b])
+                    for r in records
+                    if r.metrics[a] is not None and r.metrics[b] is not None
+                ]
+                xs = [x for x, _ in pairs]
+                ys = [y for _, y in pairs]
+                if method == "spearman":
+                    xs, ys = analytics._ranks(xs), analytics._ranks(ys)
+                expected = pearson_xy(xs, ys)
+                assert matrix.n[i][j] == len(pairs)
+                assert _bits(matrix.r[i][j]) == _bits(expected)
+
+    @pytest.mark.parametrize("method", ["pearson", "spearman"])
+    def test_each_column_ranked_and_centred_once(self, monkeypatch, method):
+        rng = random.Random(3)
+        records = [record(**{m: rng.random() for m in METRIC_IDS}) for _ in range(30)]
+        calls = {"_ranks": 0, "_scaled_deviations": 0}
+        for name in calls:
+            original = getattr(analytics, name)
+
+            def counted(values, name=name, original=original):
+                calls[name] += 1
+                return original(values)
+
+            monkeypatch.setattr(analytics, name, counted)
+        correlation_matrix(records, method=method)
+        assert len(METRIC_IDS) == 22
+        assert calls == {"_ranks": 22 if method == "spearman" else 0, "_scaled_deviations": 22}

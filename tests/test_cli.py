@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import logging
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -218,6 +219,42 @@ class TestCorpus:
         assert len(rows) == 2 and rows[1].startswith("g1")
         assert "boom.json" in err and "RuntimeError: injected failure" in err
 
+    def test_killed_worker_skips_its_file_not_the_run(self, capsys, tmp_path, monkeypatch):
+        # os._exit stands in for a worker killed from outside (out of memory,
+        # say); pool workers are forked, so they see the patch
+        import os
+
+        import cellgauge.cli
+
+        load = cellgauge.cli.load_workbook
+
+        def die_on_boom(path, *args):
+            if Path(path).name == "wb0009b.json":
+                os._exit(1)
+            return load(path, *args)
+
+        monkeypatch.setattr(cellgauge.cli, "load_workbook", die_on_boom)
+        write_corpus(tmp_path / "corpus", 20, seed=11)
+        write_corpus(tmp_path / "clean", 20, seed=11)
+        (tmp_path / "corpus" / "wb0009b.json").write_bytes((FIXTURES / "g1.json").read_bytes())
+        reports = {}
+        for corpus, threads in (("corpus", "2"), ("clean", "1")):
+            target = tmp_path / f"{corpus}.json"
+            code, _, err = run(
+                ["corpus", str(tmp_path / corpus), "--out", str(target), "--format", "json",
+                 "--summary", "--correlate", "--threads", threads],
+                capsys,
+            )
+            assert code == 0
+            reports[corpus] = [
+                path.read_bytes() for path in sorted(tmp_path.glob(f"{corpus}.*json"))
+            ]
+            if corpus == "corpus":
+                assert err.count("skipping ") == 1
+                assert "skipping wb0009b.json: BrokenProcessPool" in err
+        assert len(reports["corpus"]) == 3
+        assert reports["corpus"] == reports["clean"]
+
     def test_empty_directory_exit_2(self, capsys, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
@@ -379,8 +416,10 @@ class TestCorpus:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(cellgauge.cli, "ProcessPoolExecutor", RecordingPool)
         write_corpus(tmp_path / "corpus", 2, seed=3)

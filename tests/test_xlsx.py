@@ -11,7 +11,9 @@ import pytest
 
 from cellgauge import xlsx
 from cellgauge.expressions import serialize
-from cellgauge.model import ValueType
+from cellgauge.graph import build_graph
+from cellgauge.interchange import write_interchange
+from cellgauge.model import CellCoordinate, ValueType
 from cellgauge.parser import parse_text
 from cellgauge.xlsx import (
     CorruptPartError,
@@ -20,6 +22,8 @@ from cellgauge.xlsx import (
     NotAZipError,
     read_xlsx,
 )
+
+from . import oracle
 
 NS = 'xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main"'
 NS_R = 'xmlns:r="http://schemas.openxmlformats.org/officeDocument/2006/relationships"'
@@ -46,7 +50,8 @@ def build_xlsx(
     """Assemble a minimal but conformant XLSX package.
 
     sheets: list of (name, sheet_xml_body) where the body is the inner
-    <sheetData> markup.
+    <sheetData> markup. defined_names: (name, target) for a global name,
+    (name, target, local_sheet_id) for one local to a sheet (0-based).
     """
     sheet_entries = []
     rel_entries = []
@@ -60,7 +65,10 @@ def build_xlsx(
     names_xml = ""
     if defined_names:
         entries = "".join(
-            f'<definedName name="{name}">{target}</definedName>' for name, target in defined_names
+            f'<definedName name="{name}"'
+            + "".join(f' localSheetId="{local}"' for local in scope)
+            + f">{target}</definedName>"
+            for name, target, *scope in defined_names
         )
         names_xml = f"<definedNames>{entries}</definedNames>"
     workbook_xml = (
@@ -319,6 +327,39 @@ class TestFormulas:
         workbook = read_xlsx(path)
         assert workbook.defined_name("total").target == "Data!$A$1:$A$3"
         assert workbook.defined_name("total").expr is not None
+
+    def test_sheet_local_name_shadows_global_on_its_own_sheet_only(self, tmp_path):
+        # The name local to Two (8 cells) is listed before the global one (1 cell).
+        path = build_xlsx(
+            tmp_path / "scoped.xlsx",
+            [
+                ("One", '<row r="1"><c r="A1"><f>Total</f></c></row>'),
+                ("Two", '<row r="1"><c r="A1"><v>1</v></c><c r="C1"><f>total*2</f></c></row>'),
+            ],
+            defined_names=(("Total", "Two!$B$2:$B$9", 1), ("Total", "Two!$A$1")),
+        )
+        workbook = read_xlsx(path)
+        assert workbook.defined_name("TOTAL").target == "Two!$A$1"
+        assert workbook.defined_name("TOTAL", 2).scope == 2
+        graph = build_graph(workbook)
+        assert graph.fan_out(CellCoordinate(1, 1, 1)) == 1
+        assert graph.fan_out(CellCoordinate(2, 1, 3)) == 8
+        for coordinate, (cells, dangling) in oracle.expansions(workbook).items():
+            assert (graph.fan_out(coordinate), graph.dangling[coordinate]) == (len(cells), dangling)
+        # interchange documents hold global names only
+        assert write_interchange(workbook)["definedNames"] == [{"name": "Total", "target": "Two!$A$1"}]
+
+    @pytest.mark.parametrize("local", ["2", "-1", "x"])
+    def test_name_local_to_no_sheet_is_skipped(self, tmp_path, caplog, local):
+        path = build_xlsx(
+            tmp_path / "badscope.xlsx",
+            [("One", '<row r="1"><c r="A1"><f>Total</f></c></row>'), ("Two", "")],
+            defined_names=(("Total", "Two!$B$2:$B$9", local),),
+        )
+        with caplog.at_level(logging.WARNING, logger="cellgauge"):
+            workbook = read_xlsx(path)
+        assert workbook.defined_names == {}
+        assert "localSheetId" in caplog.text
 
     def test_unparseable_formula_kept_with_failure_marker(self, tmp_path):
         body = '<row r="1"><c r="A1"><f>1+</f></c></row>'
