@@ -191,34 +191,29 @@ class _Columns:
     def __init__(self, records: list[MetricRecord], metric_ids: tuple[str, ...], rank: bool):
         self._values = [[r.metrics[m] for r in records] for m in metric_ids]
         self._rank = rank
-        # One tuple object per distinct sample (ascending record indices),
-        # alive as long as this object: samples compare by identity, and
-        # id() keys the cache without hashing a whole sample per lookup.
-        self._samples: dict[tuple[int, ...], tuple[int, ...]] = {}
+        # samples are tuples of ascending record indices
         self._present = [
-            self._shared(tuple(k for k, v in enumerate(column) if v is not None))
-            for column in self._values
+            tuple(k for k, v in enumerate(column) if v is not None) for column in self._values
         ]
-        self._centred: dict[tuple[int, int], _Centred | None] = {}
-
-    def _shared(self, sample: tuple[int, ...]) -> tuple[int, ...]:
-        return self._samples.setdefault(sample, sample)
+        self._centred: dict[tuple[int, tuple[int, ...]], _Centred | None] = {}
 
     def correlate(self, i: int, j: int) -> tuple[float | None, int]:
         """(r, n) of columns i and j over the records where both are present."""
         sample = self._present[i]
-        if sample is not self._present[j]:
+        if sample != self._present[j]:
             other = self._values[j]
-            sample = self._shared(tuple(k for k in sample if other[k] is not None))
+            sample = tuple(k for k in sample if other[k] is not None)
         return _coefficient(self._column(i, sample), self._column(j, sample)), len(sample)
 
     def _column(self, i: int, sample: tuple[int, ...]) -> _Centred | None:
-        key = (i, id(sample))
-        if key not in self._centred:
+        key = (i, sample)
+        try:
+            return self._centred[key]
+        except KeyError:
             column = self._values[i]
             values = [column[k] for k in sample]
-            self._centred[key] = _centre(_ranks(values) if self._rank else values)
-        return self._centred[key]
+            centred = self._centred[key] = _centre(_ranks(values) if self._rank else values)
+            return centred
 
 
 def pearson(records: list[MetricRecord], metric_a: str, metric_b: str) -> tuple[float | None, int]:

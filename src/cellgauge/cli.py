@@ -137,22 +137,29 @@ def _run_pool(tasks: list[_Task], degree: int) -> list[_Outcome]:
     """The outcome of every task, in order, from a pool of `degree` workers.
 
     A worker that dies (killed for memory, say) breaks the pool and loses
-    the chunks it had not finished; the outcomes already returned are kept,
-    and each unfinished file is rerun alone in a fresh worker.
+    the chunks it had not finished; the outcomes already returned are kept.
+    Workers take chunks in order, so the chunk that killed one is as a rule
+    among the first `degree` unfinished ones: each of their files is rerun
+    alone in a fresh worker, and the other unfinished chunks in a fresh
+    pool. Each round retires at least `degree` chunks, so a crash the
+    guess missed is caught in a later round.
     """
     chunks = [tasks[i : i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
     results: list[list[_Outcome] | None] = [None] * len(chunks)
-    with ProcessPoolExecutor(max_workers=degree) as pool:
-        futures = [pool.submit(_corpus_chunk, chunk) for chunk in chunks]
-        for index, future in enumerate(futures):
-            try:
-                results[index] = future.result()
-            except BrokenProcessPool:
-                pass
-    outcomes: list[_Outcome] = []
-    for chunk, result in zip(chunks, results):
-        outcomes.extend(result if result is not None else map(_run_alone, chunk))
-    return outcomes
+    pending = list(range(len(chunks)))
+    while pending:
+        with ProcessPoolExecutor(max_workers=degree) as pool:
+            futures = [(index, pool.submit(_corpus_chunk, chunks[index])) for index in pending]
+            for index, future in futures:
+                try:
+                    results[index] = future.result()
+                except BrokenProcessPool:
+                    pass
+        unfinished = [index for index in pending if results[index] is None]
+        suspects, pending = unfinished[:degree], unfinished[degree:]
+        for index in suspects:
+            results[index] = [_run_alone(task) for task in chunks[index]]
+    return [outcome for result in results for outcome in result]  # type: ignore[union-attr]
 
 
 def _run_alone(task: _Task) -> _Outcome:

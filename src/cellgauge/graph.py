@@ -106,11 +106,12 @@ def _region(
     """The block `node` covers, () when it covers no cell, None when it dangles.
 
     An unqualified reference means `sheet`, the formula's own sheet. A
-    defined name, the one local to `sheet` if there is one and else the
-    global one, resolves to the block of its target, found with
+    defined name resolves to the block of its target, found with
     ``sheet=None``: the target must name its sheet and cannot be another
-    name. A range clips to the grid, and a full-row or full-column range to
-    the used box of its sheet.
+    name. The name is the one local to the sheet it is qualified with
+    (``Two!Total``), or else to `sheet`, if there is one, and else the
+    global one. A range clips to the grid, and a full-row or full-column
+    range to the used box of its sheet.
     """
     if node.external:
         return None
@@ -119,7 +120,11 @@ def _region(
         if node.ref_error:
             return None
         if node.name is not None:
-            defined = workbook.defined_name(node.name, sheet) if sheet is not None else None
+            if sheet is None:
+                return None
+            if node.sheet is not None:
+                sheet = workbook.sheet_index(node.sheet)
+            defined = workbook.defined_name(node.name, sheet)
             target = defined.expr if defined is not None else None
             if type(target) is Reference or type(target) is Range:
                 return _region(target, None, workbook)  # type: ignore[arg-type]

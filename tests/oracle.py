@@ -163,9 +163,10 @@ def expand(expr, own_sheet: int, workbook: Workbook):
             if node.ref_error or node.external:
                 dangling += 1
             elif node.name is not None:
+                # local to the sheet it is qualified with, else the own sheet
                 key = node.name.casefold()
                 names = workbook.defined_names
-                defined = names.get((own_sheet, key)) or names.get((None, key))
+                defined = names.get((sheet_of(node.sheet), key)) or names.get((None, key))
                 target = defined.expr if defined else None
                 if isinstance(target, Reference) and target.sheet and target.locator and not (
                     target.external or target.ref_error

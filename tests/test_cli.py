@@ -255,6 +255,40 @@ class TestCorpus:
         assert len(reports["corpus"]) == 3
         assert reports["corpus"] == reports["clean"]
 
+    def test_killed_worker_isolates_only_the_chunks_in_flight(self, capsys, tmp_path, monkeypatch):
+        # a crash in the first chunk must not send the rest of the corpus
+        # through one-file workers
+        import os
+
+        import cellgauge.cli
+
+        load = cellgauge.cli.load_workbook
+        run_alone = cellgauge.cli._run_alone
+        alone = []
+
+        def die_on_boom(path, *args):
+            if Path(path).name == "wb0000b.json":
+                os._exit(1)
+            return load(path, *args)
+
+        def counted(task):
+            alone.append(task[1])
+            return run_alone(task)
+
+        monkeypatch.setattr(cellgauge.cli, "load_workbook", die_on_boom)
+        monkeypatch.setattr(cellgauge.cli, "_run_alone", counted)
+        write_corpus(tmp_path / "corpus", 79, seed=5)
+        (tmp_path / "corpus" / "wb0000b.json").write_bytes((FIXTURES / "g1.json").read_bytes())
+        target = tmp_path / "report.csv"
+        code, _, err = run(
+            ["corpus", str(tmp_path / "corpus"), "--out", str(target), "--threads", "2"], capsys
+        )
+        assert code == 0
+        assert err.count("skipping ") == 1 and "skipping wb0000b.json" in err
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 80
+        assert "wb0000b.json" in alone
+        assert len(alone) <= 2 * cellgauge.cli._CHUNK
+
     def test_empty_directory_exit_2(self, capsys, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()

@@ -349,6 +349,30 @@ class TestFormulas:
         # interchange documents hold global names only
         assert write_interchange(workbook)["definedNames"] == [{"name": "Total", "target": "Two!$A$1"}]
 
+    @pytest.mark.parametrize("with_global", [True, False], ids=["global", "no_global"])
+    def test_sheet_qualified_name_is_looked_up_on_that_sheet(self, tmp_path, with_global):
+        # OOXML writes a reference from One to the name local to Two as Two!Total.
+        names = [("Total", "Two!$B$2:$B$9", 1)]
+        if with_global:
+            names.append(("Total", "Two!$A$1"))
+        path = build_xlsx(
+            tmp_path / "qualified.xlsx",
+            [
+                ("One", '<row r="1"><c r="A1"><f>Two!Total</f></c><c r="B1"><f>Total</f></c></row>'),
+                ("Two", '<row r="1"><c r="A1"><f>One!Total</f></c></row>'),
+            ],
+            defined_names=names,
+        )
+        workbook = read_xlsx(path)
+        graph = build_graph(workbook)
+        assert graph.fan_out(CellCoordinate(1, 1, 1)) == 8
+        # One has no local Total: the global one, or nothing
+        expected = (1, 0) if with_global else (0, 1)
+        for coordinate in (CellCoordinate(1, 1, 2), CellCoordinate(2, 1, 1)):
+            assert (graph.fan_out(coordinate), graph.dangling[coordinate]) == expected
+        for coordinate, (cells, dangling) in oracle.expansions(workbook).items():
+            assert (graph.fan_out(coordinate), graph.dangling[coordinate]) == (len(cells), dangling)
+
     @pytest.mark.parametrize("local", ["2", "-1", "x"])
     def test_name_local_to_no_sheet_is_skipped(self, tmp_path, caplog, local):
         path = build_xlsx(
