@@ -65,7 +65,7 @@ from .model import (
     classify_cells,
 )
 from .parser import ParseError, parse, parse_formula, parse_text
-from .tokens import LexError, Token, TokenKind
+from .tokens import LexError, TokenKind
 from .xlsx import (
     CorruptPartError,
     MalformedSheetXmlError,

@@ -10,7 +10,6 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from statistics import fmean
 
 from .metrics import METRIC_IDS, MetricRecord
 
@@ -38,7 +37,7 @@ def aggregate(records: list[MetricRecord]) -> CorpusSummary:
     per_metric: dict[str, float | None] = {}
     for metric_id in METRIC_IDS:
         values = [r.metrics[metric_id] for r in records if r.metrics[metric_id] is not None]
-        per_metric[metric_id] = fmean(values) if values else None
+        per_metric[metric_id] = math.fsum(values) / len(values) if values else None
     return CorpusSummary(
         spreadsheet_count=len(records),
         ratio_with_formulas=with_formulas / len(records),
@@ -126,7 +125,7 @@ def _scaled_deviations(values: list[float]) -> array | None:
     the squares of tiny deviations from underflowing."""
     if min(values) == max(values):  # the rounded mean may differ from them
         return None
-    mean = fmean(values)
+    mean = math.fsum(values) / len(values)
     deviations = [v - mean for v in values]
     exponent = math.frexp(max(map(abs, deviations)))[1]
     return array("d", [math.ldexp(d, -exponent) for d in deviations])

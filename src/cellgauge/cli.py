@@ -12,8 +12,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from .analytics import (
@@ -144,6 +142,11 @@ def _run_pool(tasks: list[_Task], degree: int) -> list[_Outcome]:
     pool. Each round retires at least `degree` chunks, so a crash the
     guess missed is caught in a later round.
     """
+    # Imported here, not at the top: a --threads 1 run never starts a pool
+    # and so never pays for importing multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     chunks = [tasks[i : i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
     results: list[list[_Outcome] | None] = [None] * len(chunks)
     pending = list(range(len(chunks)))
@@ -165,6 +168,9 @@ def _run_pool(tasks: list[_Task], degree: int) -> list[_Outcome]:
 def _run_alone(task: _Task) -> _Outcome:
     """The outcome of one task in a worker of its own; a file that kills that
     worker too is a failure like any unreadable file."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with ProcessPoolExecutor(max_workers=1) as pool:
             return pool.submit(_corpus_worker, task).result()

@@ -4,12 +4,13 @@ Leaves are constants and references/ranges; internal nodes are functions,
 operators, and explicit parentheses. Trees are immutable and hashable, but
 the generated equality and hash recurse once per level, so library code
 uses neither; every function here that visits a tree keeps its own stack.
+So does ``repr``: it gives the generated dataclass text at any depth.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
@@ -93,8 +94,11 @@ class Expr:
 
     __slots__ = ()
 
+    def __repr__(self) -> str:
+        return _node_repr(self)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, repr=False)
 class CellLocator:
     """Pre-resolution grid position inside a reference.
 
@@ -107,31 +111,34 @@ class CellLocator:
     row_abs: bool = False
     col_abs: bool = False
 
+    def __repr__(self) -> str:
+        return _node_repr(self)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, repr=False)
 class Function(Expr):
     name: str  # stored uppercase
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Operator(Expr):
     kind: OpKind
     operands: tuple[Expr, ...]  # one operand for unary kinds, two otherwise
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Constant(Expr):
     value_type: ValueType
     lexeme: str  # verbatim source text (strings keep their quotes)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Parenthesis(Expr):
     inner: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Reference(Expr):
     """Single-cell reference: a grid locator, a defined name, or a #REF! error."""
 
@@ -146,7 +153,7 @@ class Reference(Expr):
         return self.name is not None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Range(Expr):
     """Rectangular cell block; endpoints share the optional sheet qualifier."""
 
@@ -154,6 +161,38 @@ class Range(Expr):
     end: CellLocator
     sheet: str | None = None
     external: bool = False
+
+
+def _node_repr(node: Expr | CellLocator) -> str:
+    """The text the generated dataclass repr would give, built with an
+    explicit stack so a tree of any depth has one."""
+    out: list[str] = []
+    # (True, text to emit as is) or (False, value to write)
+    stack: list = [(False, node)]
+    pop, push, emit = stack.pop, stack.append, out.append
+    while stack:
+        is_text, value = pop()
+        if is_text:
+            emit(value)
+            continue
+        if isinstance(value, (Expr, CellLocator)):
+            emit(type(value).__qualname__ + "(")
+            push((True, ")"))
+            node_fields = fields(value)
+            for i in range(len(node_fields) - 1, -1, -1):
+                name = node_fields[i].name
+                push((False, getattr(value, name)))
+                push((True, f", {name}=" if i else f"{name}="))
+        elif type(value) is tuple:
+            emit("(")
+            push((True, ",)" if len(value) == 1 else ")"))
+            for i in range(len(value) - 1, -1, -1):
+                push((False, value[i]))
+                if i:
+                    push((True, ", "))
+        else:
+            emit(repr(value))
+    return "".join(out)
 
 
 # Quote the sheet prefix unless it scans back as a plain identifier.

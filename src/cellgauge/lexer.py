@@ -5,6 +5,11 @@
 group accepts and raises the matching LexError, so every position of the
 input belongs to exactly one match.
 
+A token is a plain tuple ``(kind, lexeme, start, end)``: its TokenKind, its
+text, and the offsets of its first character and one past its last. Not a
+named tuple: building a tuple subclass costs a Python-level ``__new__`` per
+token, and the parser reads the fields by position anyway.
+
 The first group, ``reference``, takes a whole cell or cell range with an
 optional sheet prefix and no whitespace inside (``Data!C45``,
 ``'Q1 Sales'!$A$1:$D$9``, ``B7``, ``A1:B2``) as one REFERENCE token, so the
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import re
 
-from .tokens import ERROR_LITERALS, LexError, Token, TokenKind
+from .tokens import ERROR_LITERALS, LexError, TokenKind
 
 # One unquoted name character: an ASCII letter or digit, one of _ . \ $, or
 # any non-ASCII code point. Spelled as a negated ASCII class: the positive
@@ -93,13 +98,14 @@ def reference_parts(lexeme: str) -> tuple[str | None, str, str | None]:
     return _MASTER.fullmatch(lexeme).group("sheet", "first", "last")
 
 
-def tokenize(formula_text: str) -> list[Token]:
-    """Tokenize a formula body (leading "=" already stripped by the caller).
+def tokenize(formula_text: str) -> list[tuple[TokenKind, str, int, int]]:
+    """Tokenize a formula body (leading "=" already stripped by the caller)
+    into ``(kind, lexeme, start, end)`` tuples.
 
     Whitespace is skipped but preserved in token spans. Raises LexError on an
     unterminated string, quote or bracket, or on an illegal character.
     """
-    tokens: list[Token] = []
+    tokens: list[tuple[TokenKind, str, int, int]] = []
     append = tokens.append
     pattern, pos, stop = _MASTER, 0, len(formula_text)
     while True:
@@ -108,25 +114,25 @@ def tokenize(formula_text: str) -> list[Token]:
             start, end = match.span()
             kind = _PLAIN.get(group)
             if kind is not None:
-                append(Token(kind, match.group(), start, end))
+                append((kind, match.group(), start, end))
             elif group == "reference":
-                if tokens and tokens[-1].kind in _SPLITS:
+                if tokens and tokens[-1][0] in _SPLITS:
                     # The tail of a whitespace-split reference: scan this
                     # span with the fine groups, then go on after it.
                     pattern, pos, stop = _FINE, start, end
                     break
-                append(Token(_REFERENCE_KIND, match.group(), start, end))
+                append((_REFERENCE_KIND, match.group(), start, end))
             elif group == "name":
                 lexeme = match.group()
                 if lexeme == "$":
                     raise LexError("illegal character '$'", start)
                 kind = TokenKind.BOOLEAN if lexeme.upper() in _BOOLEANS else TokenKind.IDENTIFIER
-                append(Token(kind, lexeme, start, end))
+                append((kind, lexeme, start, end))
             elif group == "error":
                 # Matched with str.upper(), like spreadsheet software, so the
                 # literal's length is known only here; resume scanning after it.
                 pos = _error_literal(formula_text, start)
-                append(Token(TokenKind.ERROR_LITERAL, formula_text[start:pos], start, pos))
+                append((TokenKind.ERROR_LITERAL, formula_text[start:pos], start, pos))
                 break
             elif group == "bad":
                 char = match.group()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean
 from typing import NamedTuple
 
 from .expressions import Expr, write_tree
@@ -200,7 +199,7 @@ def compute_record(
             ("M21", "M22", [m.element_count for m in trees]),
         )
         for avg_id, max_id, values in pairs:
-            metrics[avg_id] = fmean(values)
+            metrics[avg_id] = math.fsum(values) / len(values)
             metrics[max_id] = max(values)
         metrics["M08"] = len({m.normalized_key for m in trees})
 

@@ -3,7 +3,15 @@
 ``_Parser.expression`` keeps the operands it has built, the operators waiting
 for a right operand and the open groups (parentheses and function calls) on
 lists, not on the call stack, so only a formula's length bounds what parses.
-``primary`` reads one leaf: a constant, a reference or a range.
+It reads the scanner's ``(kind, lexeme, start, end)`` tuples by position and
+takes the two commonest leaves itself: a whole reference, and a number that
+is not the start of a row range (``1:3``) or an absolute row (``$3``).
+``primary`` reads every other leaf: a constant, a reference or a range.
+
+Scanning and parsing stay two phases: ``tokenize`` scans the whole formula to
+a list before ``parse`` starts. A LexError anywhere in a formula wins over a
+ParseError earlier in it, so a parser that pulled tokens from the scanner
+would have to scan on to the end after every parse error anyway.
 
 A REFERENCE token (a whole reference the scanner took as one lexeme) becomes
 its Reference or Range through one module-level dict keyed by lexeme, so
@@ -36,7 +44,7 @@ from .expressions import (
 )
 from .lexer import reference_parts, tokenize
 from .model import Formula
-from .tokens import MAX_COL, MAX_ROW, FormulaError, Token, TokenKind
+from .tokens import MAX_COL, MAX_ROW, FormulaError, TokenKind
 
 
 class ParseError(FormulaError):
@@ -73,6 +81,9 @@ _OPERATOR = TokenKind.OPERATOR
 _LPAREN = TokenKind.LPAREN
 _RPAREN = TokenKind.RPAREN
 _COMMA = TokenKind.COMMA
+_COLON = TokenKind.COLON
+_NUMBER = TokenKind.NUMBER
+_NUMBER_VALUE = ValueType.NUMBER
 _CALLABLE = (TokenKind.IDENTIFIER, TokenKind.CELL_REF, TokenKind.BOOLEAN)
 _PERCENT = OpKind.PERCENT
 _REFERENCE = TokenKind.REFERENCE
@@ -153,26 +164,26 @@ def _reference_node(lexeme: str) -> Reference | Range:
     return node
 
 
-def _shown(tok: Token) -> str:
+def _shown(tok: tuple) -> str:
     """The lexeme an error message quotes: for a whole reference, the first
     fine token it was scanned in place of (its sheet prefix or first cell)."""
-    if tok.kind != _REFERENCE:
-        return tok.lexeme
-    sheet, first, _ = reference_parts(tok.lexeme)
+    if tok[0] != _REFERENCE:
+        return tok[1]
+    sheet, first, _ = reference_parts(tok[1])
     return first if sheet is None else sheet
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple[TokenKind, str, int, int]]):
         self.tokens = tokens
         self.pos = 0
-        self.end_offset = tokens[-1].end if tokens else 0
+        self.end_offset = tokens[-1][3] if tokens else 0
 
-    def peek(self, ahead: int = 0) -> Token | None:
+    def peek(self, ahead: int = 0) -> tuple | None:
         i = self.pos + ahead
         return self.tokens[i] if i < len(self.tokens) else None
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -180,13 +191,15 @@ class _Parser:
     def fail(self, message: str, position: int | None = None, expected=()) -> ParseError:
         if position is None:
             tok = self.peek()
-            position = tok.start if tok else self.end_offset
+            position = tok[2] if tok else self.end_offset
         return ParseError(message, position, frozenset(expected))
 
     def expression(self) -> Expr:
         """The expression at the cursor, up to the first token that cannot
         continue it. The outer loop reads an operand's prefix signs, then a
-        group opening or a leaf; the inner loop the operators after it."""
+        group opening or a leaf; the inner loop the operators after it. The
+        two commonest leaves, a whole reference and a number that starts no
+        row range, are read here; ``primary`` reads the others."""
         tokens = self.tokens
         count = len(tokens)
         values: list[Expr] = []
@@ -195,154 +208,161 @@ class _Parser:
         ops: list[tuple[int, OpKind | None]] = [_GROUP]
         # (opening token, upper-cased function name or None for a
         # parenthesis, index of the group's first operand in values)
-        groups: list[tuple[Token, str | None, int]] = []
+        groups: list[tuple[tuple, str | None, int]] = []
+        pos = self.pos
         while True:
-            pos = self.pos
             tok = tokens[pos] if pos < count else None
-            while tok is not None and tok.kind == _OPERATOR and tok.lexeme in _PREFIX:
-                ops.append(_PREFIX[tok.lexeme])
+            while tok is not None and tok[0] == _OPERATOR and tok[1] in _PREFIX:
+                ops.append(_PREFIX[tok[1]])
                 pos += 1
                 tok = tokens[pos] if pos < count else None
-            self.pos = pos
-            if tok is not None and tok.kind == _LPAREN:
-                self.pos = pos + 1
+            kind = tok[0] if tok is not None else None
+            if kind == _REFERENCE:
+                lexeme = tok[1]
+                values.append(_NODES.get(lexeme) or _reference_node(lexeme))
+                pos += 1
+            elif kind == _NUMBER and (pos + 1 == count or tokens[pos + 1][0] != _COLON) and tok[1][0] != "$":
+                values.append(Constant(_NUMBER_VALUE, tok[1]))
+                pos += 1
+            elif kind == _LPAREN:
+                pos += 1
                 ops.append(_GROUP)
                 groups.append((tok, None, len(values)))
                 continue
-            if pos + 1 < count and tokens[pos + 1].kind == _LPAREN and tok.kind in _CALLABLE:
-                name = tok.lexeme
+            elif pos + 1 < count and tokens[pos + 1][0] == _LPAREN and kind in _CALLABLE:
+                name = tok[1]
                 if name.startswith("'") or "[" in name or "$" in name:
-                    raise self.fail(f"illegal function name {name!r}", tok.start)
-                self.pos = pos + 2
-                first = self.peek()
-                if first is None or first.kind != _RPAREN:
-                    if first is not None and first.kind == _COMMA:
-                        raise self.fail("empty function argument")
+                    raise self.fail(f"illegal function name {name!r}", tok[2])
+                pos += 2
+                first = tokens[pos] if pos < count else None
+                if first is None or first[0] != _RPAREN:
+                    if first is not None and first[0] == _COMMA:
+                        raise self.fail("empty function argument", first[2])
                     ops.append(_GROUP)
                     groups.append((tok, name.upper(), len(values)))
                     continue
-                self.pos += 1
+                pos += 1
                 values.append(Function(name.upper(), ()))
             else:
+                self.pos = pos
                 values.append(self.primary())
-            while True:
                 pos = self.pos
+            while True:
                 tok = tokens[pos] if pos < count else None
-                entry = _OPERATORS.get(tok.lexeme) if tok is not None and tok.kind == _OPERATOR else None
+                entry = _OPERATORS.get(tok[1]) if tok is not None and tok[0] == _OPERATOR else None
                 # Apply the pending operators that bind at least as tightly
                 # as this one (left association); without one, every
                 # operator of the innermost open group.
                 precedence = entry[0] if entry is not None else 1
                 while ops[-1][0] >= precedence:
-                    op_precedence, kind = ops.pop()
+                    op_precedence, op_kind = ops.pop()
                     if op_precedence == _PREFIX_PRECEDENCE:
-                        values[-1] = Operator(kind, (values[-1],))
+                        values[-1] = Operator(op_kind, (values[-1],))
                     else:
                         right = values.pop()
-                        values[-1] = Operator(kind, (values[-1], right))
+                        values[-1] = Operator(op_kind, (values[-1], right))
                 if entry is not None:
-                    self.pos = pos + 1
+                    pos += 1
                     if entry[1] is _PERCENT:
                         values[-1] = Operator(_PERCENT, (values[-1],))
                         continue
                     ops.append(entry)
                     break
                 if not groups:
+                    self.pos = pos
                     return values[0]
                 opener, name, base = groups[-1]
                 if name is None:
-                    if tok is None or tok.kind != _RPAREN:
-                        raise self.fail("unbalanced parentheses: expected ')'", opener.start, {")"})
+                    if tok is None or tok[0] != _RPAREN:
+                        raise self.fail("unbalanced parentheses: expected ')'", opener[2], {")"})
                     values[-1] = Parenthesis(values[-1])
                 elif tok is None:
-                    raise self.fail("unbalanced parentheses: expected ',' or ')'", expected={",", ")"})
-                elif tok.kind == _COMMA:
-                    self.pos = pos + 1
-                    nxt = self.peek()
-                    if nxt is not None and nxt.kind in (_COMMA, _RPAREN):
-                        raise self.fail("empty function argument")
+                    raise self.fail("unbalanced parentheses: expected ',' or ')'", self.end_offset, {",", ")"})
+                elif tok[0] == _COMMA:
+                    pos += 1
+                    nxt = tokens[pos] if pos < count else None
+                    if nxt is not None and nxt[0] in (_COMMA, _RPAREN):
+                        raise self.fail("empty function argument", nxt[2])
                     break
-                elif tok.kind == _RPAREN:
+                elif tok[0] == _RPAREN:
                     args = tuple(values[base:])
                     del values[base:]
                     values.append(Function(name, args))
                 else:
-                    raise self.fail(f"expected ',' or ')' in argument list, got {_shown(tok)!r}", tok.start, {",", ")"})
-                self.pos = pos + 1
+                    raise self.fail(f"expected ',' or ')' in argument list, got {_shown(tok)!r}", tok[2], {",", ")"})
+                pos += 1
                 ops.pop()
                 groups.pop()
 
     def primary(self) -> Expr:
-        """The leaf at the cursor: a constant, a reference or a range."""
+        """A leaf at the cursor that ``expression`` does not read itself: a
+        constant, a cell, a name or a range written as fine tokens."""
         tok = self.peek()
         if tok is None:
             raise self.fail("expected expression", expected={"expression"})
-        kind = tok.kind
-        if kind == _REFERENCE:
-            self.pos += 1
-            return _NODES.get(tok.lexeme) or _reference_node(tok.lexeme)
-        if kind == TokenKind.NUMBER:
+        kind, lexeme = tok[0], tok[1]
+        if kind == _NUMBER:
             return self._number(tok)
         if kind == TokenKind.STRING:
             self.advance()
-            return Constant(ValueType.TEXT, tok.lexeme)
+            return Constant(ValueType.TEXT, lexeme)
         if kind == TokenKind.BOOLEAN:
             self.advance()
-            return Constant(ValueType.BOOLEAN, tok.lexeme)
+            return Constant(ValueType.BOOLEAN, lexeme)
         if kind == TokenKind.ERROR_LITERAL:
             self.advance()
-            if tok.lexeme.upper() == "#REF!":
+            if lexeme.upper() == "#REF!":
                 return Reference(ref_error=True)
-            return Constant(ValueType.ERROR, tok.lexeme)
+            return Constant(ValueType.ERROR, lexeme)
         if kind in (TokenKind.IDENTIFIER, TokenKind.CELL_REF):
             return self._reference(tok)
-        raise self.fail(f"unexpected {tok.lexeme!r}", tok.start, {"expression"})
+        raise self.fail(f"unexpected {lexeme!r}", tok[2], {"expression"})
 
-    def _number(self, tok: Token) -> Expr:
+    def _number(self, tok: tuple) -> Expr:
         row_range = self._range_tail()
         if row_range is not None:
             return row_range
-        if tok.lexeme.startswith("$"):
-            raise self.fail("absolute row locator outside a range", tok.start)
+        if tok[1].startswith("$"):
+            raise self.fail("absolute row locator outside a range", tok[2])
         self.advance()
-        return Constant(ValueType.NUMBER, tok.lexeme)
+        return Constant(_NUMBER_VALUE, tok[1])
 
     def _range_tail(self, sheet: str | None = None, external: bool = False) -> Range | None:
         """A cell (A1:B2), row (1:3) or column (A:C) range at the cursor, or
         None. A cell reference followed by ':' must end in another one."""
         tokens, pos = self.tokens, self.pos
-        if pos + 1 >= len(tokens) or tokens[pos + 1].kind != TokenKind.COLON:
+        if pos + 1 >= len(tokens) or tokens[pos + 1][0] != _COLON:
             return None
         first = tokens[pos]
         last = tokens[pos + 2] if pos + 2 < len(tokens) else None
-        if first.kind == TokenKind.CELL_REF and (last is None or last.kind != TokenKind.CELL_REF):
-            raise self.fail("expected cell reference after ':'", tokens[pos + 1].start, {"cell reference"})
-        locator = _RANGE_END.get(first.kind)
-        if locator is None or last is None or last.kind != first.kind:
+        if first[0] == TokenKind.CELL_REF and (last is None or last[0] != TokenKind.CELL_REF):
+            raise self.fail("expected cell reference after ':'", tokens[pos + 1][2], {"cell reference"})
+        locator = _RANGE_END.get(first[0])
+        if locator is None or last is None or last[0] != first[0]:
             return None
-        start, end = locator(first.lexeme), locator(last.lexeme)
+        start, end = locator(first[1]), locator(last[1])
         if start is None or end is None:
             return None
         self.pos = pos + 3
         return Range(start, end, sheet=sheet, external=external)
 
-    def _reference(self, tok: Token) -> Expr:
+    def _reference(self, tok: tuple) -> Expr:
         nxt = self.peek(1)
-        if nxt is not None and nxt.kind == TokenKind.EXCLAMATION:
+        if nxt is not None and nxt[0] == TokenKind.EXCLAMATION:
             self.pos += 2  # sheet and !
-            return self._sheet_suffix(_unquote_sheet(tok.lexeme))
+            return self._sheet_suffix(_unquote_sheet(tok[1]))
         cell_range = self._range_tail()
         if cell_range is not None:
             return cell_range
-        if tok.kind == TokenKind.CELL_REF:
+        lexeme = tok[1]
+        if tok[0] == TokenKind.CELL_REF:
             self.advance()
-            return Reference(locator=_cellref_locator(tok.lexeme))
+            return Reference(locator=_cellref_locator(lexeme))
         # Plain identifier: a defined-name reference.
-        lexeme = tok.lexeme
         if lexeme.startswith("'") or "[" in lexeme:
-            raise self.fail("sheet name must be followed by '!'", tok.start, {"!"})
+            raise self.fail("sheet name must be followed by '!'", tok[2], {"!"})
         if "$" in lexeme:
-            raise self.fail(f"'$' not allowed in a name: {lexeme!r}", tok.start)
+            raise self.fail(f"'$' not allowed in a name: {lexeme!r}", tok[2])
         self.advance()
         return Reference(name=lexeme)
 
@@ -354,28 +374,29 @@ class _Parser:
         cell_range = self._range_tail(sheet, external)
         if cell_range is not None:
             return cell_range
-        if tok.kind == TokenKind.CELL_REF:
+        kind, lexeme = tok[0], tok[1]
+        if kind == TokenKind.CELL_REF:
             self.advance()
-            return Reference(sheet=sheet, locator=_cellref_locator(tok.lexeme), external=external)
-        if tok.kind == TokenKind.IDENTIFIER:
-            lexeme = tok.lexeme
+            return Reference(sheet=sheet, locator=_cellref_locator(lexeme), external=external)
+        if kind == TokenKind.IDENTIFIER:
             if lexeme.startswith("'") or "[" in lexeme or "$" in lexeme:
-                raise self.fail(f"illegal name after '!': {lexeme!r}", tok.start)
+                raise self.fail(f"illegal name after '!': {lexeme!r}", tok[2])
             self.advance()
             return Reference(sheet=sheet, name=lexeme, external=external)
-        if tok.kind == TokenKind.ERROR_LITERAL and tok.lexeme.upper() == "#REF!":
+        if kind == TokenKind.ERROR_LITERAL and lexeme.upper() == "#REF!":
             self.advance()
             return Reference(sheet=sheet, ref_error=True, external=external)
-        raise self.fail("expected reference after '!'", tok.start, {"reference"})
+        raise self.fail("expected reference after '!'", tok[2], {"reference"})
 
 
-def parse(tokens: list[Token]) -> Expr:
-    """Parse a token list into an expression tree; raises ParseError."""
+def parse(tokens: list[tuple[TokenKind, str, int, int]]) -> Expr:
+    """Parse a list of ``(kind, lexeme, start, end)`` tokens, as ``tokenize``
+    returns them, into an expression tree; raises ParseError."""
     parser = _Parser(tokens)
     expr = parser.expression()
     leftover = parser.peek()
     if leftover is not None:
-        raise parser.fail(f"unexpected {_shown(leftover)!r} after expression", leftover.start)
+        raise parser.fail(f"unexpected {_shown(leftover)!r} after expression", leftover[2])
     return expr
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 
 class TokenKind(enum.IntEnum):
@@ -20,13 +19,6 @@ class TokenKind(enum.IntEnum):
     COLON = 10
     EXCLAMATION = 11
     REFERENCE = 12  # a whole cell or cell range, optionally sheet-qualified
-
-
-class Token(NamedTuple):
-    kind: TokenKind
-    lexeme: str
-    start: int
-    end: int
 
 
 class FormulaError(ValueError):

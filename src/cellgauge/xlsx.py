@@ -295,7 +295,7 @@ class _SheetReader:
             ref = c_el.get("r")
             if ref:
                 try:
-                    row, col = parse_cell_ref("".join(ch for ch in ref if ch != "$"))
+                    row, col = parse_cell_ref(ref.replace("$", ""))
                 except ValueError:
                     logger.warning("%s: skipping cell with bad reference %r", self.part, ref)
                     continue

@@ -7,14 +7,26 @@ produce identical tokens and errors for every input.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from cellgauge.tokens import (
     ERROR_LITERALS,
     MAX_COL,
     MAX_ROW,
     LexError,
-    Token,
     TokenKind,
 )
+
+
+class Token(NamedTuple):
+    """One scanned token, with its fields named; ``cellgauge.lexer.tokenize``
+    returns the same four fields as a plain tuple."""
+
+    kind: TokenKind
+    lexeme: str
+    start: int
+    end: int
+
 
 _KIND_NUMBER = TokenKind.NUMBER
 _KIND_STRING = TokenKind.STRING

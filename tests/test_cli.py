@@ -6,6 +6,9 @@ import csv
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -436,7 +439,7 @@ class TestCorpus:
     def test_pool_never_has_more_workers_than_files(self, capsys, tmp_path, monkeypatch):
         # the stub records the requested pool size and runs the tasks
         # in-process, so no worker is ever started
-        import cellgauge.cli
+        import concurrent.futures
 
         sizes = []
 
@@ -455,12 +458,31 @@ class TestCorpus:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cellgauge.cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         write_corpus(tmp_path / "corpus", 2, seed=3)
         target = tmp_path / "report.csv"
         assert run(["corpus", str(tmp_path / "corpus"), "--out", str(target), "--threads", "5000"], capsys)[0] == 0
         assert sizes == [2]
         assert len(target.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_single_worker_run_never_imports_the_process_pool(self, tmp_path):
+        # a fresh interpreter, so modules other tests imported do not count
+        write_corpus(tmp_path / "corpus", 3, seed=5)
+        script = (
+            "import sys\n"
+            "from cellgauge.cli import main\n"
+            "code = main(['corpus', sys.argv[1], '--out', sys.argv[2], '--threads', '1'])\n"
+            "print(code, sorted({'multiprocessing', 'concurrent.futures', 'statistics'} & set(sys.modules)))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        target = tmp_path / "report.csv"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "corpus"), str(target)],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        )
+        assert result.stdout.splitlines()[-1] == "0 []"
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 4
 
     def test_nested_calls_identical_at_any_parallelism(self, capsys, tmp_path):
         # 150 to 199 nested SUM calls: the parse outcome must not depend on

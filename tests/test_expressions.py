@@ -1,6 +1,8 @@
-"""Column-letter arithmetic and serialization details."""
+"""Column-letter arithmetic, serialization details and node repr."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 from hypothesis import given
@@ -8,6 +10,15 @@ from hypothesis import strategies as st
 
 from cellgauge.expressions import (
     BadColumnError,
+    CellLocator,
+    Constant,
+    Function,
+    OpKind,
+    Operator,
+    Parenthesis,
+    Range,
+    Reference,
+    ValueType,
     column_index_to_letter,
     column_letter_to_index,
     serialize,
@@ -106,3 +117,59 @@ class TestNormalizedKey:
 
     def test_wildcard_text_shape(self):
         assert copy_key("IF(A1>0,SUM(B1:B10),0)") == "IF(REF>0,SUM(RANGE),0)"
+
+
+def recursive_repr(value) -> str:
+    """The generated dataclass repr, spelled out recursively: the reference
+    for the iterative one."""
+    if dataclasses.is_dataclass(value):
+        fields = ", ".join(f"{f.name}={recursive_repr(getattr(value, f.name))}" for f in dataclasses.fields(value))
+        return f"{type(value).__qualname__}({fields})"
+    if type(value) is tuple:
+        items = [recursive_repr(item) for item in value]
+        return f"({items[0]},)" if len(items) == 1 else "(" + ", ".join(items) + ")"
+    return repr(value)
+
+
+_texts = st.none() | st.text(max_size=3)
+_locators = st.builds(CellLocator, st.none() | st.integers(1, 99), st.none() | st.integers(1, 99), st.booleans(), st.booleans())
+_leaves = st.one_of(
+    st.builds(Constant, st.sampled_from(ValueType), st.text(max_size=3)),
+    st.builds(Reference, _texts, st.none() | _locators, _texts, st.booleans(), st.booleans()),
+    st.builds(Range, _locators, _locators, _texts, st.booleans()),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.builds(Function, st.text(max_size=4), st.lists(children, max_size=3).map(tuple)),
+        st.builds(Operator, st.sampled_from(OpKind), st.lists(children, min_size=1, max_size=2).map(tuple)),
+        st.builds(Parenthesis, children),
+    ),
+    max_leaves=12,
+)
+
+
+class TestRepr:
+    def test_generated_dataclass_text(self):
+        assert repr(parse_text("SUM(A1,-1)")) == (
+            "Function(name='SUM', args=(Reference(sheet=None, locator=CellLocator(row=1, col=1, "
+            "row_abs=False, col_abs=False), name=None, external=False, ref_error=False), "
+            "Operator(kind=<OpKind.UNARY_MINUS: 'unaryMinus'>, operands=(Constant("
+            "value_type=<ValueType.NUMBER: 'number'>, lexeme='1'),))))"
+        )
+
+    @given(_trees)
+    def test_same_text_as_the_recursive_reference(self, tree):
+        assert repr(tree) == recursive_repr(tree)
+
+    def test_depth_10000_nested_parentheses(self):
+        leaf = parse_text("A1")
+        tree = parse_text("(" * 10_000 + "A1" + ")" * 10_000)
+        assert repr(tree) == "Parenthesis(inner=" * 10_000 + repr(leaf) + ")" * 10_000
+
+    def test_depth_10000_operator_chain(self):
+        leaf = parse_text("A1")
+        tree = parse_text("A1" + "+A1" * 10_000)
+        assert repr(tree) == (
+            "Operator(kind=<OpKind.ADD: 'add'>, operands=(" * 10_000 + repr(leaf) + f", {leaf!r}))" * 10_000
+        )

@@ -228,26 +228,26 @@ class TestFunctions:
         assert parse_text("T.DIST.2T(1,5)").name == "T.DIST.2T"
 
 
+REJECTED = (
+    "",
+    "1+",
+    "(1",
+    "1)",
+    "IF(A1,,2)",
+    "F(,1)",
+    "F(1,)",
+    "SUM(A1:)",
+    "A1:B",
+    "1 2",
+    "'quoted'",
+    "$A",
+    "*3",
+    "1..2",
+)
+
+
 class TestErrors:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "1+",
-            "(1",
-            "1)",
-            "IF(A1,,2)",
-            "F(,1)",
-            "F(1,)",
-            "SUM(A1:)",
-            "A1:B",
-            "1 2",
-            "'quoted'",
-            "$A",
-            "*3",
-            "1..2",
-        ],
-    )
+    @pytest.mark.parametrize("text", REJECTED)
     def test_rejects(self, text):
         with pytest.raises(FormulaError):
             parse_text(text)
@@ -322,6 +322,25 @@ REFERENCE_PIECES = (
 )
 
 
+# Texts where a reference may or may not be taken as one lexeme.
+SPLIT_REFERENCES = (
+    "'x[y]z'!A1",
+    "[B]S!A1:B2",
+    "'[B]S'!$A$1",
+    "TRUE!A1",
+    "A1:XFE1",
+    "Data! A1:B2",
+    "A1 :B2:C3",
+    "LOG10(1)",
+    "A1!B2",
+    "A1!B2!C3",
+    "'a''b'!A1",
+    "$5!A1",
+    "1st!A1",
+    "SUM(A1:B2 (1))",
+)
+
+
 def outcome(parse_call, text):
     """The tree, or the error's message, offset and expected set."""
     try:
@@ -355,25 +374,7 @@ class TestWholeReferences:
     def test_same_outcome_as_fine_tokens_on_reference_pieces(self, text):
         assert outcome(parse_text, text) == outcome(parse_fine, text)
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "'x[y]z'!A1",
-            "[B]S!A1:B2",
-            "'[B]S'!$A$1",
-            "TRUE!A1",
-            "A1:XFE1",
-            "Data! A1:B2",
-            "A1 :B2:C3",
-            "LOG10(1)",
-            "A1!B2",
-            "A1!B2!C3",
-            "'a''b'!A1",
-            "$5!A1",
-            "1st!A1",
-            "SUM(A1:B2 (1))",
-        ],
-    )
+    @pytest.mark.parametrize("text", SPLIT_REFERENCES)
     def test_same_outcome_as_fine_tokens_on_fixed_inputs(self, text):
         assert outcome(parse_text, text) == outcome(parse_fine, text)
 
@@ -388,7 +389,7 @@ class TestWholeReferences:
     def test_spaces_inside_references_give_the_same_tree(self, seed):
         text = gen_expr(random.Random(seed), sheets=SHEETS)
         spaced = split_references(text)
-        whole = [t.lexeme for t in tokenize(spaced) if t.kind == TokenKind.REFERENCE]
+        whole = [lexeme for kind, lexeme, _, _ in tokenize(spaced) if kind == TokenKind.REFERENCE]
         assert not any("!" in lexeme or ":" in lexeme for lexeme in whole)
         assert write_tree(parse_text(spaced)) == write_tree(parse_text(text))
 
@@ -421,6 +422,32 @@ class TestWholeReferences:
             )
             assert 0 < len(nodes) <= 16
         assert "Data!A1:B1" not in nodes  # cleared on the way
+
+
+class TestTokensByPosition:
+    """``parse`` reads a token's fields by position only: the scanner's plain
+    tuples, the reference scanner's named tuples and plain tuples rebuilt
+    from those give the same tree or the same error."""
+
+    def _check(self, text):
+        try:
+            scanned = tokenize(text)
+        except LexError:
+            return
+        fine = reference_scanner.scan(text)
+        expected = outcome(parse, scanned)
+        assert outcome(parse, [reference_scanner.Token(*token) for token in scanned]) == expected
+        assert outcome(parse, fine) == expected
+        assert outcome(parse, [tuple(token) for token in fine]) == expected
+
+    @given(st.integers(0, 2**48))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_formulas(self, seed):
+        self._check(gen_expr(random.Random(seed), sheets=SHEETS))
+
+    @pytest.mark.parametrize("text", REJECTED + SPLIT_REFERENCES)
+    def test_fixed_inputs(self, text):
+        self._check(text)
 
 
 class TestPublicSurface:

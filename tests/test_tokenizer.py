@@ -9,30 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgauge.lexer import tokenize
-from cellgauge.tokens import ERROR_LITERALS, LexError, Token, TokenKind
+from cellgauge.tokens import ERROR_LITERALS, LexError, TokenKind
 
 from . import reference_scanner
 from .genutil import gen_expr
 
 
 def kinds(text):
-    return [t.kind for t in tokenize(text)]
+    return [kind for kind, _, _, _ in tokenize(text)]
 
 
 def lexemes(text):
-    return [t.lexeme for t in tokenize(text)]
+    return [lexeme for _, lexeme, _, _ in tokenize(text)]
+
+
+def pairs(text):
+    return [(kind, lexeme) for kind, lexeme, _, _ in tokenize(text)]
 
 
 class TestBasics:
+    def test_tokens_are_plain_tuples(self):
+        tokens = tokenize("SUM(Data!B1:B10, 'x y'! C3)+#N/A")
+        assert tokens and all(type(token) is tuple and len(token) == 4 for token in tokens)
+
     def test_binary_reference_expression(self):
-        assert [(t.kind, t.lexeme) for t in tokenize("A1+B1")] == [
+        assert pairs("A1+B1") == [
             (TokenKind.REFERENCE, "A1"),
             (TokenKind.OPERATOR, "+"),
             (TokenKind.REFERENCE, "B1"),
         ]
 
     def test_function_over_range(self):
-        assert [(t.kind, t.lexeme) for t in tokenize("SUM(B1:B10)")] == [
+        assert pairs("SUM(B1:B10)") == [
             (TokenKind.IDENTIFIER, "SUM"),
             (TokenKind.LPAREN, "("),
             (TokenKind.REFERENCE, "B1:B10"),
@@ -40,21 +48,17 @@ class TestBasics:
         ]
 
     def test_doubled_quote_escaping(self):
-        tokens = tokenize('"a""b"')
-        assert len(tokens) == 1
-        assert tokens[0].kind == TokenKind.STRING
-        assert tokens[0].lexeme == '"a""b"'
+        assert pairs('"a""b"') == [(TokenKind.STRING, '"a""b"')]
 
     @pytest.mark.parametrize("literal", ERROR_LITERALS)
     def test_error_literals_are_single_tokens(self, literal):
-        tokens = tokenize(literal)
-        assert [(t.kind, t.lexeme) for t in tokens] == [(TokenKind.ERROR_LITERAL, literal)]
+        assert pairs(literal) == [(TokenKind.ERROR_LITERAL, literal)]
 
     def test_numbers(self):
         assert kinds("1 2.5 .5 3. 1e5 1.5e-3") == [TokenKind.NUMBER] * 6
 
     def test_exponent_needs_digits(self):
-        assert [(t.kind, t.lexeme) for t in tokenize("1e")] == [
+        assert pairs("1e") == [
             (TokenKind.NUMBER, "1"),
             (TokenKind.IDENTIFIER, "e"),
         ]
@@ -67,17 +71,14 @@ class TestBasics:
         assert lexemes("tRuE") == ["tRuE"]
 
     def test_quoted_sheet_name(self):
-        tokens = tokenize("'My Sheet' !A1")
-        assert [(t.kind, t.lexeme) for t in tokens] == [
+        assert pairs("'My Sheet' !A1") == [
             (TokenKind.IDENTIFIER, "'My Sheet'"),
             (TokenKind.EXCLAMATION, "!"),
             (TokenKind.CELL_REF, "A1"),
         ]
 
     def test_external_workbook_prefix(self):
-        tokens = tokenize("[Book1]Sheet1 !A1")
-        assert tokens[0].kind == TokenKind.IDENTIFIER
-        assert tokens[0].lexeme == "[Book1]Sheet1"
+        assert pairs("[Book1]Sheet1 !A1")[0] == (TokenKind.IDENTIFIER, "[Book1]Sheet1")
 
     def test_absolute_markers(self):
         assert kinds("$A$1 A$2 $B3") == [TokenKind.REFERENCE] * 3
@@ -118,7 +119,7 @@ class TestWholeReferences:
         ["Data!C45", "'Q1 Sales'!$A$1:$D$9", "B7", "A1:B2", "[Book1]Sheet1!A1", "'a''b'!A1", "A1!B2", "xfd1048576"],
     )
     def test_one_token(self, text):
-        assert [(t.kind, t.lexeme, t.start, t.end) for t in tokenize(text)] == [
+        assert tokenize(text) == [
             (TokenKind.REFERENCE, text, 0, len(text))
         ]
 
@@ -141,7 +142,7 @@ class TestWholeReferences:
         assert tokenize(text) == reference_scanner.scan(text)
 
     def test_tail_after_a_split_resumes_whole_references(self):
-        assert [(t.kind, t.lexeme) for t in tokenize("Data! A1+B2")] == [
+        assert pairs("Data! A1+B2") == [
             (TokenKind.IDENTIFIER, "Data"),
             (TokenKind.EXCLAMATION, "!"),
             (TokenKind.CELL_REF, "A1"),
@@ -176,26 +177,24 @@ class TestSpans:
         ["A1 + B1", "SUM( B1:B10 , 2 )", 'IF(A1>0,"y es",\t0)', "  1  "],
     )
     def test_spans_reconstruct_input(self, text):
-        tokens = tokenize(text)
         pos = 0
-        for token in tokens:
-            assert text[token.start : token.end] == token.lexeme
-            assert text[pos : token.start].strip() == ""
-            pos = token.end
+        for _, lexeme, start, end in tokenize(text):
+            assert text[start:end] == lexeme
+            assert text[pos:start].strip() == ""
+            pos = end
         assert text[pos:].strip() == ""
 
     @given(st.integers(0, 2**48))
     @settings(max_examples=200)
     def test_spans_reconstruct_generated_formulas(self, seed):
         text = gen_expr(random.Random(seed))
-        tokens = tokenize(text)
         rebuilt = []
         pos = 0
-        for token in tokens:
-            assert text[token.start : token.end] == token.lexeme
-            rebuilt.append(text[pos : token.start])
-            rebuilt.append(token.lexeme)
-            pos = token.end
+        for _, lexeme, start, end in tokenize(text):
+            assert text[start:end] == lexeme
+            rebuilt.append(text[pos:start])
+            rebuilt.append(lexeme)
+            pos = end
         rebuilt.append(text[pos:])
         assert "".join(rebuilt) == text
 
@@ -214,13 +213,13 @@ class TestBackendEquivalence:
             expected_error = (type(exc), str(exc))
         try:
             actual = []
-            for token in tokenize(text):
-                if token.kind != TokenKind.REFERENCE:
-                    actual.append(token)
+            for kind, lexeme, start, end in tokenize(text):
+                if kind != TokenKind.REFERENCE:
+                    actual.append((kind, lexeme, start, end))
                     continue
-                assert text[token.start : token.end] == token.lexeme
-                for fine in reference_scanner.scan(token.lexeme):
-                    actual.append(Token(fine.kind, fine.lexeme, fine.start + token.start, fine.end + token.start))
+                assert text[start:end] == lexeme
+                for fine in reference_scanner.scan(lexeme):
+                    actual.append((fine.kind, fine.lexeme, fine.start + start, fine.end + start))
             actual_error = None
         except LexError as exc:
             actual = None
