@@ -39,8 +39,6 @@ from .interchange import (
     SchemaError,
     read_interchange,
     read_interchange_file,
-    write_interchange,
-    write_interchange_file,
 )
 from .lexer import tokenize
 from .metrics import (
@@ -59,7 +57,6 @@ from .model import (
     CellKind,
     DefinedName,
     Formula,
-    VisualProperty,
     Workbook,
     Worksheet,
     classify_cells,

@@ -1,4 +1,4 @@
-"""JSON interchange format: a lossless, deterministic workbook fixture format.
+"""JSON interchange format: a deterministic workbook fixture format.
 
 Schema (values in <> are JSON types):
     { "name": <string>,
@@ -12,7 +12,8 @@ Schema (values in <> are JSON types):
 
 Exactly one of formula/value per cell; "type" is required alongside "value";
 empty cells are omitted. Defined names are global only: the schema has no
-sheet-local names, and writing a workbook leaves its sheet-local names out.
+sheet-local names. Every value, type and fill is checked against the schema,
+but the model keeps only whether a cell holds a literal.
 """
 
 from __future__ import annotations
@@ -22,15 +23,8 @@ import re
 from pathlib import Path
 from typing import Any
 
-from .expressions import ValueType, column_index_to_letter, column_letter_to_index
-from .model import (
-    Cell,
-    CellCoordinate,
-    DefinedName,
-    VisualProperty,
-    Workbook,
-    Worksheet,
-)
+from .expressions import ValueType, column_letter_to_index
+from .model import Cell, CellCoordinate, DefinedName, Workbook, Worksheet
 from .parser import parse_formula, parse_text
 from .tokens import MAX_COL, MAX_ROW, FormulaError
 
@@ -87,17 +81,12 @@ def _read_cell(entry: Any, sheet_index: int, path: str) -> Cell:
     fill = entry.get("fill")
     if fill is not None:
         _expect(isinstance(fill, str), path + ".fill", "expected a color string")
-    visual = (VisualProperty("fillColor", fill),) if fill is not None else ()
     coordinate = CellCoordinate(sheet_index, row, col)
     if has_formula:
         text = entry["formula"]
         _expect(isinstance(text, str), path + ".formula", "expected a string")
         _expect(text.startswith("="), path + ".formula", 'formula must start with "="')
-        return Cell(
-            coordinate=coordinate,
-            formula=parse_formula(text[1:]),
-            visual_properties=visual,
-        )
+        return Cell(coordinate, parse_formula(text[1:]))
     type_name = entry.get("type")
     _expect(
         isinstance(type_name, str),
@@ -119,12 +108,7 @@ def _read_cell(entry: Any, sheet_index: int, path: str) -> Cell:
         _expect(isinstance(value, bool), path + ".value", "expected a boolean")
     else:
         _expect(isinstance(value, str), path + ".value", "expected a string")
-    return Cell(
-        coordinate=coordinate,
-        value=value,
-        value_type=value_type,
-        visual_properties=visual,
-    )
+    return Cell(coordinate, literal=True)
 
 
 def read_interchange(document: Any, *, default_name: str | None = None) -> Workbook:
@@ -184,46 +168,3 @@ def read_interchange_file(path: str | Path) -> Workbook:
         except RecursionError:
             raise SchemaError("$", "JSON nested too deeply to decode") from None
     return read_interchange(document, default_name=path.stem)
-
-
-def _cell_to_doc(cell: Cell) -> dict[str, Any] | None:
-    if not cell.has_content:
-        return None  # schema has no representation for content-less cells
-    ref = column_index_to_letter(cell.coordinate.col) + str(cell.coordinate.row)
-    doc: dict[str, Any] = {"ref": ref}
-    if cell.formula is not None:
-        doc["formula"] = "=" + cell.formula.text
-    else:
-        doc["value"] = cell.value
-        doc["type"] = cell.value_type.value  # type: ignore[union-attr]
-    for prop in cell.visual_properties:
-        if prop.key == "fillColor":
-            doc["fill"] = prop.value
-    return doc
-
-
-def write_interchange(workbook: Workbook) -> dict[str, Any]:
-    """Inverse of read_interchange (content-less cells are omitted)."""
-    sheets = []
-    for sheet in workbook.sheets:
-        cell_docs = []
-        for key in sorted(sheet.cells):
-            doc = _cell_to_doc(sheet.cells[key])
-            if doc is not None:
-                cell_docs.append(doc)
-        sheets.append({"name": sheet.name, "cells": cell_docs})
-    return {
-        "name": workbook.name,
-        "definedNames": [
-            {"name": dn.name, "target": dn.target}
-            for dn in workbook.defined_names.values()
-            if dn.scope is None
-        ],
-        "sheets": sheets,
-    }
-
-
-def write_interchange_file(workbook: Workbook, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(write_interchange(workbook), fp, ensure_ascii=False, indent=2)
-        fp.write("\n")

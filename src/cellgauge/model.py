@@ -10,7 +10,7 @@ import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .expressions import Expr, ValueType
+from .expressions import Expr
 
 if TYPE_CHECKING:
     from .graph import DependencyGraph
@@ -21,8 +21,6 @@ __all__ = [
     "CellKind",
     "DefinedName",
     "Formula",
-    "ValueType",
-    "VisualProperty",
     "Workbook",
     "Worksheet",
     "classify_cells",
@@ -45,12 +43,6 @@ class CellKind(enum.Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class VisualProperty:
-    key: str
-    value: str
-
-
-@dataclass(frozen=True, slots=True)
 class Formula:
     """Formula content of a cell; text survives even when parsing fails."""
 
@@ -61,21 +53,20 @@ class Formula:
 
 @dataclass(frozen=True, slots=True)
 class Cell:
+    """A stored cell: a formula, a literal (whose value is not kept), or
+    neither (stored for its formatting alone, e.g. a fill)."""
+
     coordinate: CellCoordinate
-    value: float | str | bool | None = None
-    value_type: ValueType | None = None
     formula: Formula | None = None
-    visual_properties: tuple[VisualProperty, ...] = ()
+    literal: bool = False
 
     def __post_init__(self) -> None:
-        if self.value is not None and self.formula is not None:
+        if self.literal and self.formula is not None:
             raise ValueError(f"cell {self.coordinate} has both a literal and a formula")
-        if self.value is not None and self.value_type is None:
-            raise ValueError(f"cell {self.coordinate} has a literal without a value type")
 
     @property
     def has_content(self) -> bool:
-        return self.value is not None or self.formula is not None
+        return self.literal or self.formula is not None
 
 
 @dataclass(frozen=True, slots=True)

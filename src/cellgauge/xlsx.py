@@ -1,10 +1,12 @@
 """XLSX (ZIP-packaged SpreadsheetML) reader.
 
-Reads sheets in workbook order, types literals via cell-type markers and the
-shared-strings table, expands shared-formula groups per cell, and loads
-defined names, global and sheet-local (``localSheetId``). Cached formula
-results are used only to infer a result value type, never as literals.
-Per-cell anomalies are logged, not fatal.
+Reads sheets in workbook order, expands shared-formula groups per cell, and
+loads defined names, global and sheet-local (``localSheetId``). A literal is
+kept as one content bit, set when its cell-type marker finds a value: an
+in-range shared-string index, a numeric ``n`` value, any other ``<v>`` or an
+inline string. Cached formula results are never read. A cell with a solid
+fill and no value is stored without content. Per-cell anomalies are logged,
+not fatal.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from .expressions import (
     Parenthesis,
     Range,
     Reference,
-    ValueType,
     serialize,
 )
 from .interchange import _parse_defined_target, parse_cell_ref
-from .model import Cell, CellCoordinate, DefinedName, Formula, VisualProperty, Workbook, Worksheet
+from .model import Cell, CellCoordinate, DefinedName, Formula, Workbook, Worksheet
 from .parser import parse_formula
 from .tokens import MAX_COL, MAX_ROW
 
@@ -81,52 +82,43 @@ def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
         raise MalformedSheetXmlError(part, f"malformed XML: {exc}") from None
 
 
-def _read_shared_strings(archive: zipfile.ZipFile) -> list[str]:
+def _count_shared_strings(archive: zipfile.ZipFile) -> int:
+    """The number of shared strings; their text is never read."""
     if _SHARED_STRINGS_PART not in archive.namelist():
-        return []
-    root = _parse_part(archive, _SHARED_STRINGS_PART)
-    strings = []
-    for si in root.findall(_MAIN + "si"):
-        strings.append("".join(t.text or "" for t in si.iter(_MAIN + "t")))
-    return strings
+        return 0
+    return len(_parse_part(archive, _SHARED_STRINGS_PART).findall(_MAIN + "si"))
 
 
-def _read_fills(archive: zipfile.ZipFile) -> list[str | None]:
-    """Per-style-index fill color ("#RRGGBB"); best effort, never fatal."""
+def _read_filled_styles(archive: zipfile.ZipFile) -> set[int]:
+    """Indices of the cell styles (``cellXfs``) whose fill is solid with a
+    6- or 8-digit color; best effort, never fatal."""
     if _STYLES_PART not in archive.namelist():
-        return []
+        return set()
     try:
         root = _parse_part(archive, _STYLES_PART)
     except XlsxError:
-        logger.warning("unreadable styles part; fill colors skipped")
-        return []
-    fill_colors: list[str | None] = []
+        logger.warning("unreadable styles part; fills skipped")
+        return set()
+    solid: list[bool] = []
     fills = root.find(_MAIN + "fills")
     if fills is not None:
         for fill in fills.findall(_MAIN + "fill"):
-            color = None
             pattern = fill.find(_MAIN + "patternFill")
+            fg = None
             if pattern is not None and pattern.get("patternType") == "solid":
                 fg = pattern.find(_MAIN + "fgColor")
-                rgb = fg.get("rgb") if fg is not None else None
-                if rgb and len(rgb) in (6, 8):
-                    color = "#" + rgb[-6:].upper()
-            fill_colors.append(color)
-    xf_colors: list[str | None] = []
+            solid.append(fg is not None and len(fg.get("rgb", "")) in (6, 8))
+    filled: set[int] = set()
     cell_xfs = root.find(_MAIN + "cellXfs")
     if cell_xfs is not None:
-        for xf in cell_xfs.findall(_MAIN + "xf"):
-            color = None
-            fill_id = xf.get("fillId")
-            if fill_id is not None:
-                try:
-                    idx = int(fill_id)
-                except ValueError:
-                    idx = -1
-                if 0 <= idx < len(fill_colors):
-                    color = fill_colors[idx]
-            xf_colors.append(color)
-    return xf_colors
+        for style, xf in enumerate(cell_xfs.findall(_MAIN + "xf")):
+            try:
+                idx = int(xf.get("fillId", ""))
+            except ValueError:
+                continue
+            if 0 <= idx < len(solid) and solid[idx]:
+                filled.add(style)
+    return filled
 
 
 def _read_rels(archive: zipfile.ZipFile) -> dict[str, str]:
@@ -214,46 +206,31 @@ def _shift_expr(expr: Expr, d_row: int, d_col: int) -> Expr:
     return built[0]
 
 
-def _cached_value_type(t: str, has_value: bool) -> ValueType | None:
-    if not has_value:
-        return None
-    return {
-        "s": ValueType.TEXT,
-        "str": ValueType.TEXT,
-        "inlineStr": ValueType.TEXT,
-        "b": ValueType.BOOLEAN,
-        "e": ValueType.ERROR,
-    }.get(t, ValueType.NUMBER)
-
-
 class _SheetReader:
     def __init__(
         self,
         part: str,
         sheet_name: str,
         sheet_index: int,
-        shared_strings: list[str],
-        fills: list[str | None],
+        shared_string_count: int,
+        filled_styles: set[int],
     ):
         self.part = part
         self.sheet_name = sheet_name
         self.sheet_index = sheet_index
-        self.shared_strings = shared_strings
-        self.fills = fills
+        self.shared_string_count = shared_string_count
+        self.filled_styles = filled_styles
         self.cells: dict[tuple[int, int], Cell] = {}
         # shared-formula group id -> (anchor_row, anchor_col, parsed master)
         self.shared: dict[str, tuple[int, int, Formula]] = {}
 
-    def _fill_for(self, style_attr: str | None) -> tuple[VisualProperty, ...]:
-        if style_attr is None:
-            return ()
+    def _filled(self, style_attr: str | None) -> bool:
+        if style_attr is None or not self.filled_styles:
+            return False
         try:
-            idx = int(style_attr)
+            return int(style_attr) in self.filled_styles
         except ValueError:
-            return ()
-        if 0 <= idx < len(self.fills) and self.fills[idx] is not None:
-            return (VisualProperty("fillColor", self.fills[idx]),)
-        return ()
+            return False
 
     def _formula(self, f_el: ElementTree.Element, row: int, col: int) -> Formula:
         """The cell's formula. A shared-formula master is parsed once; each
@@ -308,64 +285,40 @@ class _SheetReader:
             self._read_cell(c_el, row, col)
 
     def _read_cell(self, c_el: ElementTree.Element, row: int, col: int) -> None:
-        coordinate = CellCoordinate(self.sheet_index, row, col)
-        visual = self._fill_for(c_el.get("s"))
-        t = c_el.get("t", "n")
         f_el = c_el.find(_MAIN + "f")
-        v_el = c_el.find(_MAIN + "v")
-        v_text = v_el.text if v_el is not None and v_el.text is not None else None
-
         if f_el is not None:
-            self.cells[(row, col)] = Cell(
-                coordinate=coordinate,
-                value_type=_cached_value_type(t, v_text is not None),
-                formula=self._formula(f_el, row, col),
-                visual_properties=visual,
-            )
+            formula = self._formula(f_el, row, col)
+            self.cells[(row, col)] = Cell(CellCoordinate(self.sheet_index, row, col), formula)
             return
+        t = c_el.get("t", "n")
+        if t == "inlineStr":
+            literal = c_el.find(_MAIN + "is") is not None
+        else:
+            v_el = c_el.find(_MAIN + "v")
+            v_text = v_el.text if v_el is not None else None
+            literal = v_text is not None and self._holds_value(t, v_text, row, col)
+        if literal or self._filled(c_el.get("s")):  # else a default cell: nothing to store
+            self.cells[(row, col)] = Cell(CellCoordinate(self.sheet_index, row, col), literal=literal)
 
-        value: float | str | bool | None = None
-        value_type: ValueType | None = None
+    def _holds_value(self, t: str, v_text: str, row: int, col: int) -> bool:
+        """Whether a ``<v>`` text is a value of its cell-type marker."""
         if t == "s":
-            if v_text is not None:
-                try:
-                    value = self.shared_strings[int(v_text)]
-                    value_type = ValueType.TEXT
-                except (ValueError, IndexError):
-                    logger.warning("%s: bad shared-string index %r at %s", self.part, v_text, coordinate)
-        elif t == "inlineStr":
-            is_el = c_el.find(_MAIN + "is")
-            if is_el is not None:
-                value = "".join(el.text or "" for el in is_el.iter(_MAIN + "t"))
-                value_type = ValueType.TEXT
-        elif t in ("str", "d"):
-            if v_text is not None:
-                value = v_text
-                value_type = ValueType.TEXT
-        elif t == "b":
-            if v_text is not None:
-                value = v_text.strip() not in ("0", "FALSE", "false", "")
-                value_type = ValueType.BOOLEAN
-        elif t == "e":
-            if v_text is not None:
-                value = v_text
-                value_type = ValueType.ERROR
+            try:
+                if 0 <= int(v_text) < self.shared_string_count:
+                    return True
+            except ValueError:
+                pass
+            problem = "bad shared-string index"
+        elif t in ("str", "d", "b", "e"):
+            return True
         else:  # "n" or unknown marker: numeric
-            if v_text is not None:
-                try:
-                    value = float(v_text)
-                    value_type = ValueType.NUMBER
-                except ValueError:
-                    logger.warning("%s: non-numeric value %r at %s", self.part, v_text, coordinate)
-
-        if value is None and not visual:
-            return  # default cell: nothing to store
-        self.cells[(row, col)] = Cell(
-            coordinate=coordinate,
-            value=value,
-            value_type=value_type,
-            visual_properties=visual,
-        )
+            try:
+                float(v_text)
+                return True
+            except ValueError:
+                problem = "non-numeric value"
+        logger.warning("%s: %s %r at %s", self.part, problem, v_text, CellCoordinate(self.sheet_index, row, col))
+        return False
 
 
 def read_xlsx(path: str | Path) -> Workbook:
@@ -379,8 +332,8 @@ def read_xlsx(path: str | Path) -> Workbook:
     with archive:
         workbook_root = _parse_part(archive, _WORKBOOK_PART)
         rels = _read_rels(archive)
-        shared_strings = _read_shared_strings(archive)
-        fills = _read_fills(archive)
+        shared_string_count = _count_shared_strings(archive)
+        filled_styles = _read_filled_styles(archive)
 
         sheets_el = workbook_root.find(_MAIN + "sheets")
         if sheets_el is None:
@@ -395,7 +348,7 @@ def read_xlsx(path: str | Path) -> Workbook:
                     _WORKBOOK_RELS_PART, f"no relationship for sheet {sheet_name!r}"
                 )
             root = _parse_part(archive, part)
-            reader = _SheetReader(part, sheet_name, position, shared_strings, fills)
+            reader = _SheetReader(part, sheet_name, position, shared_string_count, filled_styles)
             worksheets.append(reader.read(root))
 
         defined: dict[tuple[int | None, str], DefinedName] = {}

@@ -10,16 +10,9 @@ import json
 import random
 from pathlib import Path
 
-from cellgauge.expressions import ValueType, column_index_to_letter
+from cellgauge.expressions import column_index_to_letter
 from cellgauge.interchange import _parse_defined_target, parse_cell_ref
-from cellgauge.model import (
-    Cell,
-    CellCoordinate,
-    DefinedName,
-    VisualProperty,
-    Workbook,
-    Worksheet,
-)
+from cellgauge.model import Cell, CellCoordinate, DefinedName, Workbook, Worksheet
 from cellgauge.parser import parse_formula
 
 NAMES = ("alpha", "beta_1", "net.total", "_scratch", "grandTotal", "TOTAL")
@@ -152,8 +145,8 @@ def gen_unary(rng: random.Random, depth: int, sheets: tuple[str, ...] | None) ->
 def make_workbook(sheets, defined_names=None, name="test"):
     """Build a Workbook from [(sheet_name, {"A1": content})].
 
-    Content: "=..." strings become formulas, ("fill", color) a visual-only
-    cell, anything else a typed literal.
+    Content: "=..." strings become formulas, None a cell stored without
+    content (as a fill-only cell is), anything else a literal.
     """
     worksheets = []
     for index, (sheet_name, spec) in enumerate(sheets, start=1):
@@ -162,21 +155,9 @@ def make_workbook(sheets, defined_names=None, name="test"):
             row, col = parse_cell_ref(ref_text)
             coord = CellCoordinate(index, row, col)
             if isinstance(content, str) and content.startswith("="):
-                cell = Cell(coordinate=coord, formula=parse_formula(content[1:]))
-            elif isinstance(content, tuple) and content and content[0] == "fill":
-                cell = Cell(
-                    coordinate=coord,
-                    visual_properties=(VisualProperty("fillColor", content[1]),),
-                )
+                cells[(row, col)] = Cell(coord, formula=parse_formula(content[1:]))
             else:
-                if isinstance(content, bool):
-                    value_type = ValueType.BOOLEAN
-                elif isinstance(content, (int, float)):
-                    value_type = ValueType.NUMBER
-                else:
-                    value_type = ValueType.TEXT
-                cell = Cell(coordinate=coord, value=content, value_type=value_type)
-            cells[(row, col)] = cell
+                cells[(row, col)] = Cell(coord, literal=content is not None)
         worksheets.append(Worksheet(sheet_name, index, cells))
     defined = {
         (None, name_.casefold()): DefinedName(name_, target, _parse_defined_target(target))

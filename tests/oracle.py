@@ -217,7 +217,7 @@ def expansions(workbook: Workbook) -> dict:
 def record(workbook: Workbook, conditional_set=CONDITIONALS) -> dict:
     """All 22 metric values (keyed M01..M22) plus bookkeeping, brute force."""
     all_cells = [cell for sheet in workbook.sheets for cell in sheet.cells.values()]
-    non_empty = sum(1 for c in all_cells if c.value is not None or c.formula is not None)
+    non_empty = sum(1 for c in all_cells if c.literal or c.formula is not None)
     formula_cells = [c for c in all_cells if c.formula is not None]
     parsed = [c for c in formula_cells if c.formula.expr is not None]
     expanded = expansions(workbook)
@@ -227,7 +227,7 @@ def record(workbook: Workbook, conditional_set=CONDITIONALS) -> dict:
         referenced |= cells
     formula_coords = {tuple(c.coordinate) for c in formula_cells}
     stored_nonformula_content = {
-        tuple(c.coordinate) for c in all_cells if c.formula is None and c.value is not None
+        tuple(c.coordinate) for c in all_cells if c.formula is None and c.literal
     }
     # input cells: referenced and not a formula cell (stored literal or blank)
     input_coords = referenced - formula_coords

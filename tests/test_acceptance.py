@@ -309,18 +309,13 @@ def test_c7_corpus_determinism_across_parallelism(tmp_path):
 
 def _performance_workbook() -> Workbook:
     """10,000 formula cells with ranges of up to 100 cells."""
-    from cellgauge.expressions import ValueType
     from cellgauge.model import Cell
 
     rng = random.Random(0xC8)
     data_cells = {}
     for row in range(1, 101):
         for col in range(1, 11):
-            data_cells[(row, col)] = Cell(
-                coordinate=CellCoordinate(1, row, col),
-                value=float(row * col),
-                value_type=ValueType.NUMBER,
-            )
+            data_cells[(row, col)] = Cell(CellCoordinate(1, row, col), literal=True)
     formula_cells = {}
     for i in range(10_000):
         row = i + 1

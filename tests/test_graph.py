@@ -292,15 +292,15 @@ def _double(col: int, row: int) -> Formula:
 
 
 def _column_workbook(columns: dict[int, list[Formula]], values: dict[int, int] | None = None):
-    """One sheet: the formulas of each column from row 1 down, plus numeric
-    columns holding 1..rows."""
+    """One sheet: the formulas of each column from row 1 down, plus literal
+    cells in rows 1..rows of each `values` column."""
     cells = {}
     for col, formulas in columns.items():
         for row, formula in enumerate(formulas, start=1):
             cells[(row, col)] = Cell(CellCoordinate(1, row, col), formula=formula)
     for col, rows in (values or {}).items():
         for row in range(1, rows + 1):
-            cells[(row, col)] = Cell(CellCoordinate(1, row, col), value=float(row), value_type=ValueType.NUMBER)
+            cells[(row, col)] = Cell(CellCoordinate(1, row, col), literal=True)
     return Workbook("cost", (Worksheet("S", 1, cells),), {})
 
 

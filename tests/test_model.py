@@ -44,7 +44,7 @@ class TestKinds:
         assert classify(workbook)[CellCoordinate(1, 1, 2)] is CellKind.INPUT_VALUE
 
     def test_visual_only_unreferenced_cell_is_empty(self):
-        workbook = make_workbook([("S", {"A1": ("fill", "#FF0000")})])
+        workbook = make_workbook([("S", {"A1": None})])
         assert classify(workbook)[CellCoordinate(1, 1, 1)] is CellKind.EMPTY
 
     def test_referenced_formula_cell_stays_formula(self):

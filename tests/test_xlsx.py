@@ -12,8 +12,7 @@ import pytest
 from cellgauge import xlsx
 from cellgauge.expressions import serialize
 from cellgauge.graph import build_graph
-from cellgauge.interchange import write_interchange
-from cellgauge.model import CellCoordinate, ValueType
+from cellgauge.model import CellCoordinate
 from cellgauge.parser import parse_text
 from cellgauge.xlsx import (
     CorruptPartError,
@@ -161,33 +160,54 @@ class TestLiterals:
         )
         workbook = read_xlsx(path)
         assert workbook.name == "one"
+        assert set(workbook.sheets[0].cells) == {(1, 1)}
         cell = workbook.sheets[0].cells[(1, 1)]
-        assert cell.value == 5.0
-        assert cell.value_type is ValueType.NUMBER
+        assert cell.literal and cell.formula is None and cell.has_content
 
     def test_typed_cells(self, tmp_path):
+        # Row 1: every marker with a value is content, an empty inline string
+        # too. Row 2: the same markers without a value are not stored.
+        markers = ("s", "b", "e", "str", "d", "n")
         body = (
             '<row r="1">'
             '<c r="A1" t="s"><v>0</v></c>'
-            '<c r="B1" t="b"><v>1</v></c>'
+            '<c r="B1" t="b"><v>0</v></c>'
             '<c r="C1" t="e"><v>#DIV/0!</v></c>'
-            '<c r="D1" t="inlineStr"><is><t>inline</t></is></c>'
-            '<c r="E1" t="str"><v>plain</v></c>'
+            '<c r="D1" t="str"><v>plain</v></c>'
+            '<c r="E1" t="d"><v>2024-01-01</v></c>'
+            '<c r="F1" t="n"><v>1.5e3</v></c>'
+            '<c r="G1" t="inlineStr"><is><t>inline</t></is></c>'
+            '<c r="H1" t="inlineStr"><is/></c>'
+            '<c r="I1" t="x-unknown"><v>7</v></c>'
+            "</row>"
+            '<row r="2">'
+            + "".join(f'<c r="{chr(ord("A") + i)}2" t="{t}"><v></v></c>' for i, t in enumerate(markers))
+            + '<c r="G2" t="inlineStr"/><c r="H2" t="inlineStr"><v>not inline</v></c>'
             "</row>"
         )
         path = build_xlsx(tmp_path / "types.xlsx", [("S", body)], shared_strings=("hello",))
         cells = read_xlsx(path).sheets[0].cells
-        assert cells[(1, 1)].value == "hello" and cells[(1, 1)].value_type is ValueType.TEXT
-        assert cells[(1, 2)].value is True and cells[(1, 2)].value_type is ValueType.BOOLEAN
-        assert cells[(1, 3)].value == "#DIV/0!" and cells[(1, 3)].value_type is ValueType.ERROR
-        assert cells[(1, 4)].value == "inline"
-        assert cells[(1, 5)].value == "plain"
+        assert set(cells) == {(1, col) for col in range(1, 10)}
+        assert all(cell.literal and cell.formula is None for cell in cells.values())
+
+    @pytest.mark.parametrize(
+        "marker,text", [("s", "1"), ("s", "-1"), ("s", "x"), ("n", "abc")], ids=["past_end", "negative", "not_int", "n"]
+    )
+    def test_value_its_marker_rejects_is_no_content(self, tmp_path, caplog, marker, text):
+        body = f'<row r="1"><c r="A1" t="{marker}"><v>{text}</v></c><c r="B1" t="s"><v>0</v></c></row>'
+        path = build_xlsx(tmp_path / "bad.xlsx", [("S", body)], shared_strings=("only",))
+        caplog.set_level(logging.WARNING, logger="cellgauge")
+        cells = read_xlsx(path).sheets[0].cells
+        assert set(cells) == {(1, 2)}
+        expected = "bad shared-string index" if marker == "s" else "non-numeric value"
+        assert f"{expected} {text!r}" in caplog.text
 
     def test_cell_without_ref_attribute_follows_previous(self, tmp_path):
         body = '<row r="2"><c r="B2"><v>1</v></c><c><v>2</v></c></row>'
         path = build_xlsx(tmp_path / "noref.xlsx", [("S", body)])
         cells = read_xlsx(path).sheets[0].cells
-        assert cells[(2, 3)].value == 2.0
+        assert set(cells) == {(2, 2), (2, 3)}
+        assert cells[(2, 3)].literal
 
     def test_invalid_row_numbers_never_produce_out_of_grid_cells(self, tmp_path):
         body = (
@@ -213,7 +233,7 @@ class TestLiterals:
         body = '<row r="1"><c r="A1" s="1"><v>44927</v></c></row>'
         path = build_xlsx(tmp_path / "date.xlsx", [("S", body)])
         cell = read_xlsx(path).sheets[0].cells[(1, 1)]
-        assert cell.value == 44927.0 and cell.value_type is ValueType.NUMBER
+        assert cell.literal and cell.formula is None
 
 
 class TestFormulas:
@@ -223,8 +243,7 @@ class TestFormulas:
         cell = read_xlsx(path).sheets[0].cells[(1, 1)]
         assert cell.formula is not None
         assert cell.formula.text == "B1*2"
-        assert cell.value is None  # cached result is not a literal
-        assert cell.value_type is ValueType.NUMBER  # ... but types the result
+        assert not cell.literal  # the cached result is not a literal
 
     def test_shared_formula_group_expands(self, tmp_path):
         body = (
@@ -346,8 +365,7 @@ class TestFormulas:
         assert graph.fan_out(CellCoordinate(2, 1, 3)) == 8
         for coordinate, (cells, dangling) in oracle.expansions(workbook).items():
             assert (graph.fan_out(coordinate), graph.dangling[coordinate]) == (len(cells), dangling)
-        # interchange documents hold global names only
-        assert write_interchange(workbook)["definedNames"] == [{"name": "Total", "target": "Two!$A$1"}]
+        assert set(workbook.defined_names) == {(None, "total"), (2, "total")}
 
     @pytest.mark.parametrize("with_global", [True, False], ids=["global", "no_global"])
     def test_sheet_qualified_name_is_looked_up_on_that_sheet(self, tmp_path, with_global):
@@ -400,18 +418,28 @@ class TestStyles:
             "<fills>"
             '<fill><patternFill patternType="none"/></fill>'
             '<fill><patternFill patternType="solid"><fgColor rgb="FFFF0000"/></patternFill></fill>'
+            '<fill><patternFill patternType="solid"><fgColor rgb="F00"/></patternFill></fill>'
+            '<fill><patternFill patternType="solid"><fgColor rgb="00FF00"/></patternFill></fill>'
             "</fills>"
             "<cellXfs>"
             '<xf fillId="0"/>'
             '<xf fillId="1" applyFill="1"/>'
+            '<xf fillId="2" applyFill="1"/>'
+            '<xf fillId="3" applyFill="1"/>'
+            '<xf fillId="9"/>'
             "</cellXfs></styleSheet>"
         )
-        body = '<row r="1"><c r="A1" s="1"><v>3</v></c><c r="B1" s="1"/></row>'
+        body = (
+            '<row r="1"><c r="A1" s="1"><v>3</v></c><c r="B1" s="1"/><c r="C1" s="0"/>'
+            '<c r="D1" s="2"/><c r="E1" s="3"/><c r="F1" s="4"/><c r="G1" s="5"/><c r="H1" s="x"/></row>'
+        )
         path = build_xlsx(tmp_path / "fill.xlsx", [("S", body)], styles_xml=styles)
         cells = read_xlsx(path).sheets[0].cells
-        assert cells[(1, 1)].visual_properties[0].value == "#FF0000"
-        # style-only cell: stored for its fill, no content
-        assert cells[(1, 2)].value is None and cells[(1, 2)].formula is None
+        # solid 6- or 8-digit fills store a cell without content; no fill, a
+        # 3-digit color or a style or fill index out of range stores none
+        assert set(cells) == {(1, 1), (1, 2), (1, 5)}
+        assert cells[(1, 1)].literal
+        assert not cells[(1, 2)].has_content and not cells[(1, 5)].has_content
 
     def test_unstyled_blank_cell_not_stored(self, tmp_path):
         body = '<row r="1"><c r="A1"/><c r="B1"><v>1</v></c></row>'
@@ -492,8 +520,8 @@ class TestStructure:
 
     def test_unknown_declared_encoding_in_styles_is_skipped(self, tmp_path):
         path = build_unknown_encoding_xlsx(tmp_path / "utf9.xlsx", "xl/styles.xml")
-        cell = read_xlsx(path).sheets[0].cells[(1, 1)]
-        assert cell.value == "x" and cell.visual_properties == ()
+        cells = read_xlsx(path).sheets[0].cells
+        assert set(cells) == {(1, 1)} and cells[(1, 1)].literal
 
     def test_truncated_member_is_a_corrupt_part(self, tmp_path):
         path = build_xlsx(tmp_path / "short.xlsx", [("S", "")])
