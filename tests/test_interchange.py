@@ -86,78 +86,259 @@ class TestRead:
                 parse_cell_ref(bad)
 
 
+def _one_sheet(*cells) -> dict:
+    return {"name": "x", "sheets": [{"name": "S", "cells": list(cells)}]}
+
+
+_NUMBER = {"value": 1, "type": "number"}
+
+
+class _Entry(dict):
+    """A dict subclass: the reader accepts any mapping that is a dict."""
+
+
 class TestSchemaErrors:
     @pytest.mark.parametrize(
-        "document,path_fragment",
+        "document,path,message",
         [
-            ([], "$"),
-            ({"name": 3, "sheets": []}, "$.name"),
-            ({"name": "x"}, "$.sheets"),
-            ({"name": "x", "sheets": [{}]}, "$.sheets[0].name"),
-            (
-                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "A1"}]}]},
-                "$.sheets[0].cells[0]",
+            pytest.param([], "$", "expected a workbook object", id="document0-$"),
+            pytest.param({"name": 3, "sheets": []}, "$.name", "expected a string", id="document1-$.name"),
+            pytest.param({"name": "x"}, "$.sheets", "expected a list of sheets", id="document2-$.sheets"),
+            pytest.param(
+                {"name": "x", "sheets": [{}]}, "$.sheets[0].name", "expected a string", id="document3-$.sheets[0].name"
             ),
-            (
+            pytest.param(
+                _one_sheet({"ref": "A1"}),
+                "$.sheets[0].cells[0]",
+                "cell must carry exactly one of formula/value",
+                id="document4-$.sheets[0].cells[0]",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": 1, "type": "number", "formula": "=1"}),
+                "$.sheets[0].cells[0]",
+                "cell must carry exactly one of formula/value",
+                id="document5-$.sheets[0].cells[0]",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "bogus", **_NUMBER}),
+                "$.sheets[0].cells[0].ref",
+                "not an A1-style reference: 'bogus'",
+                id="document6-.ref",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": 1}),
+                "$.sheets[0].cells[0].type",
+                '"type" is required alongside "value"',
+                id="document7-.type",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": 1, "type": "decimal"}),
+                "$.sheets[0].cells[0].type",
+                "unknown value type 'decimal'",
+                id="document8-.type",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": "1", "type": "number"}),
+                "$.sheets[0].cells[0].value",
+                "expected a number",
+                id="document9-.value",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "formula": "1+1"}),
+                "$.sheets[0].cells[0].formula",
+                'formula must start with "="',
+                id="document10-.formula",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", **_NUMBER}, {"ref": "A1", "value": 2, "type": "number"}),
+                "$.sheets[0].cells[1].ref",
+                "duplicate cell 'A1'",
+                id="document11-.ref",
+            ),
+            pytest.param(
+                {"name": "x", "sheets": [{"name": "S"}, {"name": "s"}]},
+                "$.sheets",
+                "duplicate sheet name 's'",
+                id="document12-$.sheets",
+            ),
+            pytest.param(
+                {"name": "x", "definedNames": [{"name": "n"}], "sheets": []},
+                "$.definedNames[0].target",
+                "expected a target string",
+                id="document13-.target",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "B2\n", **_NUMBER}),
+                "$.sheets[0].cells[0].ref",
+                "not an A1-style reference: 'B2\\n'",
+                id="document14-.ref",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", **_NUMBER, "fill": 7}),
+                "$.sheets[0].cells[0].fill",
+                "expected a color string",
+                id="document15-.fill",
+            ),
+            pytest.param(
+                # the third cell of the second sheet, so both indices are checked
                 {
                     "name": "x",
                     "sheets": [
-                        {"name": "S", "cells": [{"ref": "A1", "value": 1, "type": "number", "formula": "=1"}]}
-                    ],
-                },
-                "$.sheets[0].cells[0]",
-            ),
-            (
-                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "bogus", "value": 1, "type": "number"}]}]},
-                ".ref",
-            ),
-            (
-                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "A1", "value": 1}]}]},
-                ".type",
-            ),
-            (
-                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "A1", "value": 1, "type": "decimal"}]}]},
-                ".type",
-            ),
-            (
-                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "A1", "value": "1", "type": "number"}]}]},
-                ".value",
-            ),
-            (
-                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "A1", "formula": "1+1"}]}]},
-                ".formula",
-            ),
-            (
-                {
-                    "name": "x",
-                    "sheets": [
+                        {"name": "S", "cells": [{"ref": "A1", **_NUMBER}]},
                         {
-                            "name": "S",
+                            "name": "T",
                             "cells": [
-                                {"ref": "A1", "value": 1, "type": "number"},
-                                {"ref": "A1", "value": 2, "type": "number"},
+                                {"ref": "A1", **_NUMBER},
+                                {"ref": "B1", "formula": "=A1"},
+                                {"ref": "C1", "value": "1", "type": "number"},
                             ],
-                        }
+                        },
                     ],
                 },
-                ".ref",
+                "$.sheets[1].cells[2].value",
+                "expected a number",
+                id="second-sheet-third-cell",
             ),
-            ({"name": "x", "sheets": [{"name": "S"}, {"name": "s"}]}, "$.sheets"),
-            ({"name": "x", "definedNames": [{"name": "n"}], "sheets": []}, ".target"),
-            (
-                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "B2\n", "value": 1, "type": "number"}]}]},
-                ".ref",
+            # the first failing check wins: the ref before the type, the fill
+            # before the formula, and a repeated ref after the rest of its cell
+            pytest.param(
+                _one_sheet({"ref": "A0", "value": 1}),
+                "$.sheets[0].cells[0].ref",
+                "not an A1-style reference: 'A0'",
+                id="bad-ref-before-missing-type",
             ),
-            (
-                {"name": "x", "sheets": [{"name": "S", "cells": [{"ref": "A1", "value": 1, "type": "number", "fill": 7}]}]},
-                ".fill",
+            pytest.param(
+                _one_sheet({"ref": "A1", "formula": 3, "fill": 7}),
+                "$.sheets[0].cells[0].fill",
+                "expected a color string",
+                id="bad-fill-before-bad-formula",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", **_NUMBER}, {"ref": "A1", "value": "1", "type": "number"}),
+                "$.sheets[0].cells[1].value",
+                "expected a number",
+                id="bad-value-before-duplicate",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "formula": None}),
+                "$.sheets[0].cells[0].formula",
+                "expected a string",
+                id="null-formula",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "formula": 3}),
+                "$.sheets[0].cells[0].formula",
+                "expected a string",
+                id="number-formula",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": 1, "type": 3}),
+                "$.sheets[0].cells[0].type",
+                '"type" is required alongside "value"',
+                id="number-type",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": 1, "type": "Number"}),
+                "$.sheets[0].cells[0].type",
+                "unknown value type 'Number'",
+                id="type-case",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", **_NUMBER}, {"ref": "a1", "formula": "=1"}),
+                "$.sheets[0].cells[1].ref",
+                "duplicate cell 'a1'",
+                id="duplicate-lower-case",
+            ),
+            pytest.param(
+                _one_sheet({"value": 1, "type": "number"}),
+                "$.sheets[0].cells[0].ref",
+                "expected an A1-style string",
+                id="missing-ref",
+            ),
+            pytest.param(
+                _one_sheet({"ref": 5, **_NUMBER}), "$.sheets[0].cells[0].ref", "expected an A1-style string", id="number-ref"
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A0", **_NUMBER}),
+                "$.sheets[0].cells[0].ref",
+                "not an A1-style reference: 'A0'",
+                id="row-zero",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "XFE1", **_NUMBER}),
+                "$.sheets[0].cells[0].ref",
+                "reference out of bounds: 'XFE1'",
+                id="column-out-of-bounds",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1048577", **_NUMBER}),
+                "$.sheets[0].cells[0].ref",
+                "reference out of bounds: 'A1048577'",
+                id="row-out-of-bounds",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": True, "type": "number"}),
+                "$.sheets[0].cells[0].value",
+                "expected a number",
+                id="boolean-number",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": 1, "type": "boolean"}),
+                "$.sheets[0].cells[0].value",
+                "expected a boolean",
+                id="number-boolean",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": 1, "type": "text"}),
+                "$.sheets[0].cells[0].value",
+                "expected a string",
+                id="number-text",
+            ),
+            pytest.param(
+                _one_sheet({"ref": "A1", "value": None, "type": "error"}),
+                "$.sheets[0].cells[0].value",
+                "expected a string",
+                id="null-error",
+            ),
+            pytest.param(_one_sheet("A1"), "$.sheets[0].cells[0]", "expected a cell object", id="string-cell"),
+            pytest.param({"name": "x", "sheets": [[]]}, "$.sheets[0]", "expected a sheet object", id="list-sheet"),
+            pytest.param(
+                {"name": "x", "sheets": [{"name": "S", "cells": {}}]},
+                "$.sheets[0].cells",
+                "expected a list of cells",
+                id="dict-cells",
+            ),
+            pytest.param(
+                {"name": "x", "definedNames": {}, "sheets": []}, "$.definedNames", "expected a list", id="dict-names"
+            ),
+            pytest.param(
+                {"name": "x", "definedNames": ["n"], "sheets": []},
+                "$.definedNames[0]",
+                "expected a defined-name object",
+                id="string-name",
+            ),
+            pytest.param(
+                {"name": "x", "definedNames": [{"name": "", "target": "A1"}], "sheets": []},
+                "$.definedNames[0].name",
+                "expected a name",
+                id="empty-name",
             ),
         ],
     )
-    def test_rejects_with_path(self, document, path_fragment):
+    def test_rejects_with_path(self, document, path, message):
         with pytest.raises(SchemaError) as excinfo:
             read_interchange(document)
-        assert path_fragment in excinfo.value.path
+        assert excinfo.value.path == path
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_dict_subclass_entries_read_like_dicts(self):
+        plain = _one_sheet({"ref": "A1", **_NUMBER}, {"ref": "B2", "formula": "=A1"})
+        subclassed = _Entry(
+            name="x",
+            sheets=[_Entry(name="S", cells=[_Entry(ref="A1", **_NUMBER), _Entry(ref="B2", formula="=A1")])],
+        )
+        expected = read_interchange(plain).sheets[0].cells
+        assert read_interchange(subclassed).sheets[0].cells == expected
 
     def test_boolean_is_not_a_number(self):
         document = {
