@@ -13,7 +13,11 @@ Schema (values in <> are JSON types):
 Exactly one of formula/value per cell; "type" is required alongside "value";
 empty cells are omitted. Defined names are global only: the schema has no
 sheet-local names. Every value, type and fill is checked against the schema,
-but the model keeps only whether a cell holds a literal.
+but the model keeps only whether a cell holds a literal. A document that breaks
+the schema raises SchemaError naming the first failing check and its full JSON
+path, e.g. "$.sheets[1].cells[2].value: expected a number"; each cell's checks
+run in one pass, and its path is built only when one fails. A file may start
+with a UTF-8 byte order mark.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import re
 from pathlib import Path
 from typing import Any
 
-from .expressions import ValueType, column_letter_to_index
+from .expressions import column_letter_to_index
 from .model import Cell, CellCoordinate, DefinedName, Workbook, Worksheet
 from .parser import parse_formula, parse_text
 from .tokens import MAX_COL, MAX_ROW, FormulaError
@@ -50,11 +54,6 @@ def parse_cell_ref(text: str) -> tuple[int, int]:
     return row, col
 
 
-def _expect(condition: bool, path: str, message: str) -> None:
-    if not condition:
-        raise SchemaError(path, message)
-
-
 def _parse_defined_target(target: str):
     text = target[1:] if target.startswith("=") else target
     try:
@@ -63,90 +62,107 @@ def _parse_defined_target(target: str):
         return None
 
 
-def _read_cell(entry: Any, sheet_index: int, path: str) -> Cell:
-    _expect(isinstance(entry, dict), path, "expected a cell object")
-    ref = entry.get("ref")
-    _expect(isinstance(ref, str), path + ".ref", "expected an A1-style string")
-    try:
-        row, col = parse_cell_ref(ref)
-    except ValueError as exc:
-        raise SchemaError(path + ".ref", str(exc)) from None
-    has_formula = "formula" in entry
-    has_value = "value" in entry
-    _expect(
-        has_formula != has_value,
-        path,
-        "cell must carry exactly one of formula/value",
-    )
-    fill = entry.get("fill")
-    if fill is not None:
-        _expect(isinstance(fill, str), path + ".fill", "expected a color string")
-    coordinate = CellCoordinate(sheet_index, row, col)
-    if has_formula:
-        text = entry["formula"]
-        _expect(isinstance(text, str), path + ".formula", "expected a string")
-        _expect(text.startswith("="), path + ".formula", 'formula must start with "="')
-        return Cell(coordinate, parse_formula(text[1:]))
-    type_name = entry.get("type")
-    _expect(
-        isinstance(type_name, str),
-        path + ".type",
-        '"type" is required alongside "value"',
-    )
-    try:
-        value_type = ValueType(type_name)
-    except ValueError:
-        raise SchemaError(path + ".type", f"unknown value type {type_name!r}") from None
-    value = entry["value"]
-    if value_type is ValueType.NUMBER:
-        _expect(
-            isinstance(value, (int, float)) and not isinstance(value, bool),
-            path + ".value",
-            "expected a number",
-        )
-    elif value_type is ValueType.BOOLEAN:
-        _expect(isinstance(value, bool), path + ".value", "expected a boolean")
-    else:
-        _expect(isinstance(value, str), path + ".value", "expected a string")
-    return Cell(coordinate, literal=True)
+# (row, col) by accepted ref text, shared by every document read; cleared
+# when it reaches the cap. A rejected ref is never kept.
+_REF_CAP = 8192
+_REFS: dict[str, tuple[int, int]] = {}
+
+
+def _cell_error(s_idx: int, c_idx: int, field: str, message: str) -> SchemaError:
+    return SchemaError(f"$.sheets[{s_idx}].cells[{c_idx}]{field}", message)
+
+
+def _read_cells(cells_doc: list, s_idx: int) -> dict[tuple[int, int], Cell]:
+    """The cells of sheet ``s_idx``: each entry checked in one pass, its JSON
+    path built only when a check fails."""
+    sheet_index = s_idx + 1
+    cells: dict[tuple[int, int], Cell] = {}
+    for c_idx, entry in enumerate(cells_doc):
+        if not isinstance(entry, dict):
+            raise _cell_error(s_idx, c_idx, "", "expected a cell object")
+        ref = entry.get("ref")
+        if not isinstance(ref, str):
+            raise _cell_error(s_idx, c_idx, ".ref", "expected an A1-style string")
+        key = _REFS.get(ref)
+        if key is None:
+            try:
+                key = parse_cell_ref(ref)
+            except ValueError as exc:
+                raise _cell_error(s_idx, c_idx, ".ref", str(exc)) from None
+            if len(_REFS) >= _REF_CAP:
+                _REFS.clear()
+            _REFS[ref] = key
+        has_formula = "formula" in entry
+        if has_formula == ("value" in entry):
+            raise _cell_error(s_idx, c_idx, "", "cell must carry exactly one of formula/value")
+        fill = entry.get("fill")
+        if fill is not None and not isinstance(fill, str):
+            raise _cell_error(s_idx, c_idx, ".fill", "expected a color string")
+        coordinate = CellCoordinate(sheet_index, key[0], key[1])
+        if has_formula:
+            text = entry["formula"]
+            if not isinstance(text, str):
+                raise _cell_error(s_idx, c_idx, ".formula", "expected a string")
+            if not text.startswith("="):
+                raise _cell_error(s_idx, c_idx, ".formula", 'formula must start with "="')
+            cell = Cell(coordinate, parse_formula(text[1:]))
+        else:
+            type_name = entry.get("type")
+            if not isinstance(type_name, str):
+                raise _cell_error(s_idx, c_idx, ".type", '"type" is required alongside "value"')
+            value = entry["value"]
+            if type_name == "number":
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise _cell_error(s_idx, c_idx, ".value", "expected a number")
+            elif type_name == "text" or type_name == "error":
+                if not isinstance(value, str):
+                    raise _cell_error(s_idx, c_idx, ".value", "expected a string")
+            elif type_name == "boolean":
+                if not isinstance(value, bool):
+                    raise _cell_error(s_idx, c_idx, ".value", "expected a boolean")
+            else:
+                raise _cell_error(s_idx, c_idx, ".type", f"unknown value type {type_name!r}")
+            cell = Cell(coordinate, None, True)
+        if key in cells:
+            raise _cell_error(s_idx, c_idx, ".ref", f"duplicate cell {ref!r}")
+        cells[key] = cell
+    return cells
 
 
 def read_interchange(document: Any, *, default_name: str | None = None) -> Workbook:
     """Build a Workbook from a parsed interchange document."""
-    _expect(isinstance(document, dict), "$", "expected a workbook object")
+    if not isinstance(document, dict):
+        raise SchemaError("$", "expected a workbook object")
     name = document.get("name", default_name)
-    _expect(isinstance(name, str), "$.name", "expected a string")
+    if not isinstance(name, str):
+        raise SchemaError("$.name", "expected a string")
     sheets_doc = document.get("sheets")
-    _expect(isinstance(sheets_doc, list), "$.sheets", "expected a list of sheets")
+    if not isinstance(sheets_doc, list):
+        raise SchemaError("$.sheets", "expected a list of sheets")
     sheets: list[Worksheet] = []
     for s_idx, sheet_doc in enumerate(sheets_doc):
-        s_path = f"$.sheets[{s_idx}]"
-        _expect(isinstance(sheet_doc, dict), s_path, "expected a sheet object")
+        if not isinstance(sheet_doc, dict):
+            raise SchemaError(f"$.sheets[{s_idx}]", "expected a sheet object")
         sheet_name = sheet_doc.get("name")
-        _expect(isinstance(sheet_name, str), s_path + ".name", "expected a string")
+        if not isinstance(sheet_name, str):
+            raise SchemaError(f"$.sheets[{s_idx}].name", "expected a string")
         cells_doc = sheet_doc.get("cells", [])
-        _expect(isinstance(cells_doc, list), s_path + ".cells", "expected a list of cells")
-        cells: dict[tuple[int, int], Cell] = {}
-        for c_idx, entry in enumerate(cells_doc):
-            cell = _read_cell(entry, s_idx + 1, f"{s_path}.cells[{c_idx}]")
-            key = (cell.coordinate.row, cell.coordinate.col)
-            _expect(
-                key not in cells,
-                f"{s_path}.cells[{c_idx}].ref",
-                f"duplicate cell {entry.get('ref')!r}",
-            )
-            cells[key] = cell
-        sheets.append(Worksheet(sheet_name, s_idx + 1, cells))
+        if not isinstance(cells_doc, list):
+            raise SchemaError(f"$.sheets[{s_idx}].cells", "expected a list of cells")
+        sheets.append(Worksheet(sheet_name, s_idx + 1, _read_cells(cells_doc, s_idx)))
     defined: dict[tuple[None, str], DefinedName] = {}
     names_doc = document.get("definedNames", [])
-    _expect(isinstance(names_doc, list), "$.definedNames", "expected a list")
+    if not isinstance(names_doc, list):
+        raise SchemaError("$.definedNames", "expected a list")
     for n_idx, entry in enumerate(names_doc):
-        n_path = f"$.definedNames[{n_idx}]"
-        _expect(isinstance(entry, dict), n_path, "expected a defined-name object")
+        if not isinstance(entry, dict):
+            raise SchemaError(f"$.definedNames[{n_idx}]", "expected a defined-name object")
         dn_name = entry.get("name")
         target = entry.get("target")
-        _expect(isinstance(dn_name, str) and dn_name != "", n_path + ".name", "expected a name")
-        _expect(isinstance(target, str), n_path + ".target", "expected a target string")
+        if not isinstance(dn_name, str) or dn_name == "":
+            raise SchemaError(f"$.definedNames[{n_idx}].name", "expected a name")
+        if not isinstance(target, str):
+            raise SchemaError(f"$.definedNames[{n_idx}].target", "expected a target string")
         key = (None, dn_name.casefold())
         if key not in defined:  # first definition wins
             defined[key] = DefinedName(dn_name, target, _parse_defined_target(target))
@@ -158,7 +174,7 @@ def read_interchange(document: Any, *, default_name: str | None = None) -> Workb
 
 def read_interchange_file(path: str | Path) -> Workbook:
     path = Path(path)
-    with open(path, encoding="utf-8") as fp:
+    with open(path, encoding="utf-8-sig") as fp:
         try:
             document = json.load(fp)
         except json.JSONDecodeError as exc:

@@ -63,6 +63,17 @@ class TestAnalyze:
         code, _, _ = run(["analyze", str(stray)], capsys)
         assert code == 2
 
+    def test_utf8_bom_is_ignored(self, capsys, tmp_path):
+        plain = (FIXTURES / "g1.json").read_bytes()
+        (tmp_path / "bom").mkdir()
+        marked = tmp_path / "bom" / "g1.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain)
+        for report_format in ("csv", "json"):
+            argv = ["analyze", "--format", report_format]
+            expected = run([*argv, str(FIXTURES / "g1.json")], capsys)
+            assert expected[0] == 0
+            assert run([*argv, str(marked)], capsys) == expected
+
     def test_input_format_override(self, capsys, tmp_path):
         renamed = tmp_path / "workbook.data"
         renamed.write_bytes((FIXTURES / "g1.json").read_bytes())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellgauge import interchange
+from cellgauge.expressions import column_index_to_letter
 from cellgauge.interchange import (
     SchemaError,
     parse_cell_ref,
@@ -17,6 +20,7 @@ from cellgauge.interchange import (
 )
 from cellgauge.model import CellCoordinate, CellKind
 
+from . import reference_interchange
 from .genutil import gen_workbook_doc
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -347,3 +351,113 @@ class TestSchemaErrors:
         }
         with pytest.raises(SchemaError):
             read_interchange(document)
+
+
+# Fields a mutation may set, and values to set them to: types the schema
+# refuses, refs it refuses or that repeat, and valid values in the wrong place.
+_FIELDS = ("ref", "formula", "value", "type", "fill", "name", "cells", "sheets", "definedNames", "target")
+_VALUES = (
+    None, 0, 3, 2.5, True, False, "", "x", "A1", "a1", "B2", "XFE1", "A0", "$A$1", "B2\n",
+    "=1+", "=A1*2", "1+1", "number", "text", "boolean", "error", "decimal", "#FFCC00",
+    [], {}, [{}], ["A1"], [{"ref": "A1", "value": 1, "type": "number"}],
+)
+
+
+def _mutate(document: dict, rng: random.Random) -> None:
+    """Drop, retype or replace one field of the document, one sheet, cell or
+    defined name; copy one field from another of them (so sheet names and
+    refs repeat, maybe in the other case); or replace one whole entry."""
+    targets, entry_lists = [document], []
+    names = document.get("definedNames")
+    if isinstance(names, list):
+        entry_lists.append(names)
+        targets.extend(entry for entry in names if isinstance(entry, dict))
+    sheets = document.get("sheets")
+    if isinstance(sheets, list):
+        entry_lists.append(sheets)
+        for sheet in sheets:
+            if isinstance(sheet, dict):
+                targets.append(sheet)
+                cells = sheet.get("cells")
+                if isinstance(cells, list):
+                    entry_lists.append(cells)
+                    targets.extend(cell for cell in cells if isinstance(cell, dict))
+    target, other = rng.choice(targets), rng.choice(targets)
+    shared = sorted(set(target) & set(other))
+    action = rng.randrange(5)
+    if action == 0 and target:
+        del target[rng.choice(sorted(target))]
+    elif action == 1 and target:
+        field = rng.choice(sorted(target))
+        target[field] = copy.deepcopy(rng.choice([v for v in _VALUES if type(v) is not type(target[field])]))
+    elif action == 2 and shared:
+        field = rng.choice(shared)
+        value = copy.deepcopy(other[field])
+        target[field] = value.swapcase() if isinstance(value, str) and rng.random() < 0.5 else value
+    elif action == 3 and any(entry_lists):
+        entries = rng.choice([entries for entries in entry_lists if entries])
+        entries[rng.randrange(len(entries))] = copy.deepcopy(rng.choice(_VALUES))
+    else:
+        target[rng.choice(_FIELDS)] = copy.deepcopy(rng.choice(_VALUES))
+
+
+def _outcome(read, document):
+    """What a reader makes of a document: every stored cell, by sheet, and the
+    defined names; or the error it raises, with its path and message."""
+    try:
+        workbook = read(document)
+    except Exception as exc:  # the outcome is the exception, whatever its type
+        return type(exc).__name__, getattr(exc, "path", None), str(exc)
+    cells = {
+        (sheet.index, row, col): (cell.coordinate, cell.literal, cell.formula)
+        for sheet in workbook.sheets
+        for (row, col), cell in sheet.cells.items()
+    }
+    return workbook.name, [sheet.name for sheet in workbook.sheets], cells, workbook.defined_names
+
+
+class TestAgainstReference:
+    @given(st.integers(0, 2**48), st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_documents_read_as_the_reference_reads_them(self, seed, mutations):
+        rng = random.Random(seed)
+        document = gen_workbook_doc(rng)
+        for _ in range(mutations):
+            _mutate(document, rng)
+        expected = _outcome(reference_interchange.read_interchange, document)
+        assert _outcome(read_interchange, document) == expected
+
+    def test_ref_map_is_bounded_and_keeps_no_rejected_ref(self, monkeypatch):
+        refs: dict = {}
+        parsed: list[str] = []
+        sizes: list[int] = []
+
+        def parse_and_count(text):
+            parsed.append(text)
+            sizes.append(len(refs))
+            return parse_cell_ref(text)
+
+        monkeypatch.setattr(interchange, "_REF_CAP", 16)
+        monkeypatch.setattr(interchange, "_REFS", refs)
+        monkeypatch.setattr(interchange, "parse_cell_ref", parse_and_count)
+        positions = [(1 + i // 7, 1 + i % 7) for i in range(100)]
+        document = _one_sheet(*({"ref": f"{column_index_to_letter(col)}{row}", **_NUMBER} for row, col in positions))
+        for _ in range(2):
+            workbook = read_interchange(document)
+            assert max(sizes) == 16 and len(refs) <= 16
+            assert {key: cell.coordinate for key, cell in workbook.sheets[0].cells.items()} == {
+                (row, col): CellCoordinate(1, row, col) for row, col in positions
+            }
+        assert len(parsed) == 200  # the map never held all 100 refs
+        refs.clear()
+        parsed.clear()
+        few = _one_sheet(*({"ref": f"A{row}", **_NUMBER} for row in range(1, 11)))
+        read_interchange(few)
+        read_interchange(few)
+        assert len(parsed) == 10  # the second read finds every ref in the map
+        for bad, message in (("XFE1", "reference out of bounds: 'XFE1'"), ("A0", "not an A1-style reference: 'A0'")):
+            for attempt in (1, 2):
+                with pytest.raises(SchemaError) as excinfo:
+                    read_interchange(_one_sheet({"ref": bad, **_NUMBER}))
+                assert str(excinfo.value) == f"$.sheets[0].cells[0].ref: {message}"
+                assert bad not in refs and parsed.count(bad) == attempt
