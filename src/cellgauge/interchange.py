@@ -22,6 +22,7 @@ with a UTF-8 byte order mark.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from pathlib import Path
@@ -54,18 +55,18 @@ def parse_cell_ref(text: str) -> tuple[int, int]:
     return row, col
 
 
+# The same ref texts recur in every interchange workbook of a corpus; a call
+# that raises is not cached. The xlsx reader calls parse_cell_ref uncached:
+# there the cache raised peak memory without a measurable gain.
+_cached_cell_ref = functools.lru_cache(maxsize=8192)(parse_cell_ref)
+
+
 def _parse_defined_target(target: str):
     text = target[1:] if target.startswith("=") else target
     try:
         return parse_text(text)
     except FormulaError:
         return None
-
-
-# (row, col) by accepted ref text, shared by every document read; cleared
-# when it reaches the cap. A rejected ref is never kept.
-_REF_CAP = 8192
-_REFS: dict[str, tuple[int, int]] = {}
 
 
 def _cell_error(s_idx: int, c_idx: int, field: str, message: str) -> SchemaError:
@@ -83,15 +84,10 @@ def _read_cells(cells_doc: list, s_idx: int) -> dict[tuple[int, int], Cell]:
         ref = entry.get("ref")
         if not isinstance(ref, str):
             raise _cell_error(s_idx, c_idx, ".ref", "expected an A1-style string")
-        key = _REFS.get(ref)
-        if key is None:
-            try:
-                key = parse_cell_ref(ref)
-            except ValueError as exc:
-                raise _cell_error(s_idx, c_idx, ".ref", str(exc)) from None
-            if len(_REFS) >= _REF_CAP:
-                _REFS.clear()
-            _REFS[ref] = key
+        try:
+            key = _cached_cell_ref(ref)
+        except ValueError as exc:
+            raise _cell_error(s_idx, c_idx, ".ref", str(exc)) from None
         has_formula = "formula" in entry
         if has_formula == ("value" in entry):
             raise _cell_error(s_idx, c_idx, "", "cell must carry exactly one of formula/value")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 import random
 from pathlib import Path
 
@@ -427,37 +428,18 @@ class TestAgainstReference:
         expected = _outcome(reference_interchange.read_interchange, document)
         assert _outcome(read_interchange, document) == expected
 
-    def test_ref_map_is_bounded_and_keeps_no_rejected_ref(self, monkeypatch):
-        refs: dict = {}
-        parsed: list[str] = []
-        sizes: list[int] = []
-
-        def parse_and_count(text):
-            parsed.append(text)
-            sizes.append(len(refs))
-            return parse_cell_ref(text)
-
-        monkeypatch.setattr(interchange, "_REF_CAP", 16)
-        monkeypatch.setattr(interchange, "_REFS", refs)
-        monkeypatch.setattr(interchange, "parse_cell_ref", parse_and_count)
+    def test_ref_cache_is_bounded_and_keeps_no_rejected_ref(self, monkeypatch):
+        assert interchange._cached_cell_ref.cache_info().maxsize == 8192
+        cache = functools.lru_cache(maxsize=16)(parse_cell_ref)
+        monkeypatch.setattr(interchange, "_cached_cell_ref", cache)
         positions = [(1 + i // 7, 1 + i % 7) for i in range(100)]
         document = _one_sheet(*({"ref": f"{column_index_to_letter(col)}{row}", **_NUMBER} for row, col in positions))
-        for _ in range(2):
-            workbook = read_interchange(document)
-            assert max(sizes) == 16 and len(refs) <= 16
-            assert {key: cell.coordinate for key, cell in workbook.sheets[0].cells.items()} == {
-                (row, col): CellCoordinate(1, row, col) for row, col in positions
-            }
-        assert len(parsed) == 200  # the map never held all 100 refs
-        refs.clear()
-        parsed.clear()
-        few = _one_sheet(*({"ref": f"A{row}", **_NUMBER} for row in range(1, 11)))
-        read_interchange(few)
-        read_interchange(few)
-        assert len(parsed) == 10  # the second read finds every ref in the map
-        for bad, message in (("XFE1", "reference out of bounds: 'XFE1'"), ("A0", "not an A1-style reference: 'A0'")):
-            for attempt in (1, 2):
-                with pytest.raises(SchemaError) as excinfo:
+        cells = read_interchange(document).sheets[0].cells
+        assert {key: cell.coordinate for key, cell in cells.items()} == {
+            (row, col): CellCoordinate(1, row, col) for row, col in positions
+        }
+        for bad in ("XFE1", "A0"):
+            for _ in range(2):
+                with pytest.raises(SchemaError):
                     read_interchange(_one_sheet({"ref": bad, **_NUMBER}))
-                assert str(excinfo.value) == f"$.sheets[0].cells[0].ref: {message}"
-                assert bad not in refs and parsed.count(bad) == attempt
+        assert cache.cache_info() == (0, 104, 16, 16)  # hits, misses, maxsize, size
