@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 
+from .expressions import Value
 from .metrics import METRIC_IDS, MetricRecord
 
 
@@ -22,11 +22,13 @@ class NoDataError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusSummary:
-    spreadsheet_count: int
-    ratio_with_formulas: float
-    per_metric: dict[str, float | None]
+class CorpusSummary(Value):
+    __slots__ = ("spreadsheet_count", "ratio_with_formulas", "per_metric")
+
+    def __init__(self, spreadsheet_count: int, ratio_with_formulas: float, per_metric: dict[str, float | None]):
+        self.spreadsheet_count = spreadsheet_count
+        self.ratio_with_formulas = ratio_with_formulas
+        self.per_metric = per_metric
 
 
 def aggregate(records: list[MetricRecord]) -> CorpusSummary:
@@ -45,18 +47,22 @@ def aggregate(records: list[MetricRecord]) -> CorpusSummary:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class HistogramSpec:
-    bins: int = 20
-    # None: [0, 1] for ratio metrics, min..max observed otherwise.
-    bounds: tuple[float, float] | None = None
+class HistogramSpec(Value):
+    __slots__ = ("bins", "bounds")
+
+    def __init__(self, bins: int = 20, bounds: tuple[float, float] | None = None):
+        self.bins = bins
+        # None: [0, 1] for ratio metrics, min..max observed otherwise.
+        self.bounds = bounds
 
 
-@dataclass(frozen=True, slots=True)
-class Histogram:
-    metric_id: str
-    bin_edges: tuple[float, ...]
-    counts: tuple[int, ...]
+class Histogram(Value):
+    __slots__ = ("metric_id", "bin_edges", "counts")
+
+    def __init__(self, metric_id: str, bin_edges: tuple[float, ...], counts: tuple[int, ...]):
+        self.metric_id = metric_id
+        self.bin_edges = bin_edges
+        self.counts = counts
 
 
 # Ratio-valued metrics default to a fixed [0, 1] axis.
@@ -225,11 +231,14 @@ def spearman(records: list[MetricRecord], metric_a: str, metric_b: str) -> tuple
     return _Columns(records, (metric_a, metric_b), rank=True).correlate(0, 1)
 
 
-@dataclass(frozen=True, slots=True)
-class CorrelationMatrix:
-    metric_ids: tuple[str, ...]
-    r: tuple[tuple[float | None, ...], ...]
-    n: tuple[tuple[int, ...], ...]
+class CorrelationMatrix(Value):
+    __slots__ = ("metric_ids", "r", "n")
+
+    def __init__(self, metric_ids: tuple[str, ...], r: tuple[tuple[float | None, ...], ...],
+                 n: tuple[tuple[int, ...], ...]):
+        self.metric_ids = metric_ids
+        self.r = r
+        self.n = n
 
 
 def correlation_matrix(

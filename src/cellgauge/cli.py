@@ -98,12 +98,6 @@ def _parse_conditional_set(option: str | None) -> frozenset[str]:
     return frozenset(name.strip().upper() for name in option.split(",") if name.strip())
 
 
-def _parallelism(option: int | None) -> int:
-    if option is not None:
-        return max(1, option)
-    return os.cpu_count() or 1
-
-
 # (absolute path, relative path, conditional function names) of one file,
 # and its outcome: ("ok", relative, record) or ("error", relative, message).
 _Task = tuple[str, str, tuple[str, ...]]
@@ -265,7 +259,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     paths, legacy_skips = _scan_paths(root)
     tasks = [(path, relative, tuple(sorted(conditional))) for path, relative in paths]
     # Never more workers than files: a pool may start every worker up front.
-    degree = min(_parallelism(args.threads), len(tasks))
+    degree = min(args.threads or os.cpu_count() or 1, len(tasks))
     if degree > 1:
         outcomes = _run_pool(tasks, degree)
     else:
@@ -338,7 +332,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument(
         "--histogram", metavar="METRIC", choices=METRIC_IDS, help="also emit a histogram of METRIC"
     )
-    p_corpus.add_argument("--bins", type=_bins_option, help="histogram bin count (default 20)")
+    p_corpus.add_argument("--bins", type=_count_option, help="histogram bin count (default 20)")
     p_corpus.add_argument(
         "--range",
         type=_range_option,
@@ -351,7 +345,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_corpus.add_argument(
         "--threads",
-        type=int,
+        type=_count_option,
         help="worker processes (default: all cores)",
     )
     common(p_corpus)
@@ -359,14 +353,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _bins_option(text: str) -> int:
+def _count_option(text: str) -> int:
+    """--bins and --threads: an integer of at least 1."""
     try:
-        bins = int(text)
+        count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("expected an integer") from None
-    if bins < 1:
-        raise argparse.ArgumentTypeError("bin count must be at least 1")
-    return bins
+    if count < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return count
 
 
 def _range_option(text: str) -> tuple[float, float]:

@@ -1,16 +1,16 @@
 """Formula AST: node types, canonical serialization, column-letter arithmetic.
 
 Leaves are constants and references/ranges; internal nodes are functions,
-operators, and explicit parentheses. Trees are immutable and hashable, but
-the generated equality and hash recurse once per level, so library code
-uses neither; every function here that visits a tree keeps its own stack.
-So does ``repr``: it gives the generated dataclass text at any depth.
+operators, and explicit parentheses. Nodes are `Value`s: equal by class and
+fields, hashable, and immutable by convention. Equality and hash recurse once
+per level, so library code uses neither; every function here that visits a
+tree keeps its own stack. So does ``repr``: it gives the dataclass-style text
+at any depth.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
@@ -89,83 +89,119 @@ def column_index_to_letter(index: int) -> str:
     return "".join(reversed(out))
 
 
-class Expr:
-    """Base class for all AST nodes."""
+class Value:
+    """Base of the plain value classes: models, tree nodes, report values.
+
+    A subclass lists its fields, in order, as ``__slots__`` and sets them in
+    ``__init__``. A value equals only a value of the same class with equal
+    fields, hashes over its fields and has a dataclass-style repr. Values are
+    immutable by convention, with nothing checking it: they are hashed,
+    pickled and shared (the parser reuses one node per reference text).
+    """
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def __repr__(self) -> str:
         return _node_repr(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
-class CellLocator:
+class Expr(Value):
+    """Base class for all AST nodes."""
+
+    __slots__ = ()
+
+
+class CellLocator(Value):
     """Pre-resolution grid position inside a reference.
 
     row is None for full-column locators (A:A), col is None for full-row
     locators (1:1); a single-cell locator has both.
     """
 
-    row: int | None
-    col: int | None
-    row_abs: bool = False
-    col_abs: bool = False
+    __slots__ = ("row", "col", "row_abs", "col_abs")
 
-    def __repr__(self) -> str:
-        return _node_repr(self)
+    def __init__(self, row: int | None, col: int | None, row_abs: bool = False, col_abs: bool = False):
+        self.row = row
+        self.col = col
+        self.row_abs = row_abs
+        self.col_abs = col_abs
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Function(Expr):
-    name: str  # stored uppercase
-    args: tuple[Expr, ...]
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Expr, ...]):
+        self.name = name  # stored uppercase
+        self.args = args
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Operator(Expr):
-    kind: OpKind
-    operands: tuple[Expr, ...]  # one operand for unary kinds, two otherwise
+    __slots__ = ("kind", "operands")
+
+    def __init__(self, kind: OpKind, operands: tuple[Expr, ...]):
+        self.kind = kind
+        self.operands = operands  # one operand for unary kinds, two otherwise
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Constant(Expr):
-    value_type: ValueType
-    lexeme: str  # verbatim source text (strings keep their quotes)
+    __slots__ = ("value_type", "lexeme")
+
+    def __init__(self, value_type: ValueType, lexeme: str):
+        self.value_type = value_type
+        self.lexeme = lexeme  # verbatim source text (strings keep their quotes)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Parenthesis(Expr):
-    inner: Expr
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: Expr):
+        self.inner = inner
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Reference(Expr):
     """Single-cell reference: a grid locator, a defined name, or a #REF! error."""
 
-    sheet: str | None = None
-    locator: CellLocator | None = None
-    name: str | None = None
-    external: bool = False
-    ref_error: bool = False
+    __slots__ = ("sheet", "locator", "name", "external", "ref_error")
+
+    def __init__(self, sheet: str | None = None, locator: CellLocator | None = None, name: str | None = None,
+                 external: bool = False, ref_error: bool = False):
+        self.sheet = sheet
+        self.locator = locator
+        self.name = name
+        self.external = external
+        self.ref_error = ref_error
 
     @property
     def by_name(self) -> bool:
         return self.name is not None
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Range(Expr):
     """Rectangular cell block; endpoints share the optional sheet qualifier."""
 
-    start: CellLocator
-    end: CellLocator
-    sheet: str | None = None
-    external: bool = False
+    __slots__ = ("start", "end", "sheet", "external")
+
+    def __init__(self, start: CellLocator, end: CellLocator, sheet: str | None = None, external: bool = False):
+        self.start = start
+        self.end = end
+        self.sheet = sheet
+        self.external = external
 
 
-def _node_repr(node: Expr | CellLocator) -> str:
-    """The text the generated dataclass repr would give, built with an
-    explicit stack so a tree of any depth has one."""
+def _node_repr(node: Value) -> str:
+    """The text a dataclass repr would give, built with an explicit stack so
+    a tree of any depth has one."""
     out: list[str] = []
     # (True, text to emit as is) or (False, value to write)
     stack: list = [(False, node)]
@@ -175,14 +211,13 @@ def _node_repr(node: Expr | CellLocator) -> str:
         if is_text:
             emit(value)
             continue
-        if isinstance(value, (Expr, CellLocator)):
+        if isinstance(value, Value):
             emit(type(value).__qualname__ + "(")
             push((True, ")"))
-            node_fields = fields(value)
-            for i in range(len(node_fields) - 1, -1, -1):
-                name = node_fields[i].name
-                push((False, getattr(value, name)))
-                push((True, f", {name}=" if i else f"{name}="))
+            names = value.__slots__
+            for i in range(len(names) - 1, -1, -1):
+                push((False, getattr(value, names[i])))
+                push((True, f", {names[i]}=" if i else f"{names[i]}="))
         elif type(value) is tuple:
             emit("(")
             push((True, ",)" if len(value) == 1 else ")"))

@@ -8,10 +8,9 @@ ratios with a zero denominator are absent (None), never zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .expressions import Expr, write_tree
+from .expressions import Expr, Value, write_tree
 from .graph import DependencyGraph, NotAFormulaCellError
 from .model import Cell, CellCoordinate, CellKind, Workbook, classify_cells
 
@@ -134,15 +133,19 @@ def _line_ends(points, along: int) -> list[CellCoordinate]:
     return [p for low, high in ends.values() for p in ((low,) if low is high else (low, high))]
 
 
-@dataclass(frozen=True)
-class MetricRecord:
-    workbook_id: str
-    sheet_count: int
-    non_empty_cells: int
-    input_cells: int
-    formula_cells: int
-    parse_failures: int
-    metrics: dict[str, float | int | None]  # keyed by M01..M22
+class MetricRecord(Value):
+    __slots__ = ("workbook_id", "sheet_count", "non_empty_cells", "input_cells", "formula_cells", "parse_failures",
+                 "metrics")
+
+    def __init__(self, workbook_id: str, sheet_count: int, non_empty_cells: int, input_cells: int,
+                 formula_cells: int, parse_failures: int, metrics: dict[str, float | int | None]):
+        self.workbook_id = workbook_id
+        self.sheet_count = sheet_count
+        self.non_empty_cells = non_empty_cells
+        self.input_cells = input_cells
+        self.formula_cells = formula_cells
+        self.parse_failures = parse_failures
+        self.metrics = metrics  # keyed by M01..M22
 
 
 def _ratio(numerator: int, denominator: int) -> float | None:

@@ -1,16 +1,16 @@
 """Workbook model: sheets, sparse cell grids, defined names, cell taxonomy.
 
-All model values are treated as immutable once a Workbook is constructed;
-they are safe to share across threads and processes.
+All model values are immutable by convention once a Workbook is constructed
+(nothing checks it; see `expressions.Value`); they are safe to share across
+threads and processes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .expressions import Expr
+from .expressions import Expr, Value
 
 if TYPE_CHECKING:
     from .graph import DependencyGraph
@@ -42,39 +42,43 @@ class CellKind(enum.Enum):
     FORMULA = "formula"
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
+class Formula(Value):
     """Formula content of a cell; text survives even when parsing fails."""
 
-    text: str  # formula body, without the leading "="
-    expr: Expr | None
-    error: str | None = None
+    __slots__ = ("text", "expr", "error")
+
+    def __init__(self, text: str, expr: Expr | None, error: str | None = None):
+        self.text = text  # formula body, without the leading "="
+        self.expr = expr
+        self.error = error
 
 
-@dataclass(frozen=True, slots=True)
-class Cell:
+class Cell(Value):
     """A stored cell: a formula, a literal (whose value is not kept), or
     neither (stored for its formatting alone, e.g. a fill)."""
 
-    coordinate: CellCoordinate
-    formula: Formula | None = None
-    literal: bool = False
+    __slots__ = ("coordinate", "formula", "literal")
 
-    def __post_init__(self) -> None:
-        if self.literal and self.formula is not None:
-            raise ValueError(f"cell {self.coordinate} has both a literal and a formula")
+    def __init__(self, coordinate: CellCoordinate, formula: Formula | None = None, literal: bool = False):
+        if literal and formula is not None:
+            raise ValueError(f"cell {coordinate} has both a literal and a formula")
+        self.coordinate = coordinate
+        self.formula = formula
+        self.literal = literal
 
     @property
     def has_content(self) -> bool:
         return self.literal or self.formula is not None
 
 
-@dataclass(frozen=True, slots=True)
-class DefinedName:
-    name: str
-    target: str  # target text as found in the workbook, e.g. "Sheet1!$A$1:$B$2"
-    expr: Expr | None  # parsed target; None when unparseable (uses dangle)
-    scope: int | None = None  # index of the sheet it is local to; None: global
+class DefinedName(Value):
+    __slots__ = ("name", "target", "expr", "scope")
+
+    def __init__(self, name: str, target: str, expr: Expr | None, scope: int | None = None):
+        self.name = name
+        self.target = target  # as found in the workbook, e.g. "Sheet1!$A$1:$B$2"
+        self.expr = expr  # parsed target; None when unparseable (uses dangle)
+        self.scope = scope  # index of the sheet it is local to; None: global
 
 
 class Worksheet:

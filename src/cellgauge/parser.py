@@ -16,11 +16,11 @@ would have to scan on to the end after every parse error anyway.
 A REFERENCE token (a whole reference the scanner took as one lexeme) becomes
 its Reference or Range through one module-level dict keyed by lexeme, so
 each distinct reference text is built once per process and its node shared
-by every formula that writes it. Sharing is safe because nodes are frozen
-and a reference resolves the same wherever it appears. The dict holds at
-most ``_NODE_CAP`` entries and is cleared when full. References split by
-whitespace, row and column ranges, names and ``#REF!`` arrive as fine tokens
-and are read token by token.
+by every formula that writes it. Sharing is safe because no code mutates a
+node (see `expressions.Value`) and a reference resolves the same wherever it
+appears. The dict holds at most ``_NODE_CAP`` entries and is cleared when
+full. References split by whitespace, row and column ranges, names and
+``#REF!`` arrive as fine tokens and are read token by token.
 
 Precedence, loosest to tightest: comparisons; & ; + - ; * / ; ^ ; postfix % ;
 unary +- ; range colon and parentheses. All binary operators associate left,

@@ -393,6 +393,15 @@ class TestCorpus:
         assert excinfo.value.code == 3
         assert option[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-1", "two"])
+    def test_threads_below_one_exit_3(self, capsys, tmp_path, threads):
+        # never a silent serial run: a bad count is a bad argument
+        write_corpus(tmp_path / "corpus", 2, seed=11)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["corpus", str(tmp_path / "corpus"), "--threads", threads])
+        assert excinfo.value.code == 3
+        assert "--threads" in capsys.readouterr().err
+
     def test_planted_linear_dependence_correlates_exactly(self, capsys, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -483,7 +492,8 @@ class TestCorpus:
             "import sys\n"
             "from cellgauge.cli import main\n"
             "code = main(['corpus', sys.argv[1], '--out', sys.argv[2], '--threads', '1'])\n"
-            "print(code, sorted({'multiprocessing', 'concurrent.futures', 'statistics'} & set(sys.modules)))\n"
+            "print(code, sorted({'multiprocessing', 'concurrent.futures', 'statistics', 'dataclasses'}"
+            " & set(sys.modules)))\n"
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,8 +1,10 @@
-"""Column-letter arithmetic, serialization details and node repr."""
+"""Column-letter arithmetic, serialization details, node repr and the
+value contract (equality, hash, pickling)."""
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
+import pickle
 
 import pytest
 from hypothesis import given
@@ -18,15 +20,20 @@ from cellgauge.expressions import (
     Parenthesis,
     Range,
     Reference,
+    Value,
     ValueType,
     column_index_to_letter,
     column_letter_to_index,
     serialize,
 )
-from cellgauge.metrics import ast_metrics
+from cellgauge.analytics import Histogram, HistogramSpec, histogram
+from cellgauge.graph import build_graph
+from cellgauge.metrics import MetricRecord, ast_metrics, compute_record
+from cellgauge.model import Cell, CellCoordinate, Formula
 from cellgauge.parser import parse_text
 
 from . import oracle
+from .genutil import make_workbook
 
 
 class TestColumnLetters:
@@ -120,10 +127,12 @@ class TestNormalizedKey:
 
 
 def recursive_repr(value) -> str:
-    """The generated dataclass repr, spelled out recursively: the reference
-    for the iterative one."""
-    if dataclasses.is_dataclass(value):
-        fields = ", ".join(f"{f.name}={recursive_repr(getattr(value, f.name))}" for f in dataclasses.fields(value))
+    """A dataclass-style repr spelled out recursively: the reference for the
+    iterative one. A value's fields are its constructor's parameters, in
+    declaration order."""
+    if isinstance(value, Value):
+        names = list(inspect.signature(type(value)).parameters)
+        fields = ", ".join(f"{name}={recursive_repr(getattr(value, name))}" for name in names)
         return f"{type(value).__qualname__}({fields})"
     if type(value) is tuple:
         items = [recursive_repr(item) for item in value]
@@ -162,6 +171,36 @@ class TestRepr:
     def test_same_text_as_the_recursive_reference(self, tree):
         assert repr(tree) == recursive_repr(tree)
 
+    # The texts below are the reprs the frozen dataclasses generated.
+    def test_metric_record_text(self):
+        record = MetricRecord("book.xlsx", 1, 4, 2, 2, 0, {"M03": 2, "M04": 0.5, "M09": None})
+        assert repr(record) == recursive_repr(record) == (
+            "MetricRecord(workbook_id='book.xlsx', sheet_count=1, non_empty_cells=4, input_cells=2, "
+            "formula_cells=2, parse_failures=0, metrics={'M03': 2, 'M04': 0.5, 'M09': None})"
+        )
+
+    def test_histogram_text(self):
+        record = MetricRecord("book.xlsx", 1, 4, 2, 2, 0, {"M04": 0.5})
+        assert repr(histogram([record], "M04", HistogramSpec(bins=4))) == (
+            "Histogram(metric_id='M04', bin_edges=(0.0, 0.25, 0.5, 0.75, 1.0), counts=(0, 0, 1, 0))"
+        )
+        assert repr(Histogram("M03", (1.0,), (3,))) == "Histogram(metric_id='M03', bin_edges=(1.0,), counts=(3,))"
+
+    def test_formula_cell_text(self):
+        cell = Cell(CellCoordinate(1, 2, 3), Formula("SUM(A:A)", parse_text("SUM(A:A)")))
+        column = "CellLocator(row=None, col=1, row_abs=False, col_abs=False)"
+        assert repr(cell) == recursive_repr(cell) == (
+            "Cell(coordinate=CellCoordinate(sheet=1, row=2, col=3), formula=Formula(text='SUM(A:A)', "
+            f"expr=Function(name='SUM', args=(Range(start={column}, end={column}, sheet=None, external=False),)), "
+            "error=None), literal=False)"
+        )
+
+    def test_full_column_range_text(self):
+        assert repr(parse_text("Data!$B:B")) == (
+            "Range(start=CellLocator(row=None, col=2, row_abs=False, col_abs=True), "
+            "end=CellLocator(row=None, col=2, row_abs=False, col_abs=False), sheet='Data', external=False)"
+        )
+
     def test_depth_10000_nested_parentheses(self):
         leaf = parse_text("A1")
         tree = parse_text("(" * 10_000 + "A1" + ")" * 10_000)
@@ -173,3 +212,43 @@ class TestRepr:
         assert repr(tree) == (
             "Operator(kind=<OpKind.ADD: 'add'>, operands=(" * 10_000 + repr(leaf) + f", {leaf!r}))" * 10_000
         )
+
+
+class TestValueContract:
+    def test_equal_only_with_the_same_class(self):
+        leaf = parse_text("A1")
+        assert Parenthesis(leaf) != (leaf,)
+        assert (leaf,) != Parenthesis(leaf)
+        # the same field values, but a different class
+        assert Function("ADD", (leaf, leaf)) != Operator("ADD", (leaf, leaf))  # type: ignore[arg-type]
+        assert Function("SUM", (leaf,)) == Function("SUM", (leaf,))
+        assert Function("SUM", (leaf,)) != Function("SUM", (leaf, leaf))
+        assert CellLocator(1, 2) == CellLocator(1, 2, False, False) != CellLocator(1, 2, True)
+
+    @given(_trees)
+    def test_rebuilt_trees_are_equal_and_hash_equal(self, tree):
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy is not tree
+        assert copy == tree and not copy != tree
+        assert hash(copy) == hash(tree)
+        assert repr(copy) == repr(tree)
+
+    def test_parsed_trees_hash_equal(self):
+        text = "IF(A1>0,SUM(Data!B1:B10),-C1%)"
+        assert parse_text(text) == parse_text(text)
+        assert hash(parse_text(text)) == hash(parse_text(text))
+        assert parse_text(text) != parse_text(text + "+1")
+
+    def test_cell_with_literal_and_formula_is_refused(self):
+        formula = Formula("A1", parse_text("A1"))
+        with pytest.raises(ValueError, match=r"has both a literal and a formula"):
+            Cell(CellCoordinate(1, 1, 2), formula, literal=True)
+
+    def test_pickle_round_trip(self):
+        # the process pool pickles every record it sends back
+        tree = parse_text("SUMIF(A1:A9,\">0\",'Q1 Sales'!$B$1:$B$9)&#REF!")
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        workbook = make_workbook([("S", {"A1": "=SUM(B1:B3)", "B1": "1", "B2": "=B1*2"})])
+        record = compute_record(workbook, build_graph(workbook))
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and repr(copy) == repr(record)
