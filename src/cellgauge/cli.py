@@ -7,6 +7,8 @@ a report file that cannot be opened).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import logging
 import math
@@ -92,6 +94,27 @@ def analyze_workbook(
     )
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while one file is read and analyzed.
+
+    A workbook's trees, cells and graph are tens of thousands of tracked
+    objects and no reference cycles, so collections during that work
+    traverse them again and again and free nothing; the collector runs
+    between files instead. It is turned back on only if it was on, so a
+    caller that had turned it off keeps it off. This relies on the work
+    creating no reference cycles, which would otherwise pile up between
+    collections.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _parse_conditional_set(option: str | None) -> frozenset[str]:
     if option is None:
         return DEFAULT_CONDITIONAL_FUNCTIONS
@@ -107,18 +130,20 @@ _Outcome = tuple[str, str, object]
 def _corpus_worker(args: _Task) -> _Outcome:
     path, relative, conditional = args
     try:
-        workbook = load_workbook(path)
-        record = analyze_workbook(
-            workbook,
-            conditional_functions=frozenset(conditional),
-            workbook_id=relative,
-        )
+        # The workbook is freed before the collector is back on, so the
+        # next collection has only the record left to traverse.
+        with _collector_paused():
+            record = analyze_workbook(
+                load_workbook(path),
+                conditional_functions=frozenset(conditional),
+                workbook_id=relative,
+            )
         return ("ok", relative, record)
     except Exception as exc:  # one bad file must never end a corpus run
         return ("error", relative, f"{type(exc).__name__}: {exc}")
 
 
-_CHUNK = 8  # files per pool task
+_CHUNK = 8  # at most this many files per pool task
 
 
 def _corpus_chunk(tasks: list[_Task]) -> list[_Outcome]:
@@ -130,6 +155,9 @@ def _run_pool(tasks: list[_Task], degree: int) -> list[_Outcome]:
 
     A worker that dies (killed for memory, say) breaks the pool and loses
     the chunks it had not finished; the outcomes already returned are kept.
+    Each chunk holds ceil(n / (4 * degree)) of the n files, so each worker
+    gets about four, but never more than `_CHUNK`: a small corpus still
+    reaches every worker, and a large one keeps the cost per task low.
     Workers take chunks in order, so the chunk that killed one is as a rule
     among the first `degree` unfinished ones: each of their files is rerun
     alone in a fresh worker, and the other unfinished chunks in a fresh
@@ -141,7 +169,8 @@ def _run_pool(tasks: list[_Task], degree: int) -> list[_Outcome]:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    chunks = [tasks[i : i + _CHUNK] for i in range(0, len(tasks), _CHUNK)]
+    size = min(_CHUNK, math.ceil(len(tasks) / (4 * degree)))
+    chunks = [tasks[i : i + size] for i in range(0, len(tasks), size)]
     results: list[list[_Outcome] | None] = [None] * len(chunks)
     pending = list(range(len(chunks)))
     while pending:
@@ -216,12 +245,13 @@ def _flush_stdout_sections(sections: list, fmt: str) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     conditional = _parse_conditional_set(args.conditional_functions)
-    try:
-        workbook = load_workbook(args.file, args.input_format)
-    except (XlsxError, SchemaError, BadInputError, OSError, json.JSONDecodeError) as exc:
-        logger.error("cannot read %s: %s", args.file, exc)
-        return EXIT_BAD_INPUT
-    record = analyze_workbook(workbook, conditional_functions=conditional)
+    with _collector_paused():
+        try:
+            workbook = load_workbook(args.file, args.input_format)
+        except (XlsxError, SchemaError, BadInputError, OSError, json.JSONDecodeError) as exc:
+            logger.error("cannot read %s: %s", args.file, exc)
+            return EXIT_BAD_INPUT
+        record = analyze_workbook(workbook, conditional_functions=conditional)
     if args.out:
         _write_file(record, args.format, Path(args.out))
     else:

@@ -189,6 +189,32 @@ def _disjoint(blocks: list[_Block]) -> list[_Block]:
     return pieces
 
 
+def _update(
+    count: list[int], length: list[int], xs: list[int], node: int, lo: int, hi: int, a: int, b: int, delta: int
+) -> None:
+    """Add `delta` to the cover count of columns [xs[a], xs[b]) in `_sweep`'s
+    segment tree and refresh the covered widths on the way back up.
+
+    A module-level function, not a closure in `_sweep`: a recursive closure
+    is a reference cycle, which only the cyclic collector frees, and the CLI
+    pauses that collector while it analyzes a file.
+    """
+    if a <= lo and hi <= b:
+        count[node] += delta
+    else:
+        mid = (lo + hi) // 2
+        if a < mid:
+            _update(count, length, xs, 2 * node, lo, mid, a, b, delta)
+        if b > mid:
+            _update(count, length, xs, 2 * node + 1, mid, hi, a, b, delta)
+    if count[node]:
+        length[node] = xs[hi] - xs[lo]
+    elif hi - lo == 1:
+        length[node] = 0
+    else:
+        length[node] = length[2 * node] + length[2 * node + 1]
+
+
 def _sweep(pieces: list[_Block], queries: list[tuple[int, int, object]]) -> tuple[int, dict]:
     """Row sweep over blocks.
 
@@ -203,23 +229,6 @@ def _sweep(pieces: list[_Block], queries: list[tuple[int, int, object]]) -> tupl
     size = len(xs) - 1
     count = [0] * (4 * size)
     length = [0] * (4 * size)  # covered width under each node
-
-    def update(node: int, lo: int, hi: int, a: int, b: int, delta: int) -> None:
-        if a <= lo and hi <= b:
-            count[node] += delta
-        else:
-            mid = (lo + hi) // 2
-            if a < mid:
-                update(2 * node, lo, mid, a, b, delta)
-            if b > mid:
-                update(2 * node + 1, mid, hi, a, b, delta)
-        if count[node]:
-            length[node] = xs[hi] - xs[lo]
-        elif hi - lo == 1:
-            length[node] = 0
-        else:
-            length[node] = length[2 * node] + length[2 * node + 1]
-
     events = sorted(
         [(r1, 1, slot[c1], slot[c2 + 1]) for r1, c1, r2, c2 in pieces]
         + [(r2 + 1, -1, slot[c1], slot[c2 + 1]) for r1, c1, r2, c2 in pieces]
@@ -234,7 +243,7 @@ def _sweep(pieces: list[_Block], queries: list[tuple[int, int, object]]) -> tupl
             top, delta, a, b = events[i]
             area += length[1] * (top - last)
             last = top
-            update(1, 0, size, a, b, delta)
+            _update(count, length, xs, 1, 0, size, a, b, delta)
             i += 1
         if not length[1]:
             continue

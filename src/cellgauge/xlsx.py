@@ -372,4 +372,7 @@ def read_xlsx(path: str | Path) -> Workbook:
                     continue  # first definition in each scope wins
                 defined[key] = DefinedName(dn_name, target, _parse_defined_target(target), scope)
 
-    return Workbook(path.stem, tuple(worksheets), defined)
+    try:
+        return Workbook(path.stem, tuple(worksheets), defined)
+    except ValueError as exc:  # sheet names that differ only in case, or a default Sheet<n> taken
+        raise MalformedSheetXmlError(_WORKBOOK_PART, str(exc)) from None

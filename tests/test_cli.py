@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import logging
@@ -29,6 +30,35 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool with one that runs each task in-process as it
+    is submitted, so no worker is ever started; records the requested pool
+    sizes and the arguments of every submitted task."""
+    import concurrent.futures
+
+    record = {"sizes": [], "submitted": []}
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            record["sizes"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            record["submitted"].append(args)
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return record
 
 
 class TestAnalyze:
@@ -93,10 +123,11 @@ class TestAnalyze:
             "xl/worksheets/sheet1.xml",
             "xl/workbook.xml",
             "xl/sharedStrings.xml",
+            "duplicate_sheet_names",
         ],
     )
     def test_unreadable_input_is_bad_input(self, capsys, tmp_path, case):
-        from .test_xlsx import build_unknown_encoding_xlsx, build_unsupported_compression_xlsx
+        from .test_xlsx import build_unknown_encoding_xlsx, build_unsupported_compression_xlsx, build_xlsx
 
         if case == "non_utf8":
             path = tmp_path / "latin1.json"
@@ -110,6 +141,8 @@ class TestAnalyze:
             path.write_text(json.dumps({"name": "x", "sheets": [{"name": "S", "cells": [cell]}]}))
         elif case == "unsupported_compression":
             path = build_unsupported_compression_xlsx(tmp_path / "implode.xlsx")
+        elif case == "duplicate_sheet_names":  # names that differ only in case
+            path = build_xlsx(tmp_path / "twins.xlsx", [("Data", ""), ("data", "")])
         else:  # a package part that declares an unknown encoding
             path = build_unknown_encoding_xlsx(tmp_path / "utf9.xlsx", case)
         code, out, err = run(["analyze", str(path)], capsys)
@@ -456,34 +489,24 @@ class TestCorpus:
         assert payload["workbookId"] == "book"
         assert payload["M09"] == 4  # B1:B4 expanded
 
-    def test_pool_never_has_more_workers_than_files(self, capsys, tmp_path, monkeypatch):
-        # the stub records the requested pool size and runs the tasks
-        # in-process, so no worker is ever started
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_never_has_more_workers_than_files(self, capsys, tmp_path, inline_pool):
         write_corpus(tmp_path / "corpus", 2, seed=3)
         target = tmp_path / "report.csv"
         assert run(["corpus", str(tmp_path / "corpus"), "--out", str(target), "--threads", "5000"], capsys)[0] == 0
-        assert sizes == [2]
+        assert inline_pool["sizes"] == [2]
         assert len(target.read_text(encoding="utf-8").splitlines()) == 3
+
+    @pytest.mark.parametrize("files, chunk", [(8, 1), (20, 3), (1000, 8)])
+    def test_chunks_reach_every_worker(self, tmp_path, inline_pool, files, chunk):
+        # up to four chunks per worker and at most _CHUNK files each, in
+        # path order; the files do not exist, so each outcome is an error
+        from cellgauge.cli import _run_pool
+
+        tasks = [(str(tmp_path / f"f{i:04d}.json"), f"f{i:04d}.json", ()) for i in range(files)]
+        outcomes = _run_pool(tasks, 2)
+        sizes = [len(args[0]) for args in inline_pool["submitted"]]
+        assert sizes == [chunk] * (files // chunk) + ([files % chunk] if files % chunk else [])
+        assert [relative for _, relative, _ in outcomes] == [task[1] for task in tasks]
 
     def test_single_worker_run_never_imports_the_process_pool(self, tmp_path):
         # a fresh interpreter, so modules other tests imported do not count
@@ -531,3 +554,77 @@ class TestCorpus:
         assert run(["corpus", str(tmp_path / "corpus"), "--out", str(one), "--threads", "1", "--quiet"], capsys)[0] == 0
         assert run(["corpus", str(tmp_path / "corpus"), "--out", str(many), "--threads", "4", "--quiet"], capsys)[0] == 0
         assert one.read_bytes() == many.read_bytes()
+
+    def test_per_file_work_leaves_no_cyclic_garbage(self, capsys, tmp_path):
+        # the collector is paused while each file is read and analyzed, so a
+        # reference cycle made there would pile up until the next collection:
+        # what a run leaves for the collector must not grow with the corpus
+        from .test_xlsx import build_xlsx
+
+        body = (
+            '<row r="1"><c r="A1"><v>1</v></c><c r="B1"><f>SUM(A1:A4)+SUM(TOTAL)</f></c></row>'
+            '<row r="2"><c r="A2"><v>2</v></c><c r="B2"><f t="shared" ref="B2:B4" si="0">SUM($A$1:A2)</f></c></row>'
+            '<row r="3"><c r="B3"><f t="shared" si="0"/></c></row>'
+            '<row r="4"><c r="B4"><f t="shared" si="0"/></c></row>'
+        )
+
+        def corpus(name, count):
+            directory = tmp_path / name
+            write_corpus(directory, count, seed=8)  # interchange files with ranges
+            for i in range(count):
+                build_xlsx(directory / f"x{i}.xlsx", [("S", body)], defined_names=(("TOTAL", "S!$A$1:$A$4"),))
+            (directory / "broken.xlsx").write_bytes(b"not a zip")
+            return directory
+
+        small, large = corpus("small", 4), corpus("large", 8)
+        argv = ["--out", str(tmp_path / "report.csv"), "--summary", "--threads", "1", "--quiet"]
+        assert run(["corpus", str(small), *argv], capsys)[0] == 0  # warm-up: caches and lazy imports
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            garbage = []
+            for directory in (small, large):
+                assert run(["corpus", str(directory), *argv], capsys)[0] == 0
+                garbage.append(gc.collect())
+        finally:
+            if enabled:
+                gc.enable()
+        assert garbage[0] == garbage[1]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_paused_per_file_and_restored(self, capsys, tmp_path, monkeypatch, enabled):
+        import cellgauge.cli
+
+        load, analyze = cellgauge.cli.load_workbook, cellgauge.cli.analyze_workbook
+        inside = []
+
+        def recording_load(path, *args):
+            inside.append(gc.isenabled())
+            return load(path, *args)
+
+        def recording_analyze(workbook, **kwargs):
+            inside.append(gc.isenabled())
+            return analyze(workbook, **kwargs)
+
+        monkeypatch.setattr(cellgauge.cli, "load_workbook", recording_load)
+        monkeypatch.setattr(cellgauge.cli, "analyze_workbook", recording_analyze)
+        good, bad = FIXTURES / "g1.json", tmp_path / "bad.xlsx"
+        bad.write_bytes(b"not a zip")
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            after = []
+            outcomes = []
+            for path in (good, bad):
+                outcomes.append(cellgauge.cli._corpus_worker((str(path), path.name, ()))[0])
+                after.append(gc.isenabled())
+            codes = []
+            for path in (good, bad):
+                codes.append(run(["analyze", str(path)], capsys)[0])
+                after.append(gc.isenabled())
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert outcomes == ["ok", "error"] and codes == [0, 2]
+        assert inside == [False] * 6  # load + analyze twice, a failed load twice
+        assert after == [enabled] * 4

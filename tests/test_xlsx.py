@@ -458,6 +458,15 @@ class TestStructure:
         assert [s.name for s in workbook.sheets] == ["Zeta", "Alpha", "Mid"]
         assert [s.index for s in workbook.sheets] == [1, 2, 3]
 
+    @pytest.mark.parametrize("names", [("Data", "data"), ("", "Sheet1")], ids=["case", "default_name"])
+    def test_colliding_sheet_names_are_malformed_workbook_xml(self, tmp_path, names):
+        # a nameless sheet is called Sheet<position>
+        path = build_xlsx(tmp_path / "twins.xlsx", [(name, "") for name in names])
+        with pytest.raises(MalformedSheetXmlError) as excinfo:
+            read_xlsx(path)
+        assert excinfo.value.part == "xl/workbook.xml"
+        assert "duplicate sheet name" in str(excinfo.value)
+
     def test_corrupt_zip(self, tmp_path):
         path = tmp_path / "broken.xlsx"
         path.write_bytes(b"this is not a zip file")
