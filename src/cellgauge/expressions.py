@@ -59,6 +59,12 @@ OP_SYMBOL = {
     OpKind.UNARY_PLUS: "+",
 }
 
+# The same tables keyed by each kind's string value: `write_tree` looks up
+# every operator node, and hashing an Enum member runs Enum.__hash__ in
+# Python, while a str caches its hash.
+_UNARY_VALUES = frozenset(op._value_ for op in UNARY_OPS)
+_SYMBOL_BY_VALUE = {op._value_: symbol for op, symbol in OP_SYMBOL.items()}
+
 
 class BadColumnError(ValueError):
     pass
@@ -310,17 +316,17 @@ def write_tree(expr: Expr, wildcard_refs: bool = False) -> WrittenTree:
             deepest = depth
         kind = type(node)
         if kind is Operator:
-            op = node.kind
-            if op not in UNARY_OPS:
+            op = node.kind._value_
+            if op not in _UNARY_VALUES:
                 left, right = node.operands
                 push((right, depth + 1))
-                push(OP_SYMBOL[op])
+                push(_SYMBOL_BY_VALUE[op])
                 push((left, depth + 1))
-            elif op is OpKind.PERCENT:
+            elif op == "percent":
                 push("%")
                 push((node.operands[0], depth + 1))
             else:
-                emit(OP_SYMBOL[op])
+                emit(_SYMBOL_BY_VALUE[op])
                 push((node.operands[0], depth + 1))
         elif kind is Constant:
             emit(node.lexeme)

@@ -1,4 +1,4 @@
-"""Cell dependency graph: reference resolution, fan-in/fan-out.
+"""Cell dependency graph: reference resolution, fan-in/fan-out, spread.
 
 Sheets are stacked into one tall grid, and every reference resolves to one
 clipped block of it; unresolvable targets (unknown names, missing sheets,
@@ -12,15 +12,18 @@ a range covers:
 * fan-in and the input/label split: one row sweep per workbook, over a
   cover-count segment tree on the compressed column boundaries, counts the
   formulas covering every stored cell; the same sweep measures the area of
-  the union of all referenced blocks (Klee's measure, Bentley 1977).
+  the union of all referenced blocks (Klee's measure, Bentley 1977);
+* spreading factor: in the same pass over each formula, the farthest pair
+  of its anchor points, its single-cell targets and block corners.
 
-Single-cell references, the common case, stay out of the sweep and are
-counted in dicts. ``DependencyGraph.reverse`` is the one cell-level view;
-the metric pipeline never reads it.
+A point of the stacked grid is one int, its key (see `_ROW_STRIDE`). Single
+targets, block corners and sweep queries are keys; single-cell references,
+the common case, stay out of the sweep and are counted in a dict by key.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from collections import defaultdict
 from functools import cached_property
@@ -33,6 +36,10 @@ from .tokens import MAX_COL, MAX_ROW
 # s * _SHEET_STRIDE + r. The stride leaves a gap row between sheets, so no
 # block spans two sheets and one sweep covers the whole workbook.
 _SHEET_STRIDE = MAX_ROW + 2
+# The key of column c of stacked row r is r * _ROW_STRIDE + c. Keys order
+# points by stacked row, then column, and key // _SHEET_KEYS is the sheet.
+_ROW_STRIDE = MAX_COL + 1
+_SHEET_KEYS = _SHEET_STRIDE * _ROW_STRIDE
 
 # (first stacked row, first column, last stacked row, last column), inclusive.
 _Block = tuple[int, int, int, int]
@@ -45,12 +52,10 @@ class NotAFormulaCellError(LookupError):
 class DependencyGraph:
     """Formula cells and the counts metrics need.
 
-    Per parsed formula cell: its fan-out, its dangling references and its
-    anchor points (single-cell targets plus the four corners of every block,
-    enough for the maximal pairwise distance over the cells it covers).
-    ``reverse`` (cell -> formulas referencing it) re-resolves every formula
-    on first access and costs time and memory proportional to the covered
-    area.
+    Per parsed formula cell: its fan-out, dangling references, spreading
+    factor and anchor keys. ``anchors`` (the decoded keys) and ``reverse``
+    (cell -> formulas referencing it, in time and memory proportional to the
+    covered area) are built on first access; the metric pipeline reads neither.
     """
 
     def __init__(
@@ -58,14 +63,16 @@ class DependencyGraph:
         workbook: Workbook,
         fan_outs: dict[CellCoordinate, int],
         dangling: dict[CellCoordinate, int],
-        anchors: dict[CellCoordinate, tuple[CellCoordinate, ...]],
+        spreads: dict[CellCoordinate, float],
+        anchor_keys: dict[CellCoordinate, tuple[int, ...]],
         cover_counts: dict[CellCoordinate, int],
         unstored_references: int,
     ):
         self.workbook = workbook
         self._fan_outs = fan_outs
         self.dangling = dangling
-        self.anchors = anchors
+        self._spreads = spreads
+        self._anchor_keys = anchor_keys
         # Stored cells referenced by at least one formula -> number of
         # distinct formulas referencing each.
         self.cover_counts = cover_counts
@@ -86,6 +93,20 @@ class DependencyGraph:
             raise NotAFormulaCellError(coordinate)
         return self.cover_counts.get(coordinate, 0)
 
+    def spreading_factor(self, coordinate: CellCoordinate) -> float:
+        try:
+            return self._spreads[coordinate]
+        except KeyError:
+            raise NotAFormulaCellError(coordinate) from None
+
+    @cached_property
+    def anchors(self) -> dict[CellCoordinate, tuple[CellCoordinate, ...]]:
+        """Each formula's single-cell targets and block corners, in order."""
+        return {
+            coord: tuple([CellCoordinate(*_point(key)) for key in sorted(keys)])
+            for coord, keys in self._anchor_keys.items()
+        }
+
     @cached_property
     def reverse(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
         sources: dict[CellCoordinate, set[CellCoordinate]] = defaultdict(set)
@@ -98,6 +119,43 @@ class DependencyGraph:
                     for col in range(c1, c2 + 1):
                         sources[CellCoordinate(sheet, row, col)].add(source)
         return {coord: frozenset(found) for coord, found in sources.items()}
+
+
+def _point(key: int) -> tuple[int, int, int]:
+    """(sheet index, row, column) of a key."""
+    return key // _SHEET_KEYS, key // _ROW_STRIDE % _SHEET_STRIDE, key % _ROW_STRIDE
+
+
+def max_distance(keys) -> float:
+    """Maximal Euclidean distance between the points with these keys, in
+    (sheet index, row, column) space; 0.0 for a single point.
+
+    Above eight points, only those that end both their row run and their
+    column run are compared: distance to a fixed point is convex along
+    a line, so a point between two others on a line is never farthest from
+    anything.
+    """
+    if len(keys) > 8:
+        keys = sorted(keys)
+        ends = [
+            {*dict(zip(lines, keys)).values(), *dict(zip(lines[::-1], keys[::-1])).values()}
+            for lines in (
+                [key // _ROW_STRIDE for key in keys],
+                [key // _SHEET_KEYS * _ROW_STRIDE + key % _ROW_STRIDE for key in keys],
+            )
+        ]
+        keys = ends[0] & ends[1]
+    points = list(map(_point, keys))
+    best = 0
+    count = len(points)
+    for i in range(count - 1):
+        s1, r1, c1 = points[i]
+        for j in range(i + 1, count):
+            s2, r2, c2 = points[j]
+            d = (r1 - r2) ** 2 + (c1 - c2) ** 2 + (s1 - s2) ** 2
+            if d > best:
+                best = d
+    return math.sqrt(best)
 
 
 def _region(
@@ -189,115 +247,102 @@ def _disjoint(blocks: list[_Block]) -> list[_Block]:
     return pieces
 
 
-def _update(
-    count: list[int], length: list[int], xs: list[int], node: int, lo: int, hi: int, a: int, b: int, delta: int
-) -> None:
-    """Add `delta` to the cover count of columns [xs[a], xs[b]) in `_sweep`'s
-    segment tree and refresh the covered widths on the way back up.
-
-    A module-level function, not a closure in `_sweep`: a recursive closure
-    is a reference cycle, which only the cyclic collector frees, and the CLI
-    pauses that collector while it analyzes a file.
-    """
-    if a <= lo and hi <= b:
-        count[node] += delta
-    else:
-        mid = (lo + hi) // 2
-        if a < mid:
-            _update(count, length, xs, 2 * node, lo, mid, a, b, delta)
-        if b > mid:
-            _update(count, length, xs, 2 * node + 1, mid, hi, a, b, delta)
-    if count[node]:
-        length[node] = xs[hi] - xs[lo]
-    elif hi - lo == 1:
-        length[node] = 0
-    else:
-        length[node] = length[2 * node] + length[2 * node + 1]
-
-
-def _sweep(pieces: list[_Block], queries: list[tuple[int, int, object]]) -> tuple[int, dict]:
+def _sweep(pieces: list[_Block], queries: list[int]) -> tuple[int, dict[int, int]]:
     """Row sweep over blocks.
 
-    `queries` are sorted (row, col, key) triples. Returns the area of the
-    union of `pieces` and, for the key of every query point that some piece
-    covers, the number of pieces covering it. The segment tree spans the
-    compressed column boundaries; a node's count is never pushed down, so a
-    point's cover count is the sum of the counts on its root-to-leaf path.
+    `queries` are sorted point keys. Returns the area of the union of
+    `pieces` and, for every queried key that some piece covers, the number
+    of pieces covering it. The bottom-up segment tree has a leaf per span
+    between compressed column boundaries. Counts are never pushed down: a
+    point's cover count is the sum of the counts from its leaf to the root.
     """
     xs = sorted({p[1] for p in pieces} | {p[3] + 1 for p in pieces})
     slot = {x: i for i, x in enumerate(xs)}
     size = len(xs) - 1
-    count = [0] * (4 * size)
-    length = [0] * (4 * size)  # covered width under each node
+    n = 1 << (size - 1).bit_length()  # leaves, the first `size` of them used
+    width = [0] * n + [right - left for left, right in zip(xs, xs[1:])] + [0] * (n - size)
+    for node in range(n - 1, 0, -1):
+        width[node] = width[2 * node] + width[2 * node + 1]
+    count = [0] * (2 * n)
+    length = [0] * (4 * n)  # covered width under each node; 0 below the leaves
     events = sorted(
-        [(r1, 1, slot[c1], slot[c2 + 1]) for r1, c1, r2, c2 in pieces]
-        + [(r2 + 1, -1, slot[c1], slot[c2 + 1]) for r1, c1, r2, c2 in pieces]
+        [(r1, 1, slot[c1] + n, slot[c2 + 1] + n) for r1, c1, r2, c2 in pieces]
+        + [(r2 + 1, -1, slot[c1] + n, slot[c2 + 1] + n) for r1, c1, r2, c2 in pieces]
     )
     area = 0
     last = events[0][0]
     i = 0
     hits = {}
     # The final sentinel query lies below every event and flushes them all.
-    for row, col, key in [*queries, (events[-1][0], 0, None)]:
+    for key in [*queries, events[-1][0] * _ROW_STRIDE]:
+        row, col = divmod(key, _ROW_STRIDE)
         while i < len(events) and events[i][0] <= row:
-            top, delta, a, b = events[i]
+            top, delta, lo, hi = events[i]
             area += length[1] * (top - last)
             last = top
-            _update(count, length, xs, 1, 0, size, a, b, delta)
+            # Count the nodes that tile leaves [lo, hi), then refresh every
+            # ancestor of them, all on the paths up from the two end leaves.
+            paths = (lo >> 1, (hi - 1) >> 1)
+            while lo < hi:
+                if lo & 1:
+                    count[lo] += delta
+                    length[lo] = width[lo] if count[lo] else length[2 * lo] + length[2 * lo + 1]
+                    lo += 1
+                if hi & 1:
+                    hi -= 1
+                    count[hi] += delta
+                    length[hi] = width[hi] if count[hi] else length[2 * hi] + length[2 * hi + 1]
+                lo >>= 1
+                hi >>= 1
+            for node in paths:
+                while node:
+                    length[node] = width[node] if count[node] else length[2 * node] + length[2 * node + 1]
+                    node >>= 1
             i += 1
         if not length[1]:
             continue
-        leaf = bisect_right(xs, col) - 1
-        if not 0 <= leaf < size:
+        node = bisect_right(xs, col) - 1
+        if not 0 <= node < size:
             continue
-        node, lo, hi, total = 1, 0, size, count[1]
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if leaf < mid:
-                node, hi = 2 * node, mid
-            else:
-                node, lo = 2 * node + 1, mid
+        node += n
+        total = 0
+        while node:
             total += count[node]
+            node >>= 1
         if total:
             hits[key] = total
     return area, hits
 
 
 def _coverage(
-    workbook: Workbook, singles: dict[CellCoordinate, int], pieces: list[_Block]
+    workbook: Workbook, singles: dict[int, int], pieces: list[_Block]
 ) -> tuple[dict[CellCoordinate, int], int]:
-    """(formulas covering each referenced stored cell, referenced area).
+    """(cover count of each referenced stored cell, referenced points with no stored cell).
 
-    `singles` counts, per coordinate, the formulas that reference it as a
-    single cell; `pieces` holds the blocks of every formula, split so that
-    one formula's pieces never overlap.
+    `singles` counts, per key, the formulas that reference it as a single
+    cell; `pieces` holds the blocks of every formula, split so that one
+    formula's pieces never overlap.
     """
+    stored = [(s.index * _SHEET_STRIDE + row) * _ROW_STRIDE + col for s in workbook.sheets for row, col in s.cells]
     area, hits = 0, {}
     if pieces:
-        # A coordinate both stored and a single target is queried twice,
-        # with the same answer.
-        queries = [(c.sheet * _SHEET_STRIDE + c.row, c.col, c) for c in singles]
-        for sheet in workbook.sheets:
-            base = sheet.index * _SHEET_STRIDE
-            queries += [(base + row, col, cell.coordinate) for (row, col), cell in sheet.cells.items()]
-        queries.sort()
-        area, hits = _sweep(pieces, queries)
+        # A stored single target is queried twice, with the same answer.
+        area, hits = _sweep(pieces, sorted([*stored, *singles]))
     cover_counts: dict[CellCoordinate, int] = {}
-    for sheet in workbook.sheets:
-        for cell in sheet.cells.values():
-            coord = cell.coordinate
-            total = hits.get(coord, 0) + singles.get(coord, 0)
-            if total:
-                cover_counts[coord] = total
-    return cover_counts, area + sum(1 for c in singles if c not in hits)
+    for key, cell in zip(stored, workbook.iter_cells()):
+        total = hits.get(key, 0) + singles.get(key, 0)
+        if total:
+            cover_counts[cell.coordinate] = total
+    return cover_counts, area + sum(1 for key in singles if key not in hits) - len(cover_counts)
 
 
 def build_graph(workbook: Workbook) -> DependencyGraph:
     """Resolve every successfully parsed formula cell; cycles are legal."""
     fan_outs: dict[CellCoordinate, int] = {}
     dangling: dict[CellCoordinate, int] = {}
-    anchors: dict[CellCoordinate, tuple[CellCoordinate, ...]] = {}
-    singles: dict[CellCoordinate, int] = {}
+    spreads: dict[CellCoordinate, float] = {}
+    anchor_keys: dict[CellCoordinate, tuple[int, ...]] = {}
+    singles: dict[int, int] = {}
     pieces: list[_Block] = []
     for sheet in workbook.sheets:
         for cell in sheet.cells.values():
@@ -306,23 +351,20 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 continue
             coord = cell.coordinate
             blocks, dangling[coord] = _resolve(formula.expr, sheet.index, workbook)
-            points: list[tuple[int, int]] = []  # single-cell blocks, stacked
-            own: list[_Block] = []
-            corners: set[tuple[int, int]] = set()
+            points, corners, own = [], [], []  # keys of single-cell blocks, keys of corners, other blocks
             for block in blocks:
                 r1, c1, r2, c2 = block
+                top = r1 * _ROW_STRIDE
                 if r1 == r2 and c1 == c2:
-                    points.append((r1, c1))
+                    points.append(top + c1)
                 else:
                     own.append(block)
-                    corners.update(((r1, c1), (r1, c2), (r2, c1), (r2, c2)))
-            corners.update(points)
-            # Each distinct anchor becomes a CellCoordinate once.
-            located = {
-                (row, col): CellCoordinate(row // _SHEET_STRIDE, row % _SHEET_STRIDE, col)
-                for row, col in sorted(corners)
-            }
-            anchors[coord] = tuple(located.values())
+                    bottom = r2 * _ROW_STRIDE
+                    corners += (top + c1, top + c2, bottom + c1, bottom + c2)
+            # Distinct blocks have distinct single-cell keys, but corners repeat.
+            keys = tuple({*corners, *points}) if corners else tuple(points)
+            anchor_keys[coord] = keys
+            spreads[coord] = max_distance(keys)
             area = 0
             if own:
                 if len(own) > 1:
@@ -330,15 +372,11 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 pieces.extend(own)
                 area = sum((r2 - r1 + 1) * (c2 - c1 + 1) for r1, c1, r2, c2 in own)
                 # A point inside one of its own blocks is counted there.
-                points = [
-                    (row, col)
-                    for row, col in points
-                    if not any(r1 <= row <= r2 and c1 <= col <= c2 for r1, c1, r2, c2 in own)
-                ]
-            for point in points:
-                target = located[point]
-                singles[target] = singles.get(target, 0) + 1
+                points = [key for key in points if not any(
+                    r1 <= key // _ROW_STRIDE <= r2 and c1 <= key % _ROW_STRIDE <= c2 for r1, c1, r2, c2 in own
+                )]
+            for key in points:
+                singles[key] = singles.get(key, 0) + 1
             fan_outs[coord] = area + len(points)
-    cover_counts, referenced = _coverage(workbook, singles, pieces)
-    unstored = referenced - len(cover_counts)
-    return DependencyGraph(workbook, fan_outs, dangling, anchors, cover_counts, unstored)
+    cover_counts, unstored = _coverage(workbook, singles, pieces)
+    return DependencyGraph(workbook, fan_outs, dangling, spreads, anchor_keys, cover_counts, unstored)

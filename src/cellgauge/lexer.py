@@ -1,4 +1,4 @@
-"""Formula scanner: one compiled master pattern, one named group per token class.
+"""Formula scanner: one compiled master pattern of named groups.
 
 ``tokenize`` walks the pattern with ``finditer`` and dispatches on
 ``lastgroup``. The catch-all ``bad`` group matches any character no other
@@ -10,8 +10,8 @@ text, and the offsets of its first character and one past its last. Not a
 named tuple: building a tuple subclass costs a Python-level ``__new__`` per
 token, and the parser reads the fields by position anyway.
 
-The first group, ``reference``, takes a whole cell or cell range with an
-optional sheet prefix and no whitespace inside (``Data!C45``,
+The reference group, second after punctuation, takes a whole cell or cell
+range with an optional sheet prefix and no whitespace inside (``Data!C45``,
 ``'Q1 Sales'!$A$1:$D$9``, ``B7``, ``A1:B2``) as one REFERENCE token, so the
 parser reads it in one step. It matches only where the parser would read
 exactly those fine tokens (the ones of the other groups) as that reference:
@@ -53,7 +53,19 @@ _REFERENCE = (
 
 # Group order is match priority. Quoted text may not end on a doubled quote
 # ("a""b is unterminated, not "a" then "b), and digits are ASCII [0-9] only.
+# The punctuation group (operators, parentheses, comma, colon and !) comes
+# first, ahead of the reference group too: no other group can start with
+# one of its characters, so trying it first changes no match, and it is
+# the most common token. Its kind is looked up from the lexeme.
+_PUNCT = dict.fromkeys(("<=", "<>", "<", ">=", ">", *"-+*/^&%="), TokenKind.OPERATOR) | {
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    ":": TokenKind.COLON,
+    "!": TokenKind.EXCLAMATION,
+}
 _GROUPS = (
+    ("punct", r"<[=>]?|>=?|[-+*/^&%=(),:!]"),
     ("space", r"[ \t\r\n]+"),
     ("STRING", r'"[^"]*(?:""[^"]*)*"(?!")'),
     ("IDENTIFIER", rf"'[^']*(?:''[^']*)*'(?!')|\[[^\]]*\]{_NAME}*"),
@@ -61,16 +73,13 @@ _GROUPS = (
     ("NUMBER", r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|\$[0-9]+"),
     ("CELL_REF", _CELL),
     ("name", rf"{_NAME}+"),
-    ("OPERATOR", r"<[=>]?|>=?|[-+*/^&%=]"),
-    ("LPAREN", r"\("),
-    ("RPAREN", r"\)"),
-    ("COMMA", r","),
-    ("COLON", r":"),
-    ("EXCLAMATION", r"!"),
     ("bad", r"."),
 )
 _FINE = re.compile("|".join(f"(?P<{name}>{body})" for name, body in _GROUPS), re.DOTALL)
-_MASTER = re.compile(f"(?P<reference>{_REFERENCE})|{_FINE.pattern}", re.DOTALL)
+_MASTER = re.compile(
+    "|".join(f"(?P<{name}>{body})" for name, body in (_GROUPS[0], ("reference", _REFERENCE), *_GROUPS[1:])),
+    re.DOTALL,
+)
 _PLAIN = {name: TokenKind[name] for name, _ in _GROUPS if name.isupper()}
 _UNTERMINATED = {
     '"': "unterminated string",
@@ -94,7 +103,8 @@ def _error_literal(text: str, start: int) -> int:
 def reference_parts(lexeme: str) -> tuple[str | None, str, str | None]:
     """The sheet prefix as written (or None), the first cell and the last
     cell (or None) of a REFERENCE lexeme."""
-    # The reference group is the master pattern's first alternative.
+    # Only the punctuation group comes before the reference group in the
+    # master pattern, and it cannot match a reference's first character.
     return _MASTER.fullmatch(lexeme).group("sheet", "first", "last")
 
 
@@ -112,6 +122,10 @@ def tokenize(formula_text: str) -> list[tuple[TokenKind, str, int, int]]:
         for match in pattern.finditer(formula_text, pos, stop):
             group = match.lastgroup
             start, end = match.span()
+            if group == "punct":
+                lexeme = match.group()
+                append((_PUNCT[lexeme], lexeme, start, end))
+                continue
             kind = _PLAIN.get(group)
             if kind is not None:
                 append((kind, match.group(), start, end))

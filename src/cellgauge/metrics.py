@@ -2,7 +2,9 @@
 
 The public record carries 22 metric values under the stable column ids
 M01..M22 plus bookkeeping counts. Averages over an empty formula set and
-ratios with a zero denominator are absent (None), never zero.
+ratios with a zero denominator are absent (None), never zero. Fan-out,
+fan-in and the spreading factor are read off the graph; `build_graph`
+computes the spreading factor with the fan-out, in one pass per formula.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from typing import NamedTuple
 
 from .expressions import Expr, Value, write_tree
-from .graph import DependencyGraph, NotAFormulaCellError
+from .graph import DependencyGraph
 from .model import Cell, CellCoordinate, CellKind, Workbook, classify_cells
 
 DEFAULT_CONDITIONAL_FUNCTIONS = frozenset(
@@ -88,49 +90,8 @@ def ast_metrics(
 
 
 def spreading_factor(coordinate: CellCoordinate, graph: DependencyGraph) -> float:
-    """Maximal Euclidean distance between the formula's referenced cells.
-
-    Coordinates are (row, column, sheet index) points in a 3-D grid. The
-    maximum over a set of expanded rectangles is attained at rectangle
-    corners, so only the stored anchor points need to be compared. Of those,
-    only the two ends of each row run and then of each column run can take
-    part: distance to a fixed point is convex along a line, so a point
-    between two others on a line is never farther from anything than both.
-    """
-    try:
-        points = graph.anchors[coordinate]
-    except KeyError:
-        raise NotAFormulaCellError(coordinate) from None
-    if len(points) > 2:
-        points = _line_ends(_line_ends(points, along=2), along=1)
-    best = 0
-    count = len(points)
-    for i in range(count - 1):
-        s1, r1, c1 = points[i]
-        for j in range(i + 1, count):
-            s2, r2, c2 = points[j]
-            d = (r1 - r2) ** 2 + (c1 - c2) ** 2 + (s1 - s2) ** 2
-            if d > best:
-                best = d
-    return math.sqrt(best)
-
-
-def _line_ends(points, along: int) -> list[CellCoordinate]:
-    """Of each line of points that share the sheet and the other grid
-    component, only the points least and greatest in component ``along``
-    (1 = row, 2 = column)."""
-    other = 3 - along
-    ends: dict[tuple[int, int], list[CellCoordinate]] = {}
-    for point in points:
-        key = (point[0], point[other])
-        line = ends.get(key)
-        if line is None:
-            ends[key] = [point, point]
-        elif point[along] < line[0][along]:
-            line[0] = point
-        elif point[along] > line[1][along]:
-            line[1] = point
-    return [p for low, high in ends.values() for p in ((low,) if low is high else (low, high))]
+    """The formula's spreading factor, as `build_graph` computed it (see `graph.max_distance`)."""
+    return graph.spreading_factor(coordinate)
 
 
 class MetricRecord(Value):
@@ -196,7 +157,7 @@ def compute_record(
             ("M09", "M10", [graph.fan_out(c) for c in coords]),
             ("M11", "M12", [graph.fan_in(c) for c in coords]),
             ("M13", "M14", [m.conditional_count for m in trees]),
-            ("M15", "M16", [spreading_factor(c, graph) for c in coords]),
+            ("M15", "M16", [graph.spreading_factor(c) for c in coords]),
             ("M17", "M18", [m.function_count for m in trees]),
             ("M19", "M20", [m.distinct_function_count for m in trees]),
             ("M21", "M22", [m.element_count for m in trees]),

@@ -234,6 +234,85 @@ class TestGraphProperties:
         assert internal_edges == sum(graph.fan_in(f) for f in formulas)
 
 
+def _grid_corner_workbook():
+    """Single cells and 2x2 blocks at the four grid corners of three
+    adjacent sheets, some stored, some formulas, some blank, plus full-row
+    and full-column ranges on the small used box of a fourth sheet."""
+    corners = ("A1", "XFD1", "A1048576", "XFD1048576")
+    blocks = ("A1:B2", "XFC1:XFD2", "A1048575:B1048576", "XFC1048575:XFD1048576")
+    return make_workbook(
+        [
+            ("One", {
+                "A1": 1, "XFD1": 2, "A1048576": 3,
+                "XFD1048576": "=" + "+".join(f"Two!{c}" for c in corners),
+                "B2": "=A1+XFD1+A1048576+XFD1048576",
+                "C2": "=SUM(" + ",".join(f"Two!{b}" for b in blocks) + ")",
+                "D2": "=SUM(Box!B:B,Box!4:4,Box!C:D)+Three!XFD1048576",
+            }),
+            ("Two", {
+                "A1": "=One!XFD1048576+SUM(Three!A1:B2)+Three!A1",
+                "XFD1": 4, "A1048576": None,
+                "B2": "=SUM(One!XFC1048575:XFD1048576,Three!A1:B2)+One!XFD1048576+Three!XFD1",
+                "C3": "=SUM(" + ",".join(f"Three!{b}" for b in blocks) + ")+One!A1048576",
+            }),
+            ("Three", {
+                "A1": 5, "XFD1": "=SUM(A1:B2)+SUM(XFC1:XFD2)+A1048576+XFD1048576+One!A1",
+                "XFD1048576": "=SUM(XFC1048575:XFD1048576,Two!XFC1:XFD2,Box!2:3)",
+            }),
+            ("Box", {
+                "B2": 6, "D5": 7,
+                "C3": "=SUM(A:A,3:3,B:C)+Three!XFD1048576+SUM(Three!XFC1048575:XFD1048576)",
+                "C4": "=SUM(C:C)+One!A1+Two!XFD1",
+            }),
+        ]
+    )
+
+
+def _corner_anchors(expr, sheet, workbook) -> tuple:
+    """The corners of the cells each reference of `expr` covers, by the
+    oracle's own expansion of that reference alone, in coordinate order."""
+    found, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        stack.extend(oracle.children(node))
+        if isinstance(node, (Reference, Range)):
+            cells, _ = oracle.expand(node, sheet, workbook)
+            if cells:
+                rows = {row for _, row, _ in cells}
+                cols = {col for _, _, col in cells}
+                (target,) = {s for s, _, _ in cells}
+                found |= {C(target, r, c) for r in (min(rows), max(rows)) for c in (min(cols), max(cols))}
+    return tuple(sorted(found))
+
+
+class TestGridCorners:
+    def test_corner_points_and_full_ranges_match_oracle(self):
+        # A packed point key that collided across sheets, rows or columns,
+        # or decoded to another cell, would change a count, an anchor or a
+        # distance here.
+        workbook = _grid_corner_workbook()
+        graph = build_graph(workbook)
+        expanded = oracle.expansions(workbook)
+        assert set(graph.formula_cells()) == set(expanded)
+        stored = {cell.coordinate for cell in workbook.iter_cells()}
+        referenced: set = set()
+        covering: dict = {}
+        for source, (cells, dangling) in expanded.items():
+            cell = workbook.sheets[source.sheet - 1].cells[source.row, source.col]
+            assert graph.fan_out(source) == len(cells), source
+            assert graph.dangling[source] == dangling, source
+            assert graph.anchors[source] == _corner_anchors(cell.formula.expr, source.sheet, workbook), source
+            assert graph.spreading_factor(source) == oracle.spreading(cells), source
+            referenced |= cells
+            for target in cells:
+                covering[target] = covering.get(target, 0) + 1
+        for source in expanded:
+            assert graph.fan_in(source) == covering.get(tuple(source), 0), source
+        assert graph.cover_counts == {C(*t): n for t, n in covering.items() if C(*t) in stored}
+        assert graph.unstored_references == len({C(*t) for t in referenced} - stored)
+        assert graph.unstored_references > 0 and max(graph.cover_counts.values()) > 1
+
+
 def _overlap_workbook(rng: random.Random):
     """Formulas summing several overlapping blocks and single cells on a
     small grid, some of them cross-sheet, next to stored literals."""

@@ -6,14 +6,13 @@ import math
 import random
 import sys
 import traceback
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgauge.cli import analyze_workbook
-from cellgauge.graph import build_graph
+from cellgauge.graph import build_graph, max_distance
 from cellgauge.interchange import read_interchange
 from cellgauge.metrics import (
     METRIC_IDS,
@@ -147,9 +146,8 @@ class TestSpreadingFactor:
     def test_pruned_anchors_match_all_pairs(self, points):
         # small coordinates make collinear and duplicate points likely,
         # grid-wide ones make far corners
-        anchors = [C(*p) for p in points]
-        graph = SimpleNamespace(anchors={C(1, 1, 1): anchors})
-        assert spreading_factor(C(1, 1, 1), graph) == oracle.spreading(anchors)
+        keys = [(sheet * (MAX_ROW + 2) + row) * (MAX_COL + 1) + col for sheet, row, col in points]
+        assert max_distance(keys) == oracle.spreading(points)
 
 
 class TestNormalizedKeys:
