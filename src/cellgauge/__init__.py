@@ -49,7 +49,6 @@ from .metrics import (
     MetricRecord,
     ast_metrics,
     compute_record,
-    spreading_factor,
 )
 from .model import (
     Cell,

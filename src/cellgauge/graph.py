@@ -329,10 +329,10 @@ def _coverage(
         # A stored single target is queried twice, with the same answer.
         area, hits = _sweep(pieces, sorted([*stored, *singles]))
     cover_counts: dict[CellCoordinate, int] = {}
-    for key, cell in zip(stored, workbook.iter_cells()):
+    for key in stored:
         total = hits.get(key, 0) + singles.get(key, 0)
         if total:
-            cover_counts[cell.coordinate] = total
+            cover_counts[CellCoordinate(*_point(key))] = total
     return cover_counts, area + sum(1 for key in singles if key not in hits) - len(cover_counts)
 
 
@@ -345,11 +345,11 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     singles: dict[int, int] = {}
     pieces: list[_Block] = []
     for sheet in workbook.sheets:
-        for cell in sheet.cells.values():
+        for (row, col), cell in sheet.cells.items():
             formula = cell.formula
             if formula is None or formula.expr is None:
                 continue
-            coord = cell.coordinate
+            coord = CellCoordinate(sheet.index, row, col)
             blocks, dangling[coord] = _resolve(formula.expr, sheet.index, workbook)
             points, corners, own = [], [], []  # keys of single-cell blocks, keys of corners, other blocks
             for block in blocks:

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from .expressions import column_letter_to_index
-from .model import Cell, CellCoordinate, DefinedName, Workbook, Worksheet
+from .model import LITERAL_CELL, Cell, DefinedName, Workbook, Worksheet
 from .parser import parse_formula, parse_text
 from .tokens import MAX_COL, MAX_ROW, FormulaError
 
@@ -76,7 +76,6 @@ def _cell_error(s_idx: int, c_idx: int, field: str, message: str) -> SchemaError
 def _read_cells(cells_doc: list, s_idx: int) -> dict[tuple[int, int], Cell]:
     """The cells of sheet ``s_idx``: each entry checked in one pass, its JSON
     path built only when a check fails."""
-    sheet_index = s_idx + 1
     cells: dict[tuple[int, int], Cell] = {}
     for c_idx, entry in enumerate(cells_doc):
         if not isinstance(entry, dict):
@@ -94,14 +93,13 @@ def _read_cells(cells_doc: list, s_idx: int) -> dict[tuple[int, int], Cell]:
         fill = entry.get("fill")
         if fill is not None and not isinstance(fill, str):
             raise _cell_error(s_idx, c_idx, ".fill", "expected a color string")
-        coordinate = CellCoordinate(sheet_index, key[0], key[1])
         if has_formula:
             text = entry["formula"]
             if not isinstance(text, str):
                 raise _cell_error(s_idx, c_idx, ".formula", "expected a string")
             if not text.startswith("="):
                 raise _cell_error(s_idx, c_idx, ".formula", 'formula must start with "="')
-            cell = Cell(coordinate, parse_formula(text[1:]))
+            cell = Cell(parse_formula(text[1:]))
         else:
             type_name = entry.get("type")
             if not isinstance(type_name, str):
@@ -118,7 +116,7 @@ def _read_cells(cells_doc: list, s_idx: int) -> dict[tuple[int, int], Cell]:
                     raise _cell_error(s_idx, c_idx, ".value", "expected a boolean")
             else:
                 raise _cell_error(s_idx, c_idx, ".type", f"unknown value type {type_name!r}")
-            cell = Cell(coordinate, None, True)
+            cell = LITERAL_CELL
         if key in cells:
             raise _cell_error(s_idx, c_idx, ".ref", f"duplicate cell {ref!r}")
         cells[key] = cell

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .expressions import Expr, Value, write_tree
 from .graph import DependencyGraph
-from .model import Cell, CellCoordinate, CellKind, Workbook, classify_cells
+from .model import CellCoordinate, CellKind, Workbook, classify_cells
 
 DEFAULT_CONDITIONAL_FUNCTIONS = frozenset(
     {
@@ -89,11 +89,6 @@ def ast_metrics(
     )
 
 
-def spreading_factor(coordinate: CellCoordinate, graph: DependencyGraph) -> float:
-    """The formula's spreading factor, as `build_graph` computed it (see `graph.max_distance`)."""
-    return graph.spreading_factor(coordinate)
-
-
 class MetricRecord(Value):
     __slots__ = ("workbook_id", "sheet_count", "non_empty_cells", "input_cells", "formula_cells", "parse_failures",
                  "metrics")
@@ -130,14 +125,17 @@ def compute_record(
         classification = classify_cells(workbook, graph)
     non_empty = 0
     all_formula_cells = 0
-    parsed_cells: list[Cell] = []
-    for cell in workbook.iter_cells():
-        if cell.has_content:
-            non_empty += 1
-        if cell.formula is not None:
-            all_formula_cells += 1
-            if cell.formula.expr is not None:
-                parsed_cells.append(cell)
+    coords: list[CellCoordinate] = []  # of the parsed formula cells
+    trees: list[AstMetrics] = []
+    for sheet in workbook.sheets:
+        for (row, col), cell in sheet.cells.items():
+            if cell.has_content:
+                non_empty += 1
+            if cell.formula is not None:
+                all_formula_cells += 1
+                if cell.formula.expr is not None:
+                    coords.append(CellCoordinate(sheet.index, row, col))
+                    trees.append(ast_metrics(cell.formula.expr, conditional_functions))
     input_cells = graph.unstored_references + sum(
         1 for kind in classification.values() if kind is CellKind.INPUT_VALUE
     )
@@ -149,9 +147,7 @@ def compute_record(
     metrics["M06"] = _ratio(input_cells, non_empty)
     metrics["M07"] = _ratio(all_formula_cells, input_cells)
 
-    if parsed_cells:
-        trees = [ast_metrics(cell.formula.expr, conditional_functions) for cell in parsed_cells]
-        coords = [cell.coordinate for cell in parsed_cells]
+    if coords:
         pairs = (
             ("M01", "M02", [m.ast_depth for m in trees]),
             ("M09", "M10", [graph.fan_out(c) for c in coords]),
@@ -173,6 +169,6 @@ def compute_record(
         non_empty_cells=non_empty,
         input_cells=input_cells,
         formula_cells=all_formula_cells,
-        parse_failures=all_formula_cells - len(parsed_cells),
+        parse_failures=all_formula_cells - len(coords),
         metrics=metrics,
     )

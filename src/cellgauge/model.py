@@ -16,6 +16,8 @@ if TYPE_CHECKING:
     from .graph import DependencyGraph
 
 __all__ = [
+    "BLANK_CELL",
+    "LITERAL_CELL",
     "Cell",
     "CellCoordinate",
     "CellKind",
@@ -54,21 +56,26 @@ class Formula(Value):
 
 
 class Cell(Value):
-    """A stored cell: a formula, a literal (whose value is not kept), or
-    neither (stored for its formatting alone, e.g. a fill)."""
+    """A stored cell's content: a formula, a literal (whose value is not
+    kept), or neither (stored for its formatting alone, e.g. a fill). Its
+    position is its key in `Worksheet.cells` and that sheet's index."""
 
-    __slots__ = ("coordinate", "formula", "literal")
+    __slots__ = ("formula", "literal")
 
-    def __init__(self, coordinate: CellCoordinate, formula: Formula | None = None, literal: bool = False):
+    def __init__(self, formula: Formula | None = None, literal: bool = False):
         if literal and formula is not None:
-            raise ValueError(f"cell {coordinate} has both a literal and a formula")
-        self.coordinate = coordinate
+            raise ValueError("a cell has both a literal and a formula")
         self.formula = formula
         self.literal = literal
 
     @property
     def has_content(self) -> bool:
         return self.literal or self.formula is not None
+
+
+# The one value of every literal cell and of every cell stored without content.
+LITERAL_CELL = Cell(literal=True)
+BLANK_CELL = Cell()
 
 
 class DefinedName(Value):
@@ -165,8 +172,8 @@ def classify_cells(
     kinds: dict[CellCoordinate, CellKind] = {}
     referenced = graph.cover_counts
     for sheet in workbook.sheets:
-        for cell in sheet.cells.values():
-            coord = cell.coordinate
+        for (row, col), cell in sheet.cells.items():
+            coord = CellCoordinate(sheet.index, row, col)
             if cell.formula is not None:
                 kinds[coord] = CellKind.FORMULA
             elif coord in referenced:

@@ -28,7 +28,7 @@ from .expressions import (
     serialize,
 )
 from .interchange import _parse_defined_target, parse_cell_ref
-from .model import Cell, CellCoordinate, DefinedName, Formula, Workbook, Worksheet
+from .model import BLANK_CELL, LITERAL_CELL, Cell, CellCoordinate, DefinedName, Formula, Workbook, Worksheet
 from .parser import parse_formula
 from .tokens import MAX_COL, MAX_ROW
 
@@ -288,7 +288,7 @@ class _SheetReader:
         f_el = c_el.find(_MAIN + "f")
         if f_el is not None:
             formula = self._formula(f_el, row, col)
-            self.cells[(row, col)] = Cell(CellCoordinate(self.sheet_index, row, col), formula)
+            self.cells[(row, col)] = Cell(formula)
             return
         t = c_el.get("t", "n")
         if t == "inlineStr":
@@ -298,7 +298,7 @@ class _SheetReader:
             v_text = v_el.text if v_el is not None else None
             literal = v_text is not None and self._holds_value(t, v_text, row, col)
         if literal or self._filled(c_el.get("s")):  # else a default cell: nothing to store
-            self.cells[(row, col)] = Cell(CellCoordinate(self.sheet_index, row, col), literal=literal)
+            self.cells[(row, col)] = LITERAL_CELL if literal else BLANK_CELL
 
     def _holds_value(self, t: str, v_text: str, row: int, col: int) -> bool:
         """Whether a ``<v>`` text is a value of its cell-type marker."""

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from cellgauge.expressions import column_index_to_letter
 from cellgauge.interchange import _parse_defined_target, parse_cell_ref
-from cellgauge.model import Cell, CellCoordinate, DefinedName, Workbook, Worksheet
+from cellgauge.model import Cell, DefinedName, Workbook, Worksheet
 from cellgauge.parser import parse_formula
 
 NAMES = ("alpha", "beta_1", "net.total", "_scratch", "grandTotal", "TOTAL")
@@ -153,11 +153,10 @@ def make_workbook(sheets, defined_names=None, name="test"):
         cells = {}
         for ref_text, content in spec.items():
             row, col = parse_cell_ref(ref_text)
-            coord = CellCoordinate(index, row, col)
             if isinstance(content, str) and content.startswith("="):
-                cells[(row, col)] = Cell(coord, formula=parse_formula(content[1:]))
+                cells[(row, col)] = Cell(parse_formula(content[1:]))
             else:
-                cells[(row, col)] = Cell(coord, literal=content is not None)
+                cells[(row, col)] = Cell(literal=content is not None)
         worksheets.append(Worksheet(sheet_name, index, cells))
     defined = {
         (None, name_.casefold()): DefinedName(name_, target, _parse_defined_target(target))

@@ -18,7 +18,7 @@ from cellgauge.expressions import (
     Range,
     Reference,
 )
-from cellgauge.model import Workbook
+from cellgauge.model import CellCoordinate, Workbook
 
 GRID_MAX_ROW = 1_048_576
 GRID_MAX_COL = 16_384
@@ -207,27 +207,29 @@ def spreading(points) -> float:
 def expansions(workbook: Workbook) -> dict:
     """Each parsed formula cell's coordinate -> (cells, dangling) of `expand`."""
     return {
-        cell.coordinate: expand(cell.formula.expr, cell.coordinate.sheet, workbook)
+        CellCoordinate(sheet.index, row, col): expand(cell.formula.expr, sheet.index, workbook)
         for sheet in workbook.sheets
-        for cell in sheet.cells.values()
+        for (row, col), cell in sheet.cells.items()
         if cell.formula is not None and cell.formula.expr is not None
     }
 
 
 def record(workbook: Workbook, conditional_set=CONDITIONALS) -> dict:
     """All 22 metric values (keyed M01..M22) plus bookkeeping, brute force."""
-    all_cells = [cell for sheet in workbook.sheets for cell in sheet.cells.values()]
-    non_empty = sum(1 for c in all_cells if c.literal or c.formula is not None)
-    formula_cells = [c for c in all_cells if c.formula is not None]
-    parsed = [c for c in formula_cells if c.formula.expr is not None]
+    all_cells = {
+        (sheet.index, row, col): cell for sheet in workbook.sheets for (row, col), cell in sheet.cells.items()
+    }
+    non_empty = sum(1 for c in all_cells.values() if c.literal or c.formula is not None)
+    formula_cells = {coord: c.formula for coord, c in all_cells.items() if c.formula is not None}
+    parsed = {coord: f.expr for coord, f in formula_cells.items() if f.expr is not None}
     expanded = expansions(workbook)
 
     referenced = set()
     for cells, _ in expanded.values():
         referenced |= cells
-    formula_coords = {tuple(c.coordinate) for c in formula_cells}
+    formula_coords = set(formula_cells)
     stored_nonformula_content = {
-        tuple(c.coordinate) for c in all_cells if c.formula is None and c.literal
+        coord for coord, c in all_cells.items() if c.formula is None and c.literal
     }
     # input cells: referenced and not a formula cell (stored literal or blank)
     input_coords = referenced - formula_coords
@@ -246,15 +248,15 @@ def record(workbook: Workbook, conditional_set=CONDITIONALS) -> dict:
     values["M07"] = len(formula_cells) / len(input_coords) if input_coords else None
 
     if parsed:
-        depths = [depth(c.formula.expr) for c in parsed]
-        elements = [count_nodes(c.formula.expr) for c in parsed]
-        funcs = [len(function_names(c.formula.expr)) for c in parsed]
-        distinct = [len(set(function_names(c.formula.expr))) for c in parsed]
-        conds = [conditionals(c.formula.expr, conditional_set) for c in parsed]
-        fan_outs = [len(expanded[c.coordinate][0]) for c in parsed]
-        fan_ins = [fan_in[c.coordinate] for c in parsed]
-        spreads = [spreading(expanded[c.coordinate][0]) for c in parsed]
-        keys = {copy_key(c.formula.expr) for c in parsed}
+        depths = [depth(e) for e in parsed.values()]
+        elements = [count_nodes(e) for e in parsed.values()]
+        funcs = [len(function_names(e)) for e in parsed.values()]
+        distinct = [len(set(function_names(e))) for e in parsed.values()]
+        conds = [conditionals(e, conditional_set) for e in parsed.values()]
+        fan_outs = [len(expanded[c][0]) for c in parsed]
+        fan_ins = [fan_in[c] for c in parsed]
+        spreads = [spreading(expanded[c][0]) for c in parsed]
+        keys = {copy_key(e) for e in parsed.values()}
 
         def put(avg_id, max_id, vals):
             values[avg_id] = sum(vals) / len(vals)

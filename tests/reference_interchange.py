@@ -13,7 +13,7 @@ from typing import Any
 
 from cellgauge.expressions import ValueType, column_letter_to_index
 from cellgauge.interchange import SchemaError
-from cellgauge.model import Cell, CellCoordinate, DefinedName, Workbook, Worksheet
+from cellgauge.model import Cell, DefinedName, Workbook, Worksheet
 from cellgauge.parser import parse_formula, parse_text
 from cellgauge.tokens import MAX_COL, MAX_ROW, FormulaError
 
@@ -46,7 +46,8 @@ def _parse_defined_target(target: str):
         return None
 
 
-def _read_cell(entry: Any, sheet_index: int, path: str) -> Cell:
+def _read_cell(entry: Any, path: str) -> tuple[tuple[int, int], Cell]:
+    """The cell's (row, col) key and its content."""
     _expect(isinstance(entry, dict), path, "expected a cell object")
     ref = entry.get("ref")
     _expect(isinstance(ref, str), path + ".ref", "expected an A1-style string")
@@ -64,12 +65,11 @@ def _read_cell(entry: Any, sheet_index: int, path: str) -> Cell:
     fill = entry.get("fill")
     if fill is not None:
         _expect(isinstance(fill, str), path + ".fill", "expected a color string")
-    coordinate = CellCoordinate(sheet_index, row, col)
     if has_formula:
         text = entry["formula"]
         _expect(isinstance(text, str), path + ".formula", "expected a string")
         _expect(text.startswith("="), path + ".formula", 'formula must start with "="')
-        return Cell(coordinate, parse_formula(text[1:]))
+        return (row, col), Cell(parse_formula(text[1:]))
     type_name = entry.get("type")
     _expect(
         isinstance(type_name, str),
@@ -91,7 +91,7 @@ def _read_cell(entry: Any, sheet_index: int, path: str) -> Cell:
         _expect(isinstance(value, bool), path + ".value", "expected a boolean")
     else:
         _expect(isinstance(value, str), path + ".value", "expected a string")
-    return Cell(coordinate, literal=True)
+    return (row, col), Cell(literal=True)
 
 
 def read_interchange(document: Any, *, default_name: str | None = None) -> Workbook:
@@ -111,8 +111,7 @@ def read_interchange(document: Any, *, default_name: str | None = None) -> Workb
         _expect(isinstance(cells_doc, list), s_path + ".cells", "expected a list of cells")
         cells: dict[tuple[int, int], Cell] = {}
         for c_idx, entry in enumerate(cells_doc):
-            cell = _read_cell(entry, s_idx + 1, f"{s_path}.cells[{c_idx}]")
-            key = (cell.coordinate.row, cell.coordinate.col)
+            key, cell = _read_cell(entry, f"{s_path}.cells[{c_idx}]")
             _expect(
                 key not in cells,
                 f"{s_path}.cells[{c_idx}].ref",

@@ -23,12 +23,7 @@ from cellgauge.cli import main as cli_main
 from cellgauge.expressions import column_index_to_letter
 from cellgauge.graph import build_graph
 from cellgauge.interchange import read_interchange, read_interchange_file
-from cellgauge.metrics import (
-    METRIC_IDS,
-    ast_metrics,
-    compute_record,
-    spreading_factor,
-)
+from cellgauge.metrics import METRIC_IDS, ast_metrics, compute_record
 from cellgauge.model import CellCoordinate, Workbook, Worksheet
 from cellgauge.parser import parse_formula, parse_text
 
@@ -180,7 +175,7 @@ def test_c4_spreading_factor_corner_shortcut_is_exact():
         host = 4
         for coord, (cells, _) in oracle.expansions(single).items():
             assert coord.sheet == host
-            engine = spreading_factor(coord, graph)
+            engine = graph.spreading_factor(coord)
             brute = oracle.spreading(cells)
             assert engine == brute  # exact float equality
 
@@ -207,7 +202,7 @@ def test_c4_spreading_factor_corner_shortcut_is_exact():
         )
         graph = build_graph(pairs)
         for coord, (cells, _) in oracle.expansions(pairs).items():
-            engine = spreading_factor(coord, graph)
+            engine = graph.spreading_factor(coord)
             brute = oracle.spreading(cells)
             assert engine == brute
 
@@ -309,13 +304,13 @@ def test_c7_corpus_determinism_across_parallelism(tmp_path):
 
 def _performance_workbook() -> Workbook:
     """10,000 formula cells with ranges of up to 100 cells."""
-    from cellgauge.model import Cell
+    from cellgauge.model import LITERAL_CELL, Cell
 
     rng = random.Random(0xC8)
     data_cells = {}
     for row in range(1, 101):
         for col in range(1, 11):
-            data_cells[(row, col)] = Cell(CellCoordinate(1, row, col), literal=True)
+            data_cells[(row, col)] = LITERAL_CELL
     formula_cells = {}
     for i in range(10_000):
         row = i + 1
@@ -324,9 +319,7 @@ def _performance_workbook() -> Workbook:
         span = rng.randint(0, 99)
         end = min(100, start + span)
         text = f"SUM(Data!{col_letter}{start}:{col_letter}{end})+Data!A{rng.randint(1, 100)}*2"
-        formula_cells[(row, 1)] = Cell(
-            coordinate=CellCoordinate(2, row, 1), formula=parse_formula(text)
-        )
+        formula_cells[(row, 1)] = Cell(parse_formula(text))
     return Workbook(
         "performance",
         (Worksheet("Data", 1, data_cells), Worksheet("Calc", 2, formula_cells)),

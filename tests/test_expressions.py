@@ -29,7 +29,7 @@ from cellgauge.expressions import (
 from cellgauge.analytics import Histogram, HistogramSpec, histogram
 from cellgauge.graph import build_graph
 from cellgauge.metrics import MetricRecord, ast_metrics, compute_record
-from cellgauge.model import Cell, CellCoordinate, Formula
+from cellgauge.model import Cell, Formula
 from cellgauge.parser import parse_text
 
 from . import oracle
@@ -187,10 +187,10 @@ class TestRepr:
         assert repr(Histogram("M03", (1.0,), (3,))) == "Histogram(metric_id='M03', bin_edges=(1.0,), counts=(3,))"
 
     def test_formula_cell_text(self):
-        cell = Cell(CellCoordinate(1, 2, 3), Formula("SUM(A:A)", parse_text("SUM(A:A)")))
+        cell = Cell(Formula("SUM(A:A)", parse_text("SUM(A:A)")))
         column = "CellLocator(row=None, col=1, row_abs=False, col_abs=False)"
         assert repr(cell) == recursive_repr(cell) == (
-            "Cell(coordinate=CellCoordinate(sheet=1, row=2, col=3), formula=Formula(text='SUM(A:A)', "
+            "Cell(formula=Formula(text='SUM(A:A)', "
             f"expr=Function(name='SUM', args=(Range(start={column}, end={column}, sheet=None, external=False),)), "
             "error=None), literal=False)"
         )
@@ -242,7 +242,7 @@ class TestValueContract:
     def test_cell_with_literal_and_formula_is_refused(self):
         formula = Formula("A1", parse_text("A1"))
         with pytest.raises(ValueError, match=r"has both a literal and a formula"):
-            Cell(CellCoordinate(1, 1, 2), formula, literal=True)
+            Cell(formula, literal=True)
 
     def test_pickle_round_trip(self):
         # the process pool pickles every record it sends back

@@ -23,7 +23,7 @@ from cellgauge.expressions import (
 from cellgauge.graph import NotAFormulaCellError, build_graph
 from cellgauge.interchange import read_interchange
 from cellgauge.metrics import compute_record
-from cellgauge.model import Cell, CellCoordinate, Formula, Workbook, Worksheet
+from cellgauge.model import LITERAL_CELL, Cell, CellCoordinate, Formula, Workbook, Worksheet
 from cellgauge.parser import parse_text
 
 from . import oracle
@@ -294,7 +294,7 @@ class TestGridCorners:
         graph = build_graph(workbook)
         expanded = oracle.expansions(workbook)
         assert set(graph.formula_cells()) == set(expanded)
-        stored = {cell.coordinate for cell in workbook.iter_cells()}
+        stored = {C(sheet.index, row, col) for sheet in workbook.sheets for row, col in sheet.cells}
         referenced: set = set()
         covering: dict = {}
         for source, (cells, dangling) in expanded.items():
@@ -376,10 +376,10 @@ def _column_workbook(columns: dict[int, list[Formula]], values: dict[int, int] |
     cells = {}
     for col, formulas in columns.items():
         for row, formula in enumerate(formulas, start=1):
-            cells[(row, col)] = Cell(CellCoordinate(1, row, col), formula=formula)
+            cells[(row, col)] = Cell(formula)
     for col, rows in (values or {}).items():
         for row in range(1, rows + 1):
-            cells[(row, col)] = Cell(CellCoordinate(1, row, col), literal=True)
+            cells[(row, col)] = LITERAL_CELL
     return Workbook("cost", (Worksheet("S", 1, cells),), {})
 
 

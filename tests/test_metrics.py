@@ -14,12 +14,7 @@ from hypothesis import strategies as st
 from cellgauge.cli import analyze_workbook
 from cellgauge.graph import build_graph, max_distance
 from cellgauge.interchange import read_interchange
-from cellgauge.metrics import (
-    METRIC_IDS,
-    ast_metrics,
-    compute_record,
-    spreading_factor,
-)
+from cellgauge.metrics import METRIC_IDS, ast_metrics, compute_record
 from cellgauge.model import CellCoordinate
 from cellgauge.parser import parse_text
 from cellgauge.reports import render_report
@@ -96,25 +91,25 @@ class TestSpreadingFactor:
     def test_single_reference(self):
         workbook = make_workbook([("S", {"E5": "=A1"})])
         graph = build_graph(workbook)
-        assert spreading_factor(C(1, 5, 5), graph) == 0.0
+        assert graph.spreading_factor(C(1, 5, 5)) == 0.0
 
     def test_same_sheet_distance(self):
         workbook = make_workbook([("S", {"E5": "=A1+C4"})])
         graph = build_graph(workbook)
-        assert spreading_factor(C(1, 5, 5), graph) == pytest.approx(math.sqrt(13), abs=1e-12)
+        assert graph.spreading_factor(C(1, 5, 5)) == pytest.approx(math.sqrt(13), abs=1e-12)
 
     def test_cross_sheet_distance_is_sheet_delta(self):
         workbook = make_workbook(
             [("Sheet1", {"E5": "=Sheet2!A1+Sheet1!A1"}), ("Sheet2", {})]
         )
         graph = build_graph(workbook)
-        assert spreading_factor(C(1, 5, 5), graph) == 1.0
+        assert graph.spreading_factor(C(1, 5, 5)) == 1.0
 
     def test_permutation_invariance(self):
         a = make_workbook([("S", {"A9": "=A1+C4+B2"})])
         b = make_workbook([("S", {"A9": "=B2+A1+C4"})])
-        va = spreading_factor(C(1, 9, 1), build_graph(a))
-        vb = spreading_factor(C(1, 9, 1), build_graph(b))
+        va = build_graph(a).spreading_factor(C(1, 9, 1))
+        vb = build_graph(b).spreading_factor(C(1, 9, 1))
         assert va == vb
 
     @pytest.mark.parametrize("r1,c1,r2,c2", [(1, 1, 10, 10), (2, 3, 7, 4), (5, 5, 5, 9)])
@@ -128,7 +123,7 @@ class TestSpreadingFactor:
         graph = build_graph(workbook)
         cells, _ = oracle.expand(workbook.sheets[0].cells[(99, 26)].formula.expr, 1, workbook)
         assert len(cells) == (r2 - r1 + 1) * (c2 - c1 + 1)
-        assert spreading_factor(C(1, 99, 26), graph) == oracle.spreading(cells)
+        assert graph.spreading_factor(C(1, 99, 26)) == oracle.spreading(cells)
 
 
     @given(

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import gc
+import json
 import random
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellgauge.graph import build_graph
-from cellgauge.interchange import read_interchange
+from cellgauge.interchange import _cached_cell_ref, read_interchange, read_interchange_file
 from cellgauge.metrics import compute_record
-from cellgauge.model import CellCoordinate, CellKind, classify_cells
+from cellgauge.model import LITERAL_CELL, CellCoordinate, CellKind, classify_cells
+from cellgauge.xlsx import read_xlsx
 
 from .genutil import gen_workbook_doc, make_workbook
+from .test_xlsx import build_xlsx
 
 
 def classify(workbook):
@@ -66,7 +71,7 @@ class TestProperties:
         workbook = read_interchange(gen_workbook_doc(random.Random(seed)))
         graph = build_graph(workbook)
         kinds = classify_cells(workbook, graph)
-        stored = {cell.coordinate for cell in workbook.iter_cells()}
+        stored = {CellCoordinate(sheet.index, row, col) for sheet in workbook.sheets for row, col in sheet.cells}
         referenced = set(graph.reverse)
         # stored cells are listed; referenced blank coordinates are counted
         assert set(kinds) == stored
@@ -97,3 +102,46 @@ class TestProperties:
         low = make_workbook([("S", {"A1": "=B1", "B1": 1, "C1": "x"})])
         high = make_workbook([("S", {"A1": "=B1", "B1": 999.5, "C1": "other text"})])
         assert classify(low) == classify(high)
+
+
+class TestStoredCellMemory:
+    """A stored literal costs its grid key and a dict slot, not an object of its own."""
+
+    ROWS, COLS = 2_000, 10
+
+    def retained_per_cell(self, read, path) -> float:
+        _cached_cell_ref.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            workbook = read(path)
+            _cached_cell_ref.cache_clear()  # the reader's ref cache is not the model
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        (sheet,) = workbook.sheets
+        assert len(sheet.cells) == self.ROWS * self.COLS
+        assert all(cell is LITERAL_CELL for cell in sheet.cells.values())
+        return retained / len(sheet.cells)
+
+    def rows(self):
+        """Per row: its number and the refs of its cells."""
+        return [(row, [f"{col}{row}" for col in "ABCDEFGHIJ"[: self.COLS]]) for row in range(1, self.ROWS + 1)]
+
+    def test_xlsx_literals(self, tmp_path):
+        body = "".join(
+            f'<row r="{row}">' + "".join(f'<c r="{ref}"><v>{row}.5</v></c>' for ref in refs) + "</row>"
+            for row, refs in self.rows()
+        )
+        path = build_xlsx(tmp_path / "numbers.xlsx", [("S", body)])
+        per_cell = self.retained_per_cell(read_xlsx, path)
+        assert per_cell <= 150, f"{per_cell:.0f} bytes per stored literal"
+
+    def test_interchange_literals(self, tmp_path):
+        cells = [{"ref": ref, "value": row + 0.5, "type": "number"} for row, refs in self.rows() for ref in refs]
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps({"name": "numbers", "sheets": [{"name": "S", "cells": cells}]}))
+        per_cell = self.retained_per_cell(read_interchange_file, path)
+        assert per_cell <= 150, f"{per_cell:.0f} bytes per stored literal"

@@ -12,7 +12,7 @@ import pytest
 from cellgauge import xlsx
 from cellgauge.expressions import serialize
 from cellgauge.graph import build_graph
-from cellgauge.model import CellCoordinate
+from cellgauge.model import BLANK_CELL, LITERAL_CELL, CellCoordinate
 from cellgauge.parser import parse_text
 from cellgauge.xlsx import (
     CorruptPartError,
@@ -438,8 +438,8 @@ class TestStyles:
         # solid 6- or 8-digit fills store a cell without content; no fill, a
         # 3-digit color or a style or fill index out of range stores none
         assert set(cells) == {(1, 1), (1, 2), (1, 5)}
-        assert cells[(1, 1)].literal
-        assert not cells[(1, 2)].has_content and not cells[(1, 5)].has_content
+        assert cells[(1, 1)] is LITERAL_CELL
+        assert cells[(1, 2)] is cells[(1, 5)] is BLANK_CELL and not BLANK_CELL.has_content
 
     def test_unstyled_blank_cell_not_stored(self, tmp_path):
         body = '<row r="1"><c r="A1"/><c r="B1"><v>1</v></c></row>'
