@@ -33,7 +33,7 @@ from .metrics import (
     compute_record,
 )
 from .model import Workbook, classify_cells
-from .reports import render_report, write_report
+from .reports import render_report, report_document, write_report
 from .xlsx import XlsxError, read_xlsx
 
 logger = logging.getLogger("cellgauge")
@@ -201,46 +201,25 @@ def _run_alone(task: _Task) -> _Outcome:
         return ("error", task[1], f"{type(exc).__name__}: {exc}")
 
 
-def _artifact_path(out: Path, label: str, fmt: str) -> Path:
-    return out.with_name(f"{out.stem}.{label}.{fmt}")
-
-
-def _write_file(payload, fmt: str, path: Path) -> None:
-    try:
-        report = open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ReportFileError(f"cannot open report file {path}: {exc.strerror or exc}") from None
-    with report:
-        write_report(payload, fmt, report)
-
-
-def _emit(payload, fmt: str, out: Path | None, label: str | None, to_stdout_sections: list) -> None:
-    if out is None:
-        to_stdout_sections.append((label, payload))
-    elif label is None:
-        _write_file(payload, fmt, out)
+def _write_sections(sections: list[tuple[str, object]], fmt: str, out: Path | None) -> None:
+    """Write the (label, payload) reports, the records first. With `out`, the
+    records go to it and every other section to a file named after it and
+    its label; without, all go to stdout: CSV sections separated by one blank
+    line, JSON sections as one object keyed by label (a lone one as is)."""
+    if out is not None:
+        for label, payload in sections:
+            path = out if label == "records" else out.with_name(f"{out.stem}.{label}.{fmt}")
+            try:
+                report = open(path, "w", encoding="utf-8", newline="")
+            except OSError as exc:
+                raise ReportFileError(f"cannot open report file {path}: {exc.strerror or exc}") from None
+            with report:
+                write_report(payload, fmt, report)
+    elif fmt == "csv" or len(sections) == 1:
+        sys.stdout.write("\n".join(render_report(payload, fmt) for _, payload in sections))
     else:
-        _write_file(payload, fmt, _artifact_path(out, label, fmt))
-
-
-def _flush_stdout_sections(sections: list, fmt: str) -> None:
-    if fmt == "json":
-        if len(sections) == 1:
-            write_report(sections[0][1], "json", None)
-        else:
-            combined = {
-                label or "records": json.loads(render_report(payload, "json"))
-                for label, payload in sections
-            }
-            json.dump(combined, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        return
-    first = True
-    for label, payload in sections:
-        if not first:
-            sys.stdout.write("\n")
-        first = False
-        write_report(payload, "csv", None)
+        json.dump({label: report_document(payload) for label, payload in sections}, sys.stdout, indent=2)
+        sys.stdout.write("\n")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -248,14 +227,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     with _collector_paused():
         try:
             workbook = load_workbook(args.file, args.input_format)
-        except (XlsxError, SchemaError, BadInputError, OSError, json.JSONDecodeError) as exc:
+        except (XlsxError, SchemaError, BadInputError, OSError) as exc:
             logger.error("cannot read %s: %s", args.file, exc)
             return EXIT_BAD_INPUT
         record = analyze_workbook(workbook, conditional_functions=conditional)
-    if args.out:
-        _write_file(record, args.format, Path(args.out))
-    else:
-        write_report(record, args.format, None)
+    _write_sections([("records", record)], args.format, Path(args.out) if args.out else None)
     return EXIT_OK
 
 
@@ -309,24 +285,21 @@ def cmd_corpus(args: argparse.Namespace) -> int:
     if failures or legacy_skips:
         logger.warning("skipped %d unreadable / %d legacy files", failures, legacy_skips)
 
-    sections: list = []
-    _emit(records, args.format, out, None, sections)
+    sections: list[tuple[str, object]] = [("records", records)]
     if args.summary:
         try:
-            _emit(aggregate(records), args.format, out, "summary", sections)
+            sections.append(("summary", aggregate(records)))
         except EmptyCorpusError:
             pass
     if args.histogram:
         spec = HistogramSpec(bins=args.bins or 20, bounds=args.range)
         try:
-            _emit(histogram(records, args.histogram, spec), args.format, out, f"histogram.{args.histogram}", sections)
+            sections.append((f"histogram.{args.histogram}", histogram(records, args.histogram, spec)))
         except NoDataError as exc:
             logger.warning("histogram skipped: %s", exc)
     if args.correlate:
-        matrix = correlation_matrix(records, method=args.correlation_method)
-        _emit(matrix, args.format, out, "correlation", sections)
-    if sections:
-        _flush_stdout_sections(sections, args.format)
+        sections.append(("correlation", correlation_matrix(records, method=args.correlation_method)))
+    _write_sections(sections, args.format, out)
     return EXIT_OK
 
 

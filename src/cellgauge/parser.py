@@ -109,7 +109,9 @@ def _row_locator(lexeme: str) -> CellLocator | None:
     """Locator of a full-row range end like 3 or $3."""
     absolute = lexeme.startswith("$")
     digits = lexeme[1:] if absolute else lexeme
-    if not digits.isascii() or not digits.isdigit() or digits[0] == "0":
+    # MAX_ROW has 7 digits, so a longer text is out of the grid; checked
+    # before int(), which refuses texts of more than 4,300 digits.
+    if not digits.isascii() or not digits.isdigit() or digits[0] == "0" or len(digits) > 7:
         return None
     row = int(digits)
     if row > MAX_ROW:

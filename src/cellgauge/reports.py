@@ -1,8 +1,13 @@
 """CSV/JSON report serialization for records, summaries, histograms, correlation.
 
+Each payload has one table and one document: ``report_table`` gives its CSV
+rows, header first, with every field already text, and ``report_document``
+gives its JSON document, with every number already rounded. Writing a report
+only encodes one of the two, so a new payload is one branch in each.
+
 Column order is fixed and version-stable. Absent values are empty CSV fields
 and JSON nulls; non-integer numbers are written with up to six significant
-digits (round-half-even).
+digits (round-half-even). A single record is reported as a list of one.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Sequence, TextIO
 
 from .analytics import CorrelationMatrix, CorpusSummary, Histogram
 from .metrics import METRIC_IDS, MetricRecord
@@ -27,7 +32,9 @@ RECORD_COLUMNS = (
 ) + METRIC_IDS
 
 
-def format_number(value: float | int) -> str:
+def format_number(value: float | int | None) -> str:
+    if value is None:
+        return ""
     if isinstance(value, int):
         return str(value)
     return format(value, ".6g")
@@ -39,127 +46,90 @@ def _json_value(value: float | int | None) -> float | int | None:
     return float(format(value, ".6g"))
 
 
-def record_row(record: MetricRecord) -> list[str]:
-    row = [
-        record.workbook_id,
-        str(record.sheet_count),
-        str(record.non_empty_cells),
-        str(record.input_cells),
-        str(record.formula_cells),
-        str(record.parse_failures),
-    ]
-    for metric_id in METRIC_IDS:
-        value = record.metrics[metric_id]
-        row.append("" if value is None else format_number(value))
-    return row
-
-
-def record_object(record: MetricRecord) -> dict[str, Any]:
-    obj: dict[str, Any] = {
-        "workbookId": record.workbook_id,
-        "sheetCount": record.sheet_count,
-        "nonEmptyCells": record.non_empty_cells,
-        "inputCells": record.input_cells,
-        "formulaCells": record.formula_cells,
-        "parseFailures": record.parse_failures,
-    }
-    for metric_id in METRIC_IDS:
-        obj[metric_id] = _json_value(record.metrics[metric_id])
-    return obj
-
-
-def write_records_csv(records: list[MetricRecord], stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(RECORD_COLUMNS)
-    for record in records:
-        writer.writerow(record_row(record))
-
-
-def write_records_json(records: list[MetricRecord], stream: TextIO) -> None:
-    json.dump([record_object(r) for r in records], stream, indent=2)
-    stream.write("\n")
-
-
-def write_summary_csv(summary: CorpusSummary, stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("statistic", "value"))
-    writer.writerow(("spreadsheetCount", str(summary.spreadsheet_count)))
-    writer.writerow(("ratioWithFormulas", format_number(summary.ratio_with_formulas)))
-    for metric_id in summary.per_metric:
-        value = summary.per_metric[metric_id]
-        writer.writerow((metric_id, "" if value is None else format_number(value)))
-
-
-def write_summary_json(summary: CorpusSummary, stream: TextIO) -> None:
-    obj = {
-        "spreadsheetCount": summary.spreadsheet_count,
-        "ratioWithFormulas": _json_value(summary.ratio_with_formulas),
-        "perMetric": {k: _json_value(v) for k, v in summary.per_metric.items()},
-    }
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
-
-
-def write_histogram_csv(histogram: Histogram, stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("metricId", "binStart", "binEnd", "count"))
-    for i, count in enumerate(histogram.counts):
-        writer.writerow(
-            (
-                histogram.metric_id,
-                format_number(histogram.bin_edges[i]),
-                format_number(histogram.bin_edges[i + 1]),
-                str(count),
+def report_table(payload: Any) -> list[Sequence[str]]:
+    """The CSV rows of a report payload, header first."""
+    if isinstance(payload, MetricRecord):
+        payload = [payload]
+    if isinstance(payload, list):
+        rows: list[Sequence[str]] = [RECORD_COLUMNS]
+        for record in payload:
+            metrics = record.metrics
+            rows.append(
+                [
+                    record.workbook_id,
+                    str(record.sheet_count),
+                    str(record.non_empty_cells),
+                    str(record.input_cells),
+                    str(record.formula_cells),
+                    str(record.parse_failures),
+                    *[format_number(metrics[metric_id]) for metric_id in METRIC_IDS],
+                ]
             )
-        )
+        return rows
+    if isinstance(payload, CorpusSummary):
+        return [
+            ("statistic", "value"),
+            ("spreadsheetCount", str(payload.spreadsheet_count)),
+            ("ratioWithFormulas", format_number(payload.ratio_with_formulas)),
+            *[(metric_id, format_number(value)) for metric_id, value in payload.per_metric.items()],
+        ]
+    if isinstance(payload, Histogram):
+        edges = payload.bin_edges
+        return [
+            ("metricId", "binStart", "binEnd", "count"),
+            *[
+                (payload.metric_id, format_number(edges[i]), format_number(edges[i + 1]), str(count))
+                for i, count in enumerate(payload.counts)
+            ],
+        ]
+    if isinstance(payload, CorrelationMatrix):
+        ids, r, n = payload.metric_ids, payload.r, payload.n
+        return [
+            ("metricA", "metricB", "r", "n"),
+            *[(ids[i], ids[j], format_number(r[i][j]), str(n[i][j])) for i in range(len(ids)) for j in range(i, len(ids))],
+        ]
+    raise TypeError(f"cannot report a {type(payload).__name__}")
 
 
-def write_histogram_json(histogram: Histogram, stream: TextIO) -> None:
-    obj = {
-        "metricId": histogram.metric_id,
-        "binEdges": [_json_value(e) for e in histogram.bin_edges],
-        "counts": list(histogram.counts),
-    }
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
-
-
-def write_correlation_csv(matrix: CorrelationMatrix, stream: TextIO) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(("metricA", "metricB", "r", "n"))
-    ids = matrix.metric_ids
-    for i in range(len(ids)):
-        for j in range(i, len(ids)):
-            r = matrix.r[i][j]
-            writer.writerow(
-                (ids[i], ids[j], "" if r is None else format_number(r), str(matrix.n[i][j]))
-            )
-
-
-def write_correlation_json(matrix: CorrelationMatrix, stream: TextIO) -> None:
-    obj = {
-        "metricIds": list(matrix.metric_ids),
-        "r": [[_json_value(v) for v in row] for row in matrix.r],
-        "n": [list(row) for row in matrix.n],
-    }
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
-
-
-_WRITERS = {
-    "csv": {
-        "records": write_records_csv,
-        CorpusSummary: write_summary_csv,
-        Histogram: write_histogram_csv,
-        CorrelationMatrix: write_correlation_csv,
-    },
-    "json": {
-        "records": write_records_json,
-        CorpusSummary: write_summary_json,
-        Histogram: write_histogram_json,
-        CorrelationMatrix: write_correlation_json,
-    },
-}
+def report_document(payload: Any) -> Any:
+    """The JSON document of a report payload, its numbers rounded."""
+    if isinstance(payload, MetricRecord):
+        payload = [payload]
+    if isinstance(payload, list):
+        documents = []
+        for record in payload:
+            metrics = record.metrics
+            document: dict[str, Any] = {
+                "workbookId": record.workbook_id,
+                "sheetCount": record.sheet_count,
+                "nonEmptyCells": record.non_empty_cells,
+                "inputCells": record.input_cells,
+                "formulaCells": record.formula_cells,
+                "parseFailures": record.parse_failures,
+            }
+            for metric_id in METRIC_IDS:
+                document[metric_id] = _json_value(metrics[metric_id])
+            documents.append(document)
+        return documents
+    if isinstance(payload, CorpusSummary):
+        return {
+            "spreadsheetCount": payload.spreadsheet_count,
+            "ratioWithFormulas": _json_value(payload.ratio_with_formulas),
+            "perMetric": {k: _json_value(v) for k, v in payload.per_metric.items()},
+        }
+    if isinstance(payload, Histogram):
+        return {
+            "metricId": payload.metric_id,
+            "binEdges": [_json_value(e) for e in payload.bin_edges],
+            "counts": list(payload.counts),
+        }
+    if isinstance(payload, CorrelationMatrix):
+        return {
+            "metricIds": list(payload.metric_ids),
+            "r": [[_json_value(v) for v in row] for row in payload.r],
+            "n": [list(row) for row in payload.n],
+        }
+    raise TypeError(f"cannot report a {type(payload).__name__}")
 
 
 def render_report(payload: Any, fmt: str) -> str:
@@ -169,18 +139,13 @@ def render_report(payload: Any, fmt: str) -> str:
 
 
 def _write_to(payload: Any, fmt: str, stream: TextIO) -> None:
-    try:
-        writers = _WRITERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown report format {fmt!r}") from None
-    if isinstance(payload, list) or isinstance(payload, MetricRecord):
-        records = payload if isinstance(payload, list) else [payload]
-        writers["records"](records, stream)
-        return
-    writer = writers.get(type(payload))
-    if writer is None:
-        raise TypeError(f"cannot report a {type(payload).__name__}")
-    writer(payload, stream)
+    if fmt == "csv":
+        csv.writer(stream, lineterminator="\n").writerows(report_table(payload))
+    elif fmt == "json":
+        json.dump(report_document(payload), stream, indent=2)
+        stream.write("\n")
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def write_report(payload: Any, fmt: str, destination: str | Path | TextIO | None) -> None:

@@ -276,6 +276,8 @@ class _SheetReader:
                 except ValueError:
                     logger.warning("%s: skipping cell with bad reference %r", self.part, ref)
                     continue
+                if row == row_number:
+                    row = row_number  # one int per row in the cells' keys, not one per cell
             elif row_number and last_col < MAX_COL:
                 row, col = row_number, last_col + 1
             else:
@@ -362,8 +364,9 @@ def read_xlsx(path: str | Path) -> Workbook:
                 scope = None
                 local = dn_el.get("localSheetId")
                 if local is not None:
-                    # 0-based position in <sheets>; sheet indices are 1-based
-                    if not (local.isdecimal() and int(local) < len(worksheets)):
+                    # 0-based position in <sheets>; sheet indices are 1-based.
+                    # The length check keeps int() off texts it refuses.
+                    if not (local.isdecimal() and len(local) <= 7 and int(local) < len(worksheets)):
                         logger.warning("skipping defined name %r: bad localSheetId %r", dn_name, local)
                         continue
                     scope = int(local) + 1

@@ -150,6 +150,26 @@ class TestAnalyze:
         assert out == ""
         assert path.name in err and "internal error" not in err
 
+    @pytest.mark.parametrize("case", ["row_range_end", "local_sheet_id"])
+    def test_overlong_digit_text_is_out_of_range(self, capsys, tmp_path, case):
+        # Longer than the 4,300 digits int() converts: a row-range end in a
+        # formula, and a defined name's localSheetId.
+        from .test_xlsx import build_xlsx
+
+        if case == "row_range_end":
+            path = tmp_path / "rows.json"
+            cell = {"ref": "A1", "formula": "=SUM(1:" + "9" * 4400 + ")"}
+            path.write_text(json.dumps({"name": "x", "sheets": [{"name": "S", "cells": [cell]}]}))
+        else:
+            body = '<row r="1"><c r="A1"><f>Total</f></c></row>'
+            path = build_xlsx(tmp_path / "names.xlsx", [("S", body)], defined_names=(("Total", "S!$B$2", "9" * 5000),))
+        code, out, err = run(["analyze", str(path), "--format", "json"], capsys)
+        assert code == 0 and "internal error" not in err
+        (record,) = json.loads(out)
+        assert record["formulaCells"] == 1
+        assert record["parseFailures"] == (1 if case == "row_range_end" else 0)
+        assert ("bad localSheetId" in err) == (case == "local_sheet_id")
+
     @pytest.mark.parametrize("command", ["analyze", "corpus"])
     @pytest.mark.parametrize("target", ["missing_directory", "directory"])
     def test_unopenable_report_file_exit_3(self, capsys, tmp_path, command, target):

@@ -137,7 +137,7 @@ class TestStoredCellMemory:
         )
         path = build_xlsx(tmp_path / "numbers.xlsx", [("S", body)])
         per_cell = self.retained_per_cell(read_xlsx, path)
-        assert per_cell <= 150, f"{per_cell:.0f} bytes per stored literal"
+        assert per_cell <= 100, f"{per_cell:.0f} bytes per stored literal"
 
     def test_interchange_literals(self, tmp_path):
         cells = [{"ref": ref, "value": row + 0.5, "type": "number"} for row, refs in self.rows() for ref in refs]

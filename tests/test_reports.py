@@ -49,6 +49,7 @@ class TestNumberFormatting:
             (167.94, "167.94"),
             (0.125, "0.125"),
             (1234567.0, "1.23457e+06"),
+            (None, ""),
         ],
     )
     def test_six_significant_digits(self, value, expected):
@@ -131,6 +132,11 @@ class TestOtherPayloads:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             render_report([], "xml")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unknown_payload_rejected(self, fmt):
+        with pytest.raises(TypeError, match="cannot report a dict"):
+            render_report({}, fmt)
 
 
 class TestDestinations:

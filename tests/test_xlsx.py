@@ -221,6 +221,17 @@ class TestLiterals:
         assert set(cells) == {(3, 1)}
         assert all(row >= 1 and col >= 1 for row, col in cells)
 
+    def test_cells_of_a_row_share_its_row_number(self, tmp_path):
+        # Rows above 256: Python does not share ints that large by itself.
+        body = "".join(
+            f'<row r="{row}">' + "".join(f'<c r="{col}{row}"><v>1</v></c>' for col in "ABCDEFGHIJ") + "</row>"
+            for row in range(1000, 1100)
+        )
+        path = build_xlsx(tmp_path / "rows.xlsx", [("S", body)])
+        cells = read_xlsx(path).sheets[0].cells
+        assert len(cells) == 1000
+        assert len({id(row) for row, _ in cells}) == 100
+
     def test_reference_with_trailing_newline_is_skipped(self, tmp_path, caplog):
         body = '<row r="2"><c r="A2"><v>1</v></c><c r="B2&#10;"><v>2</v></c></row>'
         path = build_xlsx(tmp_path / "newline.xlsx", [("S", body)])
