@@ -8,12 +8,9 @@ from .analytics import (
     CorrelationMatrix,
     CorpusSummary,
     Histogram,
-    HistogramSpec,
     aggregate,
     correlation_matrix,
     histogram,
-    pearson,
-    spearman,
 )
 from .expressions import (
     CellLocator,

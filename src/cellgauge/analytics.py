@@ -2,6 +2,10 @@
 
 Absent metric values (e.g. averages of a workbook without formulas) are
 excluded from every computation rather than imputed as zero.
+
+``histogram`` takes plain ``bins``/``bounds`` (once a ``HistogramSpec``). The
+(r, n) of one pair, once ``pearson``/``spearman(records, a, b)``, is entry
+[0][1] of ``correlation_matrix(records, (a, b), method)``.
 """
 
 from __future__ import annotations
@@ -47,15 +51,6 @@ def aggregate(records: list[MetricRecord]) -> CorpusSummary:
     )
 
 
-class HistogramSpec(Value):
-    __slots__ = ("bins", "bounds")
-
-    def __init__(self, bins: int = 20, bounds: tuple[float, float] | None = None):
-        self.bins = bins
-        # None: [0, 1] for ratio metrics, min..max observed otherwise.
-        self.bounds = bounds
-
-
 class Histogram(Value):
     __slots__ = ("metric_id", "bin_edges", "counts")
 
@@ -70,9 +65,10 @@ RATIO_METRICS = frozenset({"M04", "M06"})
 
 
 def histogram(
-    records: list[MetricRecord], metric_id: str, spec: HistogramSpec | None = None
+    records: list[MetricRecord], metric_id: str, bins: int = 20, bounds: tuple[float, float] | None = None
 ) -> Histogram:
-    """Bin the present values of one metric.
+    """Bin the present values of one metric into `bins` bins over `bounds`:
+    by default [0, 1] for ratio metrics, min..max observed otherwise.
 
     Bins are half-open with the final bin right-closed; a value exactly on an
     interior edge counts in the upper bin. With fixed bounds, out-of-range
@@ -82,11 +78,8 @@ def histogram(
     values = [r.metrics[metric_id] for r in records if r.metrics[metric_id] is not None]
     if not values:
         raise NoDataError(f"no values present for {metric_id}")
-    if spec is None:
-        spec = HistogramSpec()
-    if spec.bins < 1:
+    if bins < 1:
         raise ValueError("bin count must be >= 1")
-    bounds = spec.bounds
     if bounds is None and metric_id in RATIO_METRICS:
         bounds = (0.0, 1.0)
     if bounds is not None:
@@ -99,7 +92,6 @@ def histogram(
             hi = lo + 1.0
             if hi <= lo:  # |lo| so large that +1.0 does not register
                 hi = math.nextafter(lo, math.inf)
-    bins = spec.bins
     edges = [lo + (hi - lo) * i / bins for i in range(bins + 1)]
     edges[0], edges[-1] = lo, hi
     if any(edges[i] <= edges[i - 1] for i in range(1, len(edges))):
@@ -219,16 +211,6 @@ class _Columns:
             values = [column[k] for k in sample]
             centred = self._centred[key] = _centre(_ranks(values) if self._rank else values)
             return centred
-
-
-def pearson(records: list[MetricRecord], metric_a: str, metric_b: str) -> tuple[float | None, int]:
-    """(r, n) over the pairwise-complete observations of two metrics."""
-    return _Columns(records, (metric_a, metric_b), rank=False).correlate(0, 1)
-
-
-def spearman(records: list[MetricRecord], metric_a: str, metric_b: str) -> tuple[float | None, int]:
-    """Rank correlation: Pearson on average ranks of the pairwise sample."""
-    return _Columns(records, (metric_a, metric_b), rank=True).correlate(0, 1)
 
 
 class CorrelationMatrix(Value):

@@ -16,14 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analytics import (
-    EmptyCorpusError,
-    HistogramSpec,
-    NoDataError,
-    aggregate,
-    correlation_matrix,
-    histogram,
-)
+from .analytics import NoDataError, aggregate, correlation_matrix, histogram
 from .graph import build_graph
 from .interchange import SchemaError, read_interchange_file
 from .metrics import (
@@ -287,14 +280,11 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
     sections: list[tuple[str, object]] = [("records", records)]
     if args.summary:
-        try:
-            sections.append(("summary", aggregate(records)))
-        except EmptyCorpusError:
-            pass
+        sections.append(("summary", aggregate(records)))
     if args.histogram:
-        spec = HistogramSpec(bins=args.bins or 20, bounds=args.range)
         try:
-            sections.append((f"histogram.{args.histogram}", histogram(records, args.histogram, spec)))
+            binned = histogram(records, args.histogram, args.bins, args.range)
+            sections.append((f"histogram.{args.histogram}", binned))
         except NoDataError as exc:
             logger.warning("histogram skipped: %s", exc)
     if args.correlate:
@@ -317,7 +307,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
             "--conditional-functions",
             metavar="NAMES",
             help="comma-separated function names counted as conditionals "
-            "(default: IF,IFS,IFERROR,IFNA,COUNTIF,COUNTIFS,SUMIF,SUMIFS,AVERAGEIF,AVERAGEIFS)",
+            f"(default: {','.join(sorted(DEFAULT_CONDITIONAL_FUNCTIONS))})",
         )
         p.add_argument("--quiet", action="store_true", help="suppress warnings")
 
@@ -335,7 +325,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument(
         "--histogram", metavar="METRIC", choices=METRIC_IDS, help="also emit a histogram of METRIC"
     )
-    p_corpus.add_argument("--bins", type=_count_option, help="histogram bin count (default 20)")
+    p_corpus.add_argument("--bins", type=_count_option, default=20, help="histogram bin count (default %(default)s)")
     p_corpus.add_argument(
         "--range",
         type=_range_option,

@@ -39,31 +39,14 @@ class OpKind(enum.Enum):
     UNARY_PLUS = "unaryPlus"
 
 
-UNARY_OPS = frozenset({OpKind.PERCENT, OpKind.UNARY_MINUS, OpKind.UNARY_PLUS})
-
-OP_SYMBOL = {
-    OpKind.ADD: "+",
-    OpKind.SUB: "-",
-    OpKind.MUL: "*",
-    OpKind.DIV: "/",
-    OpKind.POW: "^",
-    OpKind.CONCAT: "&",
-    OpKind.EQ: "=",
-    OpKind.NEQ: "<>",
-    OpKind.LT: "<",
-    OpKind.GT: ">",
-    OpKind.LE: "<=",
-    OpKind.GE: ">=",
-    OpKind.PERCENT: "%",
-    OpKind.UNARY_MINUS: "-",
-    OpKind.UNARY_PLUS: "+",
+# Each operator's symbol, keyed by its kind's string value: `write_tree`
+# looks up every operator node, and hashing an Enum member runs
+# Enum.__hash__ in Python, while a str caches its hash.
+_SYMBOL = {
+    "add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^", "concat": "&",
+    "eq": "=", "neq": "<>", "lt": "<", "gt": ">", "le": "<=", "ge": ">=",
+    "percent": "%", "unaryMinus": "-", "unaryPlus": "+",
 }
-
-# The same tables keyed by each kind's string value: `write_tree` looks up
-# every operator node, and hashing an Enum member runs Enum.__hash__ in
-# Python, while a str caches its hash.
-_UNARY_VALUES = frozenset(op._value_ for op in UNARY_OPS)
-_SYMBOL_BY_VALUE = {op._value_: symbol for op, symbol in OP_SYMBOL.items()}
 
 
 class BadColumnError(ValueError):
@@ -316,18 +299,18 @@ def write_tree(expr: Expr, wildcard_refs: bool = False) -> WrittenTree:
             deepest = depth
         kind = type(node)
         if kind is Operator:
-            op = node.kind._value_
-            if op not in _UNARY_VALUES:
-                left, right = node.operands
-                push((right, depth + 1))
-                push(_SYMBOL_BY_VALUE[op])
-                push((left, depth + 1))
-            elif op == "percent":
-                push("%")
-                push((node.operands[0], depth + 1))
+            symbol = _SYMBOL[node.kind._value_]
+            operands = node.operands
+            if len(operands) == 2:
+                push((operands[1], depth + 1))
+                push(symbol)
+                push((operands[0], depth + 1))
+            elif symbol == "%":
+                push(symbol)
+                push((operands[0], depth + 1))
             else:
-                emit(_SYMBOL_BY_VALUE[op])
-                push((node.operands[0], depth + 1))
+                emit(symbol)
+                push((operands[0], depth + 1))
         elif kind is Constant:
             emit(node.lexeme)
         elif kind is Reference:

@@ -49,7 +49,10 @@ def parse_cell_ref(text: str) -> tuple[int, int]:
     if not match:
         raise ValueError(f"not an A1-style reference: {text!r}")
     col = column_letter_to_index(match.group(1))
-    row = int(match.group(2))
+    digits = match.group(2)
+    # MAX_ROW has 7 digits, so a longer row is out of the grid; checked
+    # before int(), which refuses texts of more than 4,300 digits.
+    row = int(digits) if len(digits) <= 7 else MAX_ROW + 1
     if col > MAX_COL or row > MAX_ROW:
         raise ValueError(f"reference out of bounds: {text!r}")
     return row, col
@@ -77,6 +80,7 @@ def _read_cells(cells_doc: list, s_idx: int) -> dict[tuple[int, int], Cell]:
     """The cells of sheet ``s_idx``: each entry checked in one pass, its JSON
     path built only when a check fails."""
     cells: dict[tuple[int, int], Cell] = {}
+    rows: dict[int, int] = {}  # one int per row in the cells' keys, not one per ref text
     for c_idx, entry in enumerate(cells_doc):
         if not isinstance(entry, dict):
             raise _cell_error(s_idx, c_idx, "", "expected a cell object")
@@ -84,7 +88,7 @@ def _read_cells(cells_doc: list, s_idx: int) -> dict[tuple[int, int], Cell]:
         if not isinstance(ref, str):
             raise _cell_error(s_idx, c_idx, ".ref", "expected an A1-style string")
         try:
-            key = _cached_cell_ref(ref)
+            row, col = _cached_cell_ref(ref)
         except ValueError as exc:
             raise _cell_error(s_idx, c_idx, ".ref", str(exc)) from None
         has_formula = "formula" in entry
@@ -117,6 +121,7 @@ def _read_cells(cells_doc: list, s_idx: int) -> dict[tuple[int, int], Cell]:
             else:
                 raise _cell_error(s_idx, c_idx, ".type", f"unknown value type {type_name!r}")
             cell = LITERAL_CELL
+        key = (rows.setdefault(row, row), col)
         if key in cells:
             raise _cell_error(s_idx, c_idx, ".ref", f"duplicate cell {ref!r}")
         cells[key] = cell

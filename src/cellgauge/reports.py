@@ -8,6 +8,10 @@ only encodes one of the two, so a new payload is one branch in each.
 Column order is fixed and version-stable. Absent values are empty CSV fields
 and JSON nulls; non-integer numbers are written with up to six significant
 digits (round-half-even). A single record is reported as a list of one.
+
+``write_report`` writes to an open text stream, ``render_report`` returns the
+text. A path or ``None`` (stdout) is no longer a destination: open the path
+with ``newline=""``, or pass ``sys.stdout``.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
-from pathlib import Path
 from typing import Any, Sequence, TextIO
 
 from .analytics import CorrelationMatrix, CorpusSummary, Histogram
@@ -46,6 +48,13 @@ def _json_value(value: float | int | None) -> float | int | None:
     return float(format(value, ".6g"))
 
 
+def _record_values(record: MetricRecord) -> tuple:
+    """A record's values in RECORD_COLUMNS order."""
+    metrics = record.metrics
+    return (record.workbook_id, record.sheet_count, record.non_empty_cells, record.input_cells,
+            record.formula_cells, record.parse_failures, *[metrics[metric_id] for metric_id in METRIC_IDS])
+
+
 def report_table(payload: Any) -> list[Sequence[str]]:
     """The CSV rows of a report payload, header first."""
     if isinstance(payload, MetricRecord):
@@ -53,18 +62,8 @@ def report_table(payload: Any) -> list[Sequence[str]]:
     if isinstance(payload, list):
         rows: list[Sequence[str]] = [RECORD_COLUMNS]
         for record in payload:
-            metrics = record.metrics
-            rows.append(
-                [
-                    record.workbook_id,
-                    str(record.sheet_count),
-                    str(record.non_empty_cells),
-                    str(record.input_cells),
-                    str(record.formula_cells),
-                    str(record.parse_failures),
-                    *[format_number(metrics[metric_id]) for metric_id in METRIC_IDS],
-                ]
-            )
+            values = _record_values(record)
+            rows.append([values[0], *map(format_number, values[1:])])
         return rows
     if isinstance(payload, CorpusSummary):
         return [
@@ -98,18 +97,8 @@ def report_document(payload: Any) -> Any:
     if isinstance(payload, list):
         documents = []
         for record in payload:
-            metrics = record.metrics
-            document: dict[str, Any] = {
-                "workbookId": record.workbook_id,
-                "sheetCount": record.sheet_count,
-                "nonEmptyCells": record.non_empty_cells,
-                "inputCells": record.input_cells,
-                "formulaCells": record.formula_cells,
-                "parseFailures": record.parse_failures,
-            }
-            for metric_id in METRIC_IDS:
-                document[metric_id] = _json_value(metrics[metric_id])
-            documents.append(document)
+            values = _record_values(record)
+            documents.append(dict(zip(RECORD_COLUMNS, [values[0], *map(_json_value, values[1:])])))
         return documents
     if isinstance(payload, CorpusSummary):
         return {
@@ -134,11 +123,13 @@ def report_document(payload: Any) -> Any:
 
 def render_report(payload: Any, fmt: str) -> str:
     buffer = io.StringIO()
-    _write_to(payload, fmt, buffer)
+    write_report(payload, fmt, buffer)
     return buffer.getvalue()
 
 
-def _write_to(payload: Any, fmt: str, stream: TextIO) -> None:
+def write_report(payload: Any, fmt: str, stream: TextIO) -> None:
+    """Serialize records / summary / histogram / correlation to an open text
+    stream."""
     if fmt == "csv":
         csv.writer(stream, lineterminator="\n").writerows(report_table(payload))
     elif fmt == "json":
@@ -146,15 +137,3 @@ def _write_to(payload: Any, fmt: str, stream: TextIO) -> None:
         stream.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def write_report(payload: Any, fmt: str, destination: str | Path | TextIO | None) -> None:
-    """Serialize records / summary / histogram / correlation to a path, an
-    open stream, or stdout (None)."""
-    if destination is None:
-        _write_to(payload, fmt, sys.stdout)
-    elif isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as fp:
-            _write_to(payload, fmt, fp)
-    else:
-        _write_to(payload, fmt, destination)

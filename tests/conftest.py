@@ -20,11 +20,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="session")
-def workload_files(tmp_path_factory):
-    """(label, path) of every workbook of the three pipebench workloads at
-    seeds 1 and 3, generated once per session by the benchmark's own
-    generators (imported from ``pipebench/workloads.py``, never changed
-    here). Labels are ``<workload>/<seed>/<file name>``, in sorted order."""
+def workloads(tmp_path_factory):
+    """The three pipebench workloads at seeds 1 and 3, keyed by (name, seed),
+    generated once per session by the benchmark's own generators (imported
+    from ``pipebench/workloads.py``, never changed here)."""
     spec = importlib.util.spec_from_file_location("pipebench_workloads", ROOT / "pipebench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     # Registered before it runs: its dataclasses look their module up.
@@ -32,11 +31,21 @@ def workload_files(tmp_path_factory):
     try:
         spec.loader.exec_module(module)
         root = tmp_path_factory.mktemp("workloads")
-        files = []
-        for name in ("xlsx_formulas", "range_fill", "json_corpus"):
-            for seed in (1, 3):
-                workload = module.generate(name, root / f"{name}.{seed}", seed)
-                files += [(f"{name}/{seed}/{path.name}", path) for path in sorted(workload.directory.iterdir())]
-        return files
+        return {
+            (name, seed): module.generate(name, root / f"{name}.{seed}", seed)
+            for name in ("xlsx_formulas", "range_fill", "json_corpus")
+            for seed in (1, 3)
+        }
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="session")
+def workload_files(workloads):
+    """(label, path) of every workbook of ``workloads``. Labels are
+    ``<workload>/<seed>/<file name>``, in sorted order."""
+    return [
+        (f"{name}/{seed}/{path.name}", path)
+        for (name, seed), workload in workloads.items()
+        for path in sorted(workload.directory.iterdir())
+    ]

@@ -27,7 +27,10 @@ def parse_cell_ref(text: str) -> tuple[int, int]:
     if not match:
         raise ValueError(f"not an A1-style reference: {text!r}")
     col = column_letter_to_index(match.group(1))
-    row = int(match.group(2))
+    digits = match.group(2)
+    # MAX_ROW has 7 digits, so a longer row is out of the grid; checked
+    # before int(), which refuses texts of more than 4,300 digits.
+    row = int(digits) if len(digits) <= 7 else MAX_ROW + 1
     if col > MAX_COL or row > MAX_ROW:
         raise ValueError(f"reference out of bounds: {text!r}")
     return row, col

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from cellgauge.analytics import HistogramSpec, aggregate, histogram, pearson_xy
+from cellgauge.analytics import aggregate, histogram, pearson_xy
 from cellgauge.cli import analyze_workbook
 from cellgauge.cli import main as cli_main
 from cellgauge.expressions import column_index_to_letter
@@ -272,8 +272,8 @@ def test_c6_analytics_anchors_and_conservation():
                 present = sum(1 for r in records if r.metrics[metric_id] is not None)
                 if not present:
                     continue
-                for spec in (None, HistogramSpec(bins=7), HistogramSpec(bins=5, bounds=(0.0, 2.0))):
-                    h = histogram(records, metric_id, spec)
+                for spec in ({}, {"bins": 7}, {"bins": 5, "bounds": (0.0, 2.0)}):
+                    h = histogram(records, metric_id, **spec)
                     assert sum(h.counts) == present
             once = aggregate(records)
             twice = aggregate(records + records)

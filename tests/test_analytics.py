@@ -14,14 +14,11 @@ from hypothesis import strategies as st
 from cellgauge import analytics
 from cellgauge.analytics import (
     EmptyCorpusError,
-    HistogramSpec,
     NoDataError,
     aggregate,
     correlation_matrix,
     histogram,
-    pearson,
     pearson_xy,
-    spearman,
 )
 from cellgauge.metrics import METRIC_IDS, MetricRecord
 
@@ -39,6 +36,12 @@ def record(workbook_id="wb", **metric_values):
         parse_failures=0,
         metrics=metrics,
     )
+
+
+def pair(records, method):
+    """(r, n) of M09 against M10: the off-diagonal entry of their matrix."""
+    matrix = correlation_matrix(records, ("M09", "M10"), method)
+    return matrix.r[0][1], matrix.n[0][1]
 
 
 class TestAggregate:
@@ -110,14 +113,14 @@ class TestHistogram:
 
     def test_custom_spec(self):
         rs = [record(M09=v) for v in (1.0, 2.0, 3.0)]
-        h = histogram(rs, "M09", HistogramSpec(bins=2, bounds=(0.0, 4.0)))
+        h = histogram(rs, "M09", bins=2, bounds=(0.0, 4.0))
         assert h.counts == (1, 2)
 
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=60), st.integers(1, 30))
     @settings(max_examples=200)
     def test_conservation(self, values, bins):
         rs = [record(M04=v) for v in values]
-        h = histogram(rs, "M04", HistogramSpec(bins=bins, bounds=(0.0, 1.0)))
+        h = histogram(rs, "M04", bins=bins, bounds=(0.0, 1.0))
         assert sum(h.counts) == len(values)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60))
@@ -145,13 +148,13 @@ class TestHistogram:
 class TestPearson:
     def test_self_correlation(self):
         rs = [record(M09=v, M10=v) for v in (1.0, 2.0, 5.0)]
-        r, n = pearson(rs, "M09", "M10")
+        r, n = pair(rs, "pearson")
         assert n == 3
         assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_anti_correlation(self):
         rs = [record(M09=v, M10=-v) for v in (1.0, 2.0, 5.0)]
-        r, _ = pearson(rs, "M09", "M10")
+        r, _ = pair(rs, "pearson")
         assert r == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_sigma_formula(self):
@@ -171,7 +174,7 @@ class TestPearson:
             record(M09=2.0, M10=None),
             record(M09=3.0, M10=6.0),
         ]
-        r, n = pearson(rs, "M09", "M10")
+        r, n = pair(rs, "pearson")
         assert n == 2
         assert r == pytest.approx(1.0, abs=1e-12)
 
@@ -220,7 +223,7 @@ def exact_pearson(xs, ys):
 class TestSpearman:
     def test_monotone_nonlinear_is_perfect(self):
         rs = [record(M09=float(v), M10=float(v**3)) for v in (1, 2, 5, 9)]
-        r, n = spearman(rs, "M09", "M10")
+        r, n = pair(rs, "spearman")
         assert n == 4
         assert r == pytest.approx(1.0, abs=1e-12)
 
@@ -229,7 +232,7 @@ class TestSpearman:
             record(M09=x, M10=y)
             for x, y in ((1.0, 1.0), (2.0, 3.0), (2.0, 3.0), (5.0, 4.0))
         ]
-        r, _ = spearman(rs, "M09", "M10")
+        r, _ = pair(rs, "spearman")
         assert r == pytest.approx(1.0, abs=1e-12)
 
 

@@ -26,7 +26,7 @@ from cellgauge.expressions import (
     column_letter_to_index,
     serialize,
 )
-from cellgauge.analytics import Histogram, HistogramSpec, histogram
+from cellgauge.analytics import Histogram, histogram
 from cellgauge.graph import build_graph
 from cellgauge.metrics import MetricRecord, ast_metrics, compute_record
 from cellgauge.model import Cell, Formula
@@ -88,6 +88,13 @@ class TestSerialize:
     )
     def test_canonical_text(self, text, expected):
         assert serialize(parse_text(text)) == expected
+
+    @pytest.mark.parametrize("kind", list(OpKind))
+    def test_every_operator_kind_round_trips(self, kind):
+        one, two = Constant(ValueType.NUMBER, "1"), Constant(ValueType.NUMBER, "2")
+        unary = kind in (OpKind.PERCENT, OpKind.UNARY_MINUS, OpKind.UNARY_PLUS)
+        node = Operator(kind, (one,) if unary else (one, two))
+        assert parse_text(serialize(node)) == node
 
     def test_sheet_quoting_added_when_needed(self):
         expr = parse_text("'Plain'!A1")
@@ -181,7 +188,7 @@ class TestRepr:
 
     def test_histogram_text(self):
         record = MetricRecord("book.xlsx", 1, 4, 2, 2, 0, {"M04": 0.5})
-        assert repr(histogram([record], "M04", HistogramSpec(bins=4))) == (
+        assert repr(histogram([record], "M04", bins=4)) == (
             "Histogram(metric_id='M04', bin_edges=(0.0, 0.25, 0.5, 0.75, 1.0), counts=(0, 0, 1, 0))"
         )
         assert repr(Histogram("M03", (1.0,), (3,))) == "Histogram(metric_id='M03', bin_edges=(1.0,), counts=(3,))"

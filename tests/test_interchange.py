@@ -281,6 +281,12 @@ class TestSchemaErrors:
                 id="row-out-of-bounds",
             ),
             pytest.param(
+                _one_sheet({"ref": "A" + "9" * 5_000, **_NUMBER}),
+                "$.sheets[0].cells[0].ref",
+                f"reference out of bounds: {'A' + '9' * 5_000!r}",
+                id="row-digits-beyond-int-limit",
+            ),
+            pytest.param(
                 _one_sheet({"ref": "A1", "value": True, "type": "number"}),
                 "$.sheets[0].cells[0].value",
                 "expected a number",

@@ -144,4 +144,4 @@ class TestStoredCellMemory:
         path = tmp_path / "numbers.json"
         path.write_text(json.dumps({"name": "numbers", "sheets": [{"name": "S", "cells": cells}]}))
         per_cell = self.retained_per_cell(read_interchange_file, path)
-        assert per_cell <= 150, f"{per_cell:.0f} bytes per stored literal"
+        assert per_cell <= 100, f"{per_cell:.0f} bytes per stored literal"

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from cellgauge.analytics import HistogramSpec, aggregate, correlation_matrix, histogram
+from cellgauge.analytics import aggregate, correlation_matrix, histogram
 from cellgauge.cli import main
 from cellgauge.metrics import METRIC_IDS, MetricRecord
 from cellgauge.reports import render_report
@@ -49,7 +49,7 @@ PAYLOADS = {
     "records": RECORDS,
     "record": RECORDS[0],
     "summary": aggregate(RECORDS),
-    "histogram": histogram(RECORDS, "M04", HistogramSpec(bins=3)),
+    "histogram": histogram(RECORDS, "M04", bins=3),
     "correlation": correlation_matrix(RECORDS, metric_ids=("M01", "M03", "M04", "M09", "M10", "M12")),
 }
 

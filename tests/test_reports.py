@@ -140,11 +140,6 @@ class TestOtherPayloads:
 
 
 class TestDestinations:
-    def test_write_to_path(self, tmp_path):
-        target = tmp_path / "out.csv"
-        write_report([empty_record()], "csv", target)
-        assert target.read_text(encoding="utf-8").startswith("workbookId,")
-
     def test_write_to_stream(self):
         buffer = io.StringIO()
         write_report([empty_record()], "json", buffer)
