@@ -109,13 +109,6 @@ def histogram(
     return Histogram(metric_id=metric_id, bin_edges=tuple(edges), counts=tuple(counts))
 
 
-def pearson_xy(xs: list[float], ys: list[float]) -> float | None:
-    """Pearson product-moment coefficient; None when n < 2 or variance is 0."""
-    if len(xs) != len(ys):
-        raise ValueError("samples must have equal length")
-    return _coefficient(_centre(xs), _centre(ys))
-
-
 def _scaled_deviations(values: list[float]) -> array | None:
     """Deviations from the mean, scaled by one power of two so the largest
     lies in [0.5, 1); None when all values are equal. The scaling cancels in

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from cellgauge.analytics import aggregate, histogram, pearson_xy
+from cellgauge.analytics import aggregate, histogram
 from cellgauge.cli import analyze_workbook
 from cellgauge.cli import main as cli_main
 from cellgauge.expressions import column_index_to_letter
@@ -29,6 +29,7 @@ from cellgauge.parser import parse_formula, parse_text
 
 from . import oracle
 from .genutil import gen_expr, gen_workbook_doc, make_workbook, write_corpus
+from .test_analytics import pair
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -239,8 +240,8 @@ def test_c5_graph_transpose_and_deduplication_on_100_workbooks():
 def test_c6_analytics_anchors_and_conservation():
     with criterion("C6 analytics: Pearson anchors, conservation, duplication"):
         xs = [1.0, 2.0, 3.0, 5.0, 8.0]
-        assert pearson_xy(xs, xs) == pytest.approx(1.0, abs=1e-12)
-        assert pearson_xy(xs, [-x for x in xs]) == pytest.approx(-1.0, abs=1e-12)
+        assert pair(xs, xs)[0] == pytest.approx(1.0, abs=1e-12)
+        assert pair(xs, [-x for x in xs])[0] == pytest.approx(-1.0, abs=1e-12)
 
         # Hand sigma-formula oracle: n*Sxy - Sx*Sy over sqrt terms.
         def sigma_pearson(x, y):
@@ -257,9 +258,9 @@ def test_c6_analytics_anchors_and_conservation():
         # four decimals). Both variants are pinned against the oracle.
         hand = sigma_pearson([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])
         assert hand == pytest.approx(15 / math.sqrt(228), abs=1e-12)
-        got = pearson_xy([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])
+        got, _ = pair([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])
         assert got == pytest.approx(hand, abs=5e-5)
-        got_alt = pearson_xy([1.0, 2.0, 3.0], [2.0, 4.0, 8.0])
+        got_alt, _ = pair([1.0, 2.0, 3.0], [2.0, 4.0, 8.0])
         assert got_alt == pytest.approx(18 / math.sqrt(336), abs=1e-12)
         assert f"{got_alt:.5f}"[:6] == "0.9819"
         assert got_alt == pytest.approx(sigma_pearson([1.0, 2.0, 3.0], [2.0, 4.0, 8.0]), abs=5e-5)

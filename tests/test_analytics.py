@@ -18,7 +18,6 @@ from cellgauge.analytics import (
     aggregate,
     correlation_matrix,
     histogram,
-    pearson_xy,
 )
 from cellgauge.metrics import METRIC_IDS, MetricRecord
 
@@ -38,8 +37,11 @@ def record(workbook_id="wb", **metric_values):
     )
 
 
-def pair(records, method):
-    """(r, n) of M09 against M10: the off-diagonal entry of their matrix."""
+def pair(xs, ys, method="pearson"):
+    """(r, n) of xs against ys, as metrics M09 and M10 of one record per
+    position (None is an absent value): the off-diagonal entry of their
+    correlation matrix."""
+    records = [record(M09=x, M10=y) for x, y in zip(xs, ys, strict=True)]
     matrix = correlation_matrix(records, ("M09", "M10"), method)
     return matrix.r[0][1], matrix.n[0][1]
 
@@ -147,34 +149,27 @@ class TestHistogram:
 
 class TestPearson:
     def test_self_correlation(self):
-        rs = [record(M09=v, M10=v) for v in (1.0, 2.0, 5.0)]
-        r, n = pair(rs, "pearson")
+        r, n = pair([1.0, 2.0, 5.0], [1.0, 2.0, 5.0])
         assert n == 3
         assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_anti_correlation(self):
-        rs = [record(M09=v, M10=-v) for v in (1.0, 2.0, 5.0)]
-        r, _ = pair(rs, "pearson")
+        r, _ = pair([1.0, 2.0, 5.0], [-1.0, -2.0, -5.0])
         assert r == pytest.approx(-1.0, abs=1e-12)
 
     def test_hand_computed_sigma_formula(self):
         # x=(1,2,3), y=(2,4,7): r = 15 / sqrt(6 * 38)
-        r = pearson_xy([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])
+        r, _ = pair([1.0, 2.0, 3.0], [2.0, 4.0, 7.0])
         assert r == pytest.approx(15 / math.sqrt(228), abs=1e-12)
 
     def test_zero_variance_is_absent(self):
-        assert pearson_xy([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+        assert pair([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == (None, 3)
 
     def test_short_sample_is_absent(self):
-        assert pearson_xy([1.0], [2.0]) is None
+        assert pair([1.0], [2.0]) == (None, 1)
 
     def test_pairwise_complete_deletion(self):
-        rs = [
-            record(M09=1.0, M10=2.0),
-            record(M09=2.0, M10=None),
-            record(M09=3.0, M10=6.0),
-        ]
-        r, n = pair(rs, "pearson")
+        r, n = pair([1.0, 2.0, 3.0], [2.0, None, 6.0])
         assert n == 2
         assert r == pytest.approx(1.0, abs=1e-12)
 
@@ -190,8 +185,8 @@ class TestPearson:
     def test_matches_exact_reference_and_symmetry(self, pairs):
         xs = [p[0] for p in pairs]
         ys = [p[1] for p in pairs]
-        ours = pearson_xy(xs, ys)
-        assert ours == pearson_xy(ys, xs)
+        ours, _ = pair(xs, ys)
+        assert ours == pair(ys, xs)[0]
         if len(set(xs)) == 1 or len(set(ys)) == 1:
             assert ours is None
             return
@@ -222,17 +217,12 @@ def exact_pearson(xs, ys):
 
 class TestSpearman:
     def test_monotone_nonlinear_is_perfect(self):
-        rs = [record(M09=float(v), M10=float(v**3)) for v in (1, 2, 5, 9)]
-        r, n = pair(rs, "spearman")
+        r, n = pair([1.0, 2.0, 5.0, 9.0], [1.0, 8.0, 125.0, 729.0], "spearman")
         assert n == 4
         assert r == pytest.approx(1.0, abs=1e-12)
 
     def test_ties_average(self):
-        rs = [
-            record(M09=x, M10=y)
-            for x, y in ((1.0, 1.0), (2.0, 3.0), (2.0, 3.0), (5.0, 4.0))
-        ]
-        r, _ = pair(rs, "spearman")
+        r, _ = pair([1.0, 2.0, 2.0, 5.0], [1.0, 3.0, 3.0, 4.0], "spearman")
         assert r == pytest.approx(1.0, abs=1e-12)
 
 
@@ -294,22 +284,15 @@ class TestCorrelationCache:
     @given(_corpora(), st.sampled_from(["pearson", "spearman"]))
     @settings(max_examples=300)
     def test_matrix_equals_per_pair_reference(self, corpus, method):
+        # Each entry against a fresh two-metric matrix of its own pair, which
+        # shares no extracted, ranked or centred column with any other pair.
         ids, records = corpus
         matrix = correlation_matrix(records, metric_ids=ids, method=method)
         for i, a in enumerate(ids):
             for j, b in enumerate(ids):
-                pairs = [
-                    (r.metrics[a], r.metrics[b])
-                    for r in records
-                    if r.metrics[a] is not None and r.metrics[b] is not None
-                ]
-                xs = [x for x, _ in pairs]
-                ys = [y for _, y in pairs]
-                if method == "spearman":
-                    xs, ys = analytics._ranks(xs), analytics._ranks(ys)
-                expected = pearson_xy(xs, ys)
-                assert matrix.n[i][j] == len(pairs)
-                assert _bits(matrix.r[i][j]) == _bits(expected)
+                alone = correlation_matrix(records, (a, b), method)
+                assert matrix.n[i][j] == alone.n[0][1]
+                assert _bits(matrix.r[i][j]) == _bits(alone.r[0][1])
 
     @pytest.mark.parametrize("method", ["pearson", "spearman"])
     def test_each_column_ranked_and_centred_once(self, monkeypatch, method):

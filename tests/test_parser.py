@@ -277,6 +277,27 @@ class TestErrors:
         assert formula.error is None
         assert ast_metrics(formula.expr).ast_depth == 5001
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("SUM(A:AAAAA)", "expected ',' or ')' in argument list, got ':' (at offset 5)"),
+            ("SUM(AAAAA:A)", "expected ',' or ')' in argument list, got ':' (at offset 9)"),
+        ],
+        ids=["long_end", "long_start"],
+    )
+    def test_column_range_end_past_three_letters_is_never_converted(self, monkeypatch, text, message):
+        # MAX_COL is XFD, and converting a run of n letters costs time
+        # growing with n squared, so a long column-range end is refused
+        # by its length before it is converted.
+        original = parser_module.column_letter_to_index
+
+        def guarded(letters):
+            assert len(letters) <= 3, f"converted {letters!r}"
+            return original(letters)
+
+        monkeypatch.setattr(parser_module, "column_letter_to_index", guarded)
+        assert parse_formula(text).error == message
+
     def test_64_nested_function_calls_parse(self):
         # 64 is the function nesting limit spreadsheet programs document
         from cellgauge.metrics import ast_metrics
