@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 from cellgauge.expressions import (
+    CellLocator,
     Constant,
     Function,
     OpKind,
@@ -96,6 +97,38 @@ def copy_key(expr) -> str:
         a, b = expr.operands
         return copy_key(a) + _OP_TEXT[expr.kind] + copy_key(b)
     raise TypeError(expr)
+
+
+def shift(expr, d_row: int, d_col: int):
+    """The tree a fill-copy by (d_row, d_col) gives, naively: relative parts
+    move by the offset, and a reference or range with a part off the grid
+    becomes #REF!, keeping its sheet and external flag."""
+
+    def move(loc):
+        row = loc.row if loc.row is None or loc.row_abs else loc.row + d_row
+        col = loc.col if loc.col is None or loc.col_abs else loc.col + d_col
+        on_grid = (row is None or 1 <= row <= GRID_MAX_ROW) and (col is None or 1 <= col <= GRID_MAX_COL)
+        return CellLocator(row, col, loc.row_abs, loc.col_abs) if on_grid else None
+
+    if isinstance(expr, Reference):
+        if expr.locator is None:
+            return expr
+        moved = move(expr.locator)
+        if moved is None:
+            return Reference(sheet=expr.sheet, external=expr.external, ref_error=True)
+        return Reference(sheet=expr.sheet, locator=moved, external=expr.external)
+    if isinstance(expr, Range):
+        start, end = move(expr.start), move(expr.end)
+        if start is None or end is None:
+            return Reference(sheet=expr.sheet, external=expr.external, ref_error=True)
+        return Range(start, end, sheet=expr.sheet, external=expr.external)
+    if isinstance(expr, Function):
+        return Function(expr.name, tuple(shift(arg, d_row, d_col) for arg in expr.args))
+    if isinstance(expr, Operator):
+        return Operator(expr.kind, tuple(shift(operand, d_row, d_col) for operand in expr.operands))
+    if isinstance(expr, Parenthesis):
+        return Parenthesis(shift(expr.inner, d_row, d_col))
+    return expr
 
 
 def _sheet_box(workbook: Workbook, sheet_index: int):

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import logging
+import random
 import struct
 import zipfile
 from unittest import mock
+from xml.sax.saxutils import escape
 
 import pytest
 
 from cellgauge import xlsx
-from cellgauge.expressions import serialize
+from cellgauge.cli import analyze_workbook
+from cellgauge.expressions import Reference, column_index_to_letter, serialize
 from cellgauge.graph import build_graph
-from cellgauge.model import BLANK_CELL, LITERAL_CELL, CellCoordinate
+from cellgauge.model import BLANK_CELL, LITERAL_CELL, CellCoordinate, Formula
 from cellgauge.parser import parse_text
 from cellgauge.xlsx import (
     CorruptPartError,
@@ -22,7 +25,7 @@ from cellgauge.xlsx import (
     read_xlsx,
 )
 
-from . import oracle
+from . import genutil, oracle
 
 NS = 'xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main"'
 NS_R = 'xmlns:r="http://schemas.openxmlformats.org/officeDocument/2006/relationships"'
@@ -35,6 +38,12 @@ def assert_followers_match_their_text(cells, keys):
         formula = cells[key].formula
         assert formula.error is None
         assert formula.expr == parse_text(formula.text)
+
+
+def ref_errors(expr) -> int:
+    """The #REF! references in a tree."""
+    own = isinstance(expr, Reference) and expr.ref_error
+    return own + sum(ref_errors(child) for child in oracle.children(expr))
 
 
 def build_xlsx(
@@ -200,7 +209,7 @@ class TestLiterals:
         cells = read_xlsx(path).sheets[0].cells
         assert set(cells) == {(1, 2)}
         expected = "bad shared-string index" if marker == "s" else "non-numeric value"
-        assert f"{expected} {text!r}" in caplog.text
+        assert f"{expected} {text!r} at CellCoordinate(sheet=1, row=1, col=1)" in caplog.text
 
     def test_cell_without_ref_attribute_follows_previous(self, tmp_path):
         body = '<row r="2"><c r="B2"><v>1</v></c><c><v>2</v></c></row>'
@@ -289,6 +298,67 @@ class TestFormulas:
         cells = read_xlsx(path).sheets[0].cells
         assert "#REF!" in cells[(2, 1)].formula.text
         assert_followers_match_their_text(cells, [(2, 1)])
+
+        # A range with an end off the grid becomes #REF! too, a full column
+        # included, so its copy key turns from RANGE to REF: A3 is a second
+        # distinct formula beside its master and B3.
+        body = (
+            '<row r="2"><c r="B2"><f t="shared" ref="A2:B3" si="0">SUM(A1:A2)+A1+SUM(A:A)</f></c></row>'
+            '<row r="3"><c r="A3"><f t="shared" si="0"/></c><c r="B3"><f t="shared" si="0"/></c></row>'
+        )
+        workbook = read_xlsx(build_xlsx(tmp_path / "rangeshift.xlsx", [("S", body)]))
+        cells = workbook.sheets[0].cells
+        assert cells[(3, 1)].formula.text == "SUM(#REF!)+#REF!+SUM(#REF!)"
+        assert cells[(3, 2)].formula.text == "SUM(A2:A3)+A2+SUM(A:A)"
+        assert_followers_match_their_text(cells, [(3, 1), (3, 2)])
+        assert analyze_workbook(workbook).metrics["M08"] == 2
+
+    def test_shared_follower_before_its_master_fails_to_parse(self, tmp_path, caplog):
+        body = (
+            '<row r="1"><c r="A1"><f t="shared" si="7"/></c></row>'
+            '<row r="2"><c r="A2"><f t="shared" ref="A2:A3" si="7">B2</f></c></row>'
+        )
+        path = build_xlsx(tmp_path / "early.xlsx", [("S", body)])
+        caplog.set_level(logging.WARNING, logger="cellgauge")
+        workbook = read_xlsx(path)
+        assert "shared formula follower before master (si=7)" in caplog.text
+        assert workbook.sheets[0].cells[(1, 1)].formula == Formula("", None, "expected expression (at offset 0)")
+        record = analyze_workbook(workbook)
+        assert (record.formula_cells, record.parse_failures) == (2, 1)
+
+    def test_shared_followers_match_a_naive_shift_of_their_master(self, tmp_path):
+        # 200 generated masters, each with followers at later cells in
+        # row-major order, some in columns left of it: relative references
+        # there shift off the grid.
+        rng = random.Random(20)
+        sheets = ("S", "Other Data", "it's")
+        grid = [(row, col) for row in range(1, 41) for col in range(1, 21)]
+        group_of = {cell: rng.randrange(200) for cell in rng.sample(grid, 800)}
+        masters: dict[int, tuple[int, int, str]] = {}
+        rows: dict[int, list[str]] = {}
+        for row, col in sorted(group_of):
+            group = group_of[(row, col)]
+            ref = f"{column_index_to_letter(col)}{row}"
+            if group in masters:
+                f_el = f'<f t="shared" si="{group}"/>'
+            else:
+                masters[group] = (row, col, genutil.gen_expr(rng, sheets=sheets))
+                f_el = f'<f t="shared" si="{group}">{escape(masters[group][2])}</f>'
+            rows.setdefault(row, []).append(f'<c r="{ref}">{f_el}</c>')
+        body = "".join(f'<row r="{row}">{"".join(cells)}</row>' for row, cells in rows.items())
+        path = build_xlsx(tmp_path / "generated.xlsx", [("S", body)])
+        cells = read_xlsx(path).sheets[0].cells
+        followers = shifted_off = 0
+        for (row, col), group in group_of.items():
+            m_row, m_col, text = masters[group]
+            if (row, col) == (m_row, m_col):
+                continue
+            expected = oracle.shift(parse_text(text), row - m_row, col - m_col)
+            assert cells[(row, col)].formula.expr == expected, (row, col, text)
+            followers += 1
+            shifted_off += ref_errors(expected) > ref_errors(parse_text(text))
+        assert followers == 800 - len(masters)
+        assert shifted_off > 100
 
     def test_shared_formula_with_sheet_ranges_and_functions(self, tmp_path):
         body = (
