@@ -138,32 +138,12 @@ def _read_rels(archive: zipfile.ZipFile) -> dict[str, str]:
 
 
 def _shift_locator(loc: CellLocator, d_row: int, d_col: int) -> CellLocator | None:
-    row = loc.row
-    col = loc.col
-    if row is not None and not loc.row_abs:
-        row += d_row
-        if not 1 <= row <= MAX_ROW:
-            return None
-    if col is not None and not loc.col_abs:
-        col += d_col
-        if not 1 <= col <= MAX_COL:
-            return None
+    """The locator moved by the offset in its relative parts; None off the grid."""
+    row = loc.row if loc.row is None or loc.row_abs else loc.row + d_row
+    col = loc.col if loc.col is None or loc.col_abs else loc.col + d_col
+    if (row is not None and not 1 <= row <= MAX_ROW) or (col is not None and not 1 <= col <= MAX_COL):
+        return None
     return CellLocator(row=row, col=col, row_abs=loc.row_abs, col_abs=loc.col_abs)
-
-
-def _shift_leaf(node: Reference | Range, d_row: int, d_col: int) -> Expr:
-    if type(node) is Range:
-        start = _shift_locator(node.start, d_row, d_col)
-        end = _shift_locator(node.end, d_row, d_col)
-        if start is None or end is None:
-            return Reference(sheet=node.sheet, ref_error=True, external=node.external)
-        return Range(start, end, sheet=node.sheet, external=node.external)
-    if node.locator is None:
-        return node
-    shifted = _shift_locator(node.locator, d_row, d_col)
-    if shifted is None:
-        return Reference(sheet=node.sheet, ref_error=True, external=node.external)
-    return Reference(sheet=node.sheet, locator=shifted, external=node.external)
 
 
 def _shift_expr(expr: Expr, d_row: int, d_col: int) -> Expr:
@@ -178,8 +158,16 @@ def _shift_expr(expr: Expr, d_row: int, d_col: int) -> Expr:
     while stack:
         node, ready = stack.pop()
         kind = type(node)
-        if kind is Reference or kind is Range:
-            built.append(_shift_leaf(node, d_row, d_col))  # type: ignore[arg-type]
+        if kind is Range or (kind is Reference and node.locator is not None):  # type: ignore[attr-defined]
+            ends = (node.start, node.end) if kind is Range else (node.locator,)  # type: ignore[attr-defined]
+            moved = [_shift_locator(loc, d_row, d_col) for loc in ends]
+            sheet, external = node.sheet, node.external  # type: ignore[attr-defined]
+            if None in moved:
+                built.append(Reference(sheet=sheet, ref_error=True, external=external))
+            elif kind is Range:
+                built.append(Range(*moved, sheet=sheet, external=external))  # type: ignore[arg-type]
+            else:
+                built.append(Reference(sheet=sheet, locator=moved[0], external=external))
             continue
         if kind is Function:
             children = node.args  # type: ignore[attr-defined]
@@ -206,61 +194,35 @@ def _shift_expr(expr: Expr, d_row: int, d_col: int) -> Expr:
     return built[0]
 
 
-class _SheetReader:
-    def __init__(
-        self,
-        part: str,
-        sheet_name: str,
-        sheet_index: int,
-        shared_string_count: int,
-        filled_styles: set[int],
-    ):
-        self.part = part
-        self.sheet_name = sheet_name
-        self.sheet_index = sheet_index
-        self.shared_string_count = shared_string_count
-        self.filled_styles = filled_styles
-        self.cells: dict[tuple[int, int], Cell] = {}
-        # shared-formula group id -> (anchor_row, anchor_col, parsed master)
-        self.shared: dict[str, tuple[int, int, Formula]] = {}
-
-    def _filled(self, style_attr: str | None) -> bool:
-        if style_attr is None or not self.filled_styles:
-            return False
+def _holds_value(t: str, v_text: str, string_count: int, part: str, sheet: int, row: int, col: int) -> bool:
+    """Whether a ``<v>`` text is a value of its cell-type marker."""
+    if t == "s":
         try:
-            return int(style_attr) in self.filled_styles
+            if 0 <= int(v_text) < string_count:
+                return True
         except ValueError:
-            return False
+            pass
+        problem = "bad shared-string index"
+    elif t in ("str", "d", "b", "e"):
+        return True
+    else:  # "n" or unknown marker: numeric
+        try:
+            float(v_text)
+            return True
+        except ValueError:
+            problem = "non-numeric value"
+    logger.warning("%s: %s %r at %s", part, problem, v_text, CellCoordinate(sheet, row, col))
+    return False
 
-    def _formula(self, f_el: ElementTree.Element, row: int, col: int) -> Formula:
-        """The cell's formula. A shared-formula master is parsed once; each
-        follower shifts the master's tree instead of parsing text again."""
-        text = (f_el.text or "").lstrip("=")
-        if f_el.get("t") != "shared":
-            return parse_formula(text)
-        group = f_el.get("si", "")
-        if text:
-            master = parse_formula(text)
-            self.shared[group] = (row, col, master)
-            return master
-        anchor = self.shared.get(group)
-        if anchor is None:
-            logger.warning("%s: shared formula follower before master (si=%s)", self.part, group)
-            return parse_formula("")
-        a_row, a_col, master = anchor
-        if master.expr is None:
-            return master  # master failed to parse; inherit it verbatim
-        shifted = _shift_expr(master.expr, row - a_row, col - a_col)
-        return Formula(serialize(shifted), shifted)
 
-    def read(self, root: ElementTree.Element) -> Worksheet:
-        sheet_data = root.find(_MAIN + "sheetData")
-        if sheet_data is not None:
-            for row_el in sheet_data.findall(_MAIN + "row"):
-                self._read_row(row_el)
-        return Worksheet(self.sheet_name, self.sheet_index, self.cells)
-
-    def _read_row(self, row_el: ElementTree.Element) -> None:
+def _read_sheet(root: ElementTree.Element, part: str, name: str, index: int, string_count: int,
+                filled_styles: set[int]) -> Worksheet:
+    """The sheet's stored cells. A shared-formula master is parsed once; each
+    follower shifts the master's tree instead of parsing text again."""
+    cells: dict[tuple[int, int], Cell] = {}
+    shared: dict[str, tuple[int, int, Formula]] = {}  # group id -> (anchor row, anchor col, parsed master)
+    sheet_data = root.find(_MAIN + "sheetData")
+    for row_el in sheet_data.findall(_MAIN + "row") if sheet_data is not None else ():
         try:
             row_number = int(row_el.get("r", "0"))
         except ValueError:
@@ -274,53 +236,50 @@ class _SheetReader:
                 try:
                     row, col = parse_cell_ref(ref.replace("$", ""))
                 except ValueError:
-                    logger.warning("%s: skipping cell with bad reference %r", self.part, ref)
+                    logger.warning("%s: skipping cell with bad reference %r", part, ref)
                     continue
                 if row == row_number:
                     row = row_number  # one int per row in the cells' keys, not one per cell
             elif row_number and last_col < MAX_COL:
                 row, col = row_number, last_col + 1
             else:
-                logger.warning("%s: skipping cell with no resolvable position", self.part)
+                logger.warning("%s: skipping cell with no resolvable position", part)
                 continue
             last_col = col
-            self._read_cell(c_el, row, col)
-
-    def _read_cell(self, c_el: ElementTree.Element, row: int, col: int) -> None:
-        f_el = c_el.find(_MAIN + "f")
-        if f_el is not None:
-            formula = self._formula(f_el, row, col)
-            self.cells[(row, col)] = Cell(formula)
-            return
-        t = c_el.get("t", "n")
-        if t == "inlineStr":
-            literal = c_el.find(_MAIN + "is") is not None
-        else:
-            v_el = c_el.find(_MAIN + "v")
-            v_text = v_el.text if v_el is not None else None
-            literal = v_text is not None and self._holds_value(t, v_text, row, col)
-        if literal or self._filled(c_el.get("s")):  # else a default cell: nothing to store
-            self.cells[(row, col)] = LITERAL_CELL if literal else BLANK_CELL
-
-    def _holds_value(self, t: str, v_text: str, row: int, col: int) -> bool:
-        """Whether a ``<v>`` text is a value of its cell-type marker."""
-        if t == "s":
-            try:
-                if 0 <= int(v_text) < self.shared_string_count:
-                    return True
-            except ValueError:
-                pass
-            problem = "bad shared-string index"
-        elif t in ("str", "d", "b", "e"):
-            return True
-        else:  # "n" or unknown marker: numeric
-            try:
-                float(v_text)
-                return True
-            except ValueError:
-                problem = "non-numeric value"
-        logger.warning("%s: %s %r at %s", self.part, problem, v_text, CellCoordinate(self.sheet_index, row, col))
-        return False
+            f_el = c_el.find(_MAIN + "f")
+            if f_el is not None:
+                text = (f_el.text or "").lstrip("=")
+                group = f_el.get("si", "") if f_el.get("t") == "shared" else None
+                if group is None or text:
+                    formula = parse_formula(text)
+                    if group is not None:
+                        shared[group] = (row, col, formula)
+                elif group not in shared:
+                    logger.warning("%s: shared formula follower before master (si=%s)", part, group)
+                    formula = parse_formula("")
+                else:
+                    a_row, a_col, formula = shared[group]
+                    if formula.expr is not None:  # else the master failed to parse: inherit it verbatim
+                        shifted = _shift_expr(formula.expr, row - a_row, col - a_col)
+                        formula = Formula(serialize(shifted), shifted)
+                cells[(row, col)] = Cell(formula)
+                continue
+            t = c_el.get("t", "n")
+            if t == "inlineStr":
+                literal = c_el.find(_MAIN + "is") is not None
+            else:
+                v_el = c_el.find(_MAIN + "v")
+                v_text = v_el.text if v_el is not None else None
+                literal = v_text is not None and _holds_value(t, v_text, string_count, part, index, row, col)
+            if literal:
+                cells[(row, col)] = LITERAL_CELL
+            elif filled_styles and (style := c_el.get("s")) is not None:
+                try:
+                    if int(style) in filled_styles:
+                        cells[(row, col)] = BLANK_CELL
+                except ValueError:
+                    pass  # not a style index: a default cell, nothing to store
+    return Worksheet(name, index, cells)
 
 
 def read_xlsx(path: str | Path) -> Workbook:
@@ -350,8 +309,7 @@ def read_xlsx(path: str | Path) -> Workbook:
                     _WORKBOOK_RELS_PART, f"no relationship for sheet {sheet_name!r}"
                 )
             root = _parse_part(archive, part)
-            reader = _SheetReader(part, sheet_name, position, shared_string_count, filled_styles)
-            worksheets.append(reader.read(root))
+            worksheets.append(_read_sheet(root, part, sheet_name, position, shared_string_count, filled_styles))
 
         defined: dict[tuple[int | None, str], DefinedName] = {}
         names_el = workbook_root.find(_MAIN + "definedNames")
