@@ -3,9 +3,8 @@
 Absent metric values (e.g. averages of a workbook without formulas) are
 excluded from every computation rather than imputed as zero.
 
-``histogram`` takes plain ``bins``/``bounds`` (once a ``HistogramSpec``). The
-(r, n) of one pair, once ``pearson``/``spearman(records, a, b)``, is entry
-[0][1] of ``correlation_matrix(records, (a, b), method)``.
+The (r, n) of one pair of metrics is entry [0][1] of
+``correlation_matrix(records, (a, b), method)``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ and JSON nulls; non-integer numbers are written with up to six significant
 digits (round-half-even). A single record is reported as a list of one.
 
 ``write_report`` writes to an open text stream, ``render_report`` returns the
-text. A path or ``None`` (stdout) is no longer a destination: open the path
-with ``newline=""``, or pass ``sys.stdout``.
+text. Open a file for it with ``newline=""``, so CSV line ends pass through
+unchanged.
 """
 
 from __future__ import annotations

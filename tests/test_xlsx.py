@@ -327,7 +327,7 @@ class TestFormulas:
         assert (record.formula_cells, record.parse_failures) == (2, 1)
 
     def test_shared_followers_match_a_naive_shift_of_their_master(self, tmp_path):
-        # 200 generated masters, each with followers at later cells in
+        # Up to 200 generated masters, each with followers at later cells in
         # row-major order, some in columns left of it: relative references
         # there shift off the grid.
         rng = random.Random(20)
