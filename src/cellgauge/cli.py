@@ -25,6 +25,8 @@ from .metrics import (
     MetricRecord,
     compute_record,
 )
+# classify_cells is not called here; the benchmark's tracer (pipebench/spans.py)
+# wraps it under this name, so it stays importable from this module.
 from .model import Workbook, classify_cells
 from .reports import render_report, report_document, write_report
 from .xlsx import XlsxError, read_xlsx
@@ -76,12 +78,9 @@ def analyze_workbook(
     conditional_functions: frozenset[str] = DEFAULT_CONDITIONAL_FUNCTIONS,
     workbook_id: str | None = None,
 ) -> MetricRecord:
-    graph = build_graph(workbook)
-    classification = classify_cells(workbook, graph)
     return compute_record(
         workbook,
-        graph,
-        classification,
+        build_graph(workbook),
         conditional_functions=conditional_functions,
         workbook_id=workbook_id,
     )

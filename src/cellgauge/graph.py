@@ -16,9 +16,11 @@ a range covers:
 * spreading factor: in the same pass over each formula, the farthest pair
   of its anchor points, its single-cell targets and block corners.
 
-A point of the stacked grid is one int, its key (see `_ROW_STRIDE`). Single
-targets, block corners and sweep queries are keys; single-cell references,
-the common case, stay out of the sweep and are counted in a dict by key.
+A point of the stacked grid is one int, its key (see `_ROW_STRIDE`). Stored
+cells, single targets, block corners and sweep queries are keys; single-cell
+references, the common case, stay out of the sweep and are counted in a dict
+by key. The graph hands its per-formula counts on as lists, in walk order;
+`CellCoordinate`s are built only by the views of `DependencyGraph`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from functools import cached_property
+from itertools import combinations, starmap
 
 from .expressions import Expr, Range, Reference, reference_nodes
 from .model import CellCoordinate, Workbook
@@ -52,65 +55,90 @@ class NotAFormulaCellError(LookupError):
 class DependencyGraph:
     """Formula cells and the counts metrics need.
 
-    Per parsed formula cell: its fan-out, dangling references, spreading
-    factor and anchor keys. ``anchors`` (the decoded keys) and ``reverse``
-    (cell -> formulas referencing it, in time and memory proportional to the
-    covered area) are built on first access; the metric pipeline reads neither.
+    Per parsed formula cell, in the order `build_graph` walks them, parallel
+    lists hold its key (see `_ROW_STRIDE`), fan-out, fan-in, dangling
+    references, spreading factor and anchor keys; the metric pipeline reads
+    them by position. The coordinate API (``formula_cells()``, ``fan_out``,
+    ``fan_in``, ``spreading_factor``, ``dangling``, ``cover_counts`` and the
+    decoded ``anchors``) is a set of views built on first access from one
+    coordinate-to-position index. ``reverse`` (cell -> formulas referencing
+    it) is built on first access too, in time and memory proportional to the
+    covered area. The metric pipeline builds none of these views.
     """
 
     def __init__(
         self,
         workbook: Workbook,
-        fan_outs: dict[CellCoordinate, int],
-        dangling: dict[CellCoordinate, int],
-        spreads: dict[CellCoordinate, float],
-        anchor_keys: dict[CellCoordinate, tuple[int, ...]],
-        cover_counts: dict[CellCoordinate, int],
+        keys: list[int],
+        fan_outs: list[int],
+        fan_ins: list[int],
+        dangling_counts: list[int],
+        spreads: list[float],
+        anchor_keys: list[tuple[int, ...]],
+        covers: dict[int, int],
         unstored_references: int,
+        input_cells: int,
     ):
         self.workbook = workbook
-        self._fan_outs = fan_outs
-        self.dangling = dangling
-        self._spreads = spreads
-        self._anchor_keys = anchor_keys
-        # Stored cells referenced by at least one formula -> number of
-        # distinct formulas referencing each.
-        self.cover_counts = cover_counts
+        self.keys = keys
+        self.fan_outs = fan_outs
+        self.fan_ins = fan_ins
+        self.dangling_counts = dangling_counts
+        self.spreads = spreads
+        self.anchor_keys = anchor_keys
+        # Key of each stored cell referenced by at least one formula ->
+        # number of distinct formulas referencing it.
+        self._covers = covers
         # Referenced coordinates that hold no stored cell.
         self.unstored_references = unstored_references
+        # Referenced stored cells that hold no formula, plus the unstored ones.
+        self.input_cells = input_cells
+
+    @cached_property
+    def _positions(self) -> dict[CellCoordinate, int]:
+        return {CellCoordinate(*_point(key)): i for i, key in enumerate(self.keys)}
+
+    def _position(self, coordinate: CellCoordinate) -> int:
+        try:
+            return self._positions[coordinate]
+        except KeyError:
+            raise NotAFormulaCellError(coordinate) from None
 
     def formula_cells(self):
-        return self._fan_outs.keys()
+        return self._positions.keys()
 
     def fan_out(self, coordinate: CellCoordinate) -> int:
-        try:
-            return self._fan_outs[coordinate]
-        except KeyError:
-            raise NotAFormulaCellError(coordinate) from None
+        return self.fan_outs[self._position(coordinate)]
 
     def fan_in(self, coordinate: CellCoordinate) -> int:
-        if coordinate not in self._fan_outs:
-            raise NotAFormulaCellError(coordinate)
-        return self.cover_counts.get(coordinate, 0)
+        return self.fan_ins[self._position(coordinate)]
 
     def spreading_factor(self, coordinate: CellCoordinate) -> float:
-        try:
-            return self._spreads[coordinate]
-        except KeyError:
-            raise NotAFormulaCellError(coordinate) from None
+        return self.spreads[self._position(coordinate)]
+
+    @cached_property
+    def dangling(self) -> dict[CellCoordinate, int]:
+        """Each formula's dangling references."""
+        return dict(zip(self._positions, self.dangling_counts))
+
+    @cached_property
+    def cover_counts(self) -> dict[CellCoordinate, int]:
+        """Each stored cell referenced by at least one formula -> number of
+        distinct formulas referencing it."""
+        return {CellCoordinate(*_point(key)): count for key, count in self._covers.items()}
 
     @cached_property
     def anchors(self) -> dict[CellCoordinate, tuple[CellCoordinate, ...]]:
         """Each formula's single-cell targets and block corners, in order."""
         return {
             coord: tuple([CellCoordinate(*_point(key)) for key in sorted(keys)])
-            for coord, keys in self._anchor_keys.items()
+            for coord, keys in zip(self._positions, self.anchor_keys)
         }
 
     @cached_property
     def reverse(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
         sources: dict[CellCoordinate, set[CellCoordinate]] = defaultdict(set)
-        for source in self._fan_outs:
+        for source in self._positions:
             cell = self.workbook.sheet(source.sheet).cells[source.row, source.col]
             blocks, _ = _resolve(cell.formula.expr, source.sheet, self.workbook)  # type: ignore[union-attr]
             for r1, c1, r2, c2 in blocks:
@@ -134,6 +162,13 @@ def max_distance(keys) -> float:
     column run are compared: distance to a fixed point is convex along
     a line, so a point between two others on a line is never farthest from
     anything.
+
+    The result is the correctly rounded root of the largest squared
+    distance, an integer of about 1.1e12 at most (corner to corner of the
+    grid). The roots of two distinct such integers lie at least 4.7e-7, some
+    2,000 ulps, apart, far more than the error of ``math.dist``: the
+    farthest pair it finds is truly farthest, and squaring and rounding its
+    distance gives back that pair's exact integer.
     """
     if len(keys) > 8:
         keys = sorted(keys)
@@ -145,17 +180,15 @@ def max_distance(keys) -> float:
             )
         ]
         keys = ends[0] & ends[1]
+    if len(keys) < 2:
+        return 0.0
+    # A list, not the map: combinations() copies its input into a tuple, and
+    # from an iterator of unknown length it allocates one of a guessed size
+    # and shrinks it, so it never takes a tuple from the interpreter's free
+    # lists while each one it frees goes onto them: up to some 250 KB held.
     points = list(map(_point, keys))
-    best = 0
-    count = len(points)
-    for i in range(count - 1):
-        s1, r1, c1 = points[i]
-        for j in range(i + 1, count):
-            s2, r2, c2 = points[j]
-            d = (r1 - r2) ** 2 + (c1 - c2) ** 2 + (s1 - s2) ** 2
-            if d > best:
-                best = d
-    return math.sqrt(best)
+    far = max(starmap(math.dist, combinations(points, 2)))
+    return math.sqrt(round(far * far))
 
 
 def _region(
@@ -314,43 +347,34 @@ def _sweep(pieces: list[_Block], queries: list[int]) -> tuple[int, dict[int, int
     return area, hits
 
 
-def _coverage(
-    workbook: Workbook, singles: dict[int, int], pieces: list[_Block]
-) -> tuple[dict[CellCoordinate, int], int]:
-    """(cover count of each referenced stored cell, referenced points with no stored cell).
-
-    `singles` counts, per key, the formulas that reference it as a single
-    cell; `pieces` holds the blocks of every formula, split so that one
-    formula's pieces never overlap.
-    """
-    stored = [(s.index * _SHEET_STRIDE + row) * _ROW_STRIDE + col for s in workbook.sheets for row, col in s.cells]
-    area, hits = 0, {}
-    if pieces:
-        # A stored single target is queried twice, with the same answer.
-        area, hits = _sweep(pieces, sorted([*stored, *singles]))
-    cover_counts: dict[CellCoordinate, int] = {}
-    for key in stored:
-        total = hits.get(key, 0) + singles.get(key, 0)
-        if total:
-            cover_counts[CellCoordinate(*_point(key))] = total
-    return cover_counts, area + sum(1 for key in singles if key not in hits) - len(cover_counts)
-
-
 def build_graph(workbook: Workbook) -> DependencyGraph:
-    """Resolve every successfully parsed formula cell; cycles are legal."""
-    fan_outs: dict[CellCoordinate, int] = {}
-    dangling: dict[CellCoordinate, int] = {}
-    spreads: dict[CellCoordinate, float] = {}
-    anchor_keys: dict[CellCoordinate, tuple[int, ...]] = {}
-    singles: dict[int, int] = {}
-    pieces: list[_Block] = []
+    """Resolve every successfully parsed formula cell; cycles are legal.
+
+    One walk over the stored cells computes each cell's key and, per parsed
+    formula, its entries in the graph's per-formula lists; one row sweep
+    then counts the formulas covering every stored cell.
+    """
+    keys: list[int] = []
+    fan_outs: list[int] = []
+    dangling_counts: list[int] = []
+    spreads: list[float] = []
+    anchor_keys: list[tuple[int, ...]] = []
+    stored: list[int] = []  # keys of every stored cell
+    formulas: list[int] = []  # keys of every formula cell, parsed or not
+    singles: dict[int, int] = {}  # key -> formulas referencing it as a single cell
+    pieces: list[_Block] = []  # every formula's blocks, one formula's never overlapping
     for sheet in workbook.sheets:
+        base = sheet.index * _SHEET_STRIDE
         for (row, col), cell in sheet.cells.items():
+            key = (base + row) * _ROW_STRIDE + col
+            stored.append(key)
             formula = cell.formula
-            if formula is None or formula.expr is None:
+            if formula is None:
                 continue
-            coord = CellCoordinate(sheet.index, row, col)
-            blocks, dangling[coord] = _resolve(formula.expr, sheet.index, workbook)
+            formulas.append(key)
+            if formula.expr is None:
+                continue
+            blocks, dangling = _resolve(formula.expr, sheet.index, workbook)
             points, corners, own = [], [], []  # keys of single-cell blocks, keys of corners, other blocks
             for block in blocks:
                 r1, c1, r2, c2 = block
@@ -362,9 +386,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                     bottom = r2 * _ROW_STRIDE
                     corners += (top + c1, top + c2, bottom + c1, bottom + c2)
             # Distinct blocks have distinct single-cell keys, but corners repeat.
-            keys = tuple({*corners, *points}) if corners else tuple(points)
-            anchor_keys[coord] = keys
-            spreads[coord] = max_distance(keys)
+            anchors = tuple({*corners, *points}) if corners else tuple(points)
             area = 0
             if own:
                 if len(own) > 1:
@@ -372,11 +394,28 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 pieces.extend(own)
                 area = sum((r2 - r1 + 1) * (c2 - c1 + 1) for r1, c1, r2, c2 in own)
                 # A point inside one of its own blocks is counted there.
-                points = [key for key in points if not any(
-                    r1 <= key // _ROW_STRIDE <= r2 and c1 <= key % _ROW_STRIDE <= c2 for r1, c1, r2, c2 in own
+                points = [point for point in points if not any(
+                    r1 <= point // _ROW_STRIDE <= r2 and c1 <= point % _ROW_STRIDE <= c2 for r1, c1, r2, c2 in own
                 )]
-            for key in points:
-                singles[key] = singles.get(key, 0) + 1
-            fan_outs[coord] = area + len(points)
-    cover_counts, unstored = _coverage(workbook, singles, pieces)
-    return DependencyGraph(workbook, fan_outs, dangling, spreads, anchor_keys, cover_counts, unstored)
+            for point in points:
+                singles[point] = singles.get(point, 0) + 1
+            keys.append(key)
+            fan_outs.append(area + len(points))
+            dangling_counts.append(dangling)
+            spreads.append(max_distance(anchors))
+            anchor_keys.append(anchors)
+    area, hits = 0, {}
+    if pieces:
+        # A stored single target is queried twice, with the same answer.
+        area, hits = _sweep(pieces, sorted([*stored, *singles]))
+    covers: dict[int, int] = {}
+    for key in stored:
+        total = hits.get(key, 0) + singles.get(key, 0)
+        if total:
+            covers[key] = total
+    unstored = area + sum(1 for key in singles if key not in hits) - len(covers)
+    input_cells = len(covers) - sum(1 for key in formulas if key in covers) + unstored
+    fan_ins = [covers.get(key, 0) for key in keys]
+    return DependencyGraph(
+        workbook, keys, fan_outs, fan_ins, dangling_counts, spreads, anchor_keys, covers, unstored, input_cells
+    )

@@ -3,8 +3,9 @@
 The public record carries 22 metric values under the stable column ids
 M01..M22 plus bookkeeping counts. Averages over an empty formula set and
 ratios with a zero denominator are absent (None), never zero. Fan-out,
-fan-in and the spreading factor are read off the graph; `build_graph`
-computes the spreading factor with the fan-out, in one pass per formula.
+fan-in, the spreading factor and the input-cell count are read off the
+graph's per-formula lists and counts; `build_graph` computes the spreading
+factor with the fan-out, in one pass per formula.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 from .expressions import Expr, Value, write_tree
 from .graph import DependencyGraph
-from .model import CellCoordinate, CellKind, Workbook, classify_cells
+from .model import Workbook
 
 DEFAULT_CONDITIONAL_FUNCTIONS = frozenset(
     {
@@ -111,7 +112,6 @@ def _ratio(numerator: int, denominator: int) -> float | None:
 def compute_record(
     workbook: Workbook,
     graph: DependencyGraph,
-    classification: dict[CellCoordinate, CellKind] | None = None,
     *,
     conditional_functions: frozenset[str] = DEFAULT_CONDITIONAL_FUNCTIONS,
     workbook_id: str | None = None,
@@ -119,26 +119,21 @@ def compute_record(
     """All 22 metrics for one workbook.
 
     Formula cells that failed to parse count toward the formula-cell tally
-    and its ratios but are excluded from AST-derived statistics.
+    and its ratios but are excluded from AST-derived statistics. The graph's
+    per-formula lists and input count are read as they are.
     """
-    if classification is None:
-        classification = classify_cells(workbook, graph)
     non_empty = 0
     all_formula_cells = 0
-    coords: list[CellCoordinate] = []  # of the parsed formula cells
-    trees: list[AstMetrics] = []
+    trees: list[AstMetrics] = []  # of the parsed formula cells
     for sheet in workbook.sheets:
-        for (row, col), cell in sheet.cells.items():
+        for cell in sheet.cells.values():
             if cell.has_content:
                 non_empty += 1
             if cell.formula is not None:
                 all_formula_cells += 1
                 if cell.formula.expr is not None:
-                    coords.append(CellCoordinate(sheet.index, row, col))
                     trees.append(ast_metrics(cell.formula.expr, conditional_functions))
-    input_cells = graph.unstored_references + sum(
-        1 for kind in classification.values() if kind is CellKind.INPUT_VALUE
-    )
+    input_cells = graph.input_cells
 
     metrics: dict[str, float | int | None] = dict.fromkeys(METRIC_IDS)
     metrics["M03"] = all_formula_cells
@@ -147,13 +142,13 @@ def compute_record(
     metrics["M06"] = _ratio(input_cells, non_empty)
     metrics["M07"] = _ratio(all_formula_cells, input_cells)
 
-    if coords:
+    if trees:
         pairs = (
             ("M01", "M02", [m.ast_depth for m in trees]),
-            ("M09", "M10", [graph.fan_out(c) for c in coords]),
-            ("M11", "M12", [graph.fan_in(c) for c in coords]),
+            ("M09", "M10", graph.fan_outs),
+            ("M11", "M12", graph.fan_ins),
             ("M13", "M14", [m.conditional_count for m in trees]),
-            ("M15", "M16", [graph.spreading_factor(c) for c in coords]),
+            ("M15", "M16", graph.spreads),
             ("M17", "M18", [m.function_count for m in trees]),
             ("M19", "M20", [m.distinct_function_count for m in trees]),
             ("M21", "M22", [m.element_count for m in trees]),
@@ -169,6 +164,6 @@ def compute_record(
         non_empty_cells=non_empty,
         input_cells=input_cells,
         formula_cells=all_formula_cells,
-        parse_failures=all_formula_cells - len(coords),
+        parse_failures=all_formula_cells - len(trees),
         metrics=metrics,
     )

@@ -4,9 +4,11 @@ Reads sheets in workbook order, expands shared-formula groups per cell, and
 loads defined names, global and sheet-local (``localSheetId``). A literal is
 kept as one content bit, set when its cell-type marker finds a value: an
 in-range shared-string index, a numeric ``n`` value, any other ``<v>`` or an
-inline string. Cached formula results are never read. A cell with a solid
-fill and no value is stored without content. Per-cell anomalies are logged,
-not fatal.
+inline string. Cached formula results are never read. A data-table cell
+(``<f t="dataTable">``) holds no formula and is read by its ``<v>``, as any
+value cell is. A cell with a solid fill and no value is stored without
+content. Of two cells at one position the first is kept and the second
+skipped. Per-cell anomalies are logged, not fatal.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .expressions import (
     Parenthesis,
     Range,
     Reference,
+    column_index_to_letter,
     serialize,
 )
 from .interchange import _parse_defined_target, parse_cell_ref
@@ -246,8 +249,12 @@ def _read_sheet(root: ElementTree.Element, part: str, name: str, index: int, str
                 logger.warning("%s: skipping cell with no resolvable position", part)
                 continue
             last_col = col
+            if (row, col) in cells:
+                logger.warning("%s: skipping second cell at %s%d", part, column_index_to_letter(col), row)
+                continue
             f_el = c_el.find(_MAIN + "f")
-            if f_el is not None:
+            # A data table's <f> holds its parameters, not a formula.
+            if f_el is not None and f_el.get("t") != "dataTable":
                 text = (f_el.text or "").lstrip("=")
                 group = f_el.get("si", "") if f_el.get("t") == "shared" else None
                 if group is None or text:

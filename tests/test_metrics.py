@@ -8,7 +8,7 @@ import sys
 import traceback
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cellgauge.cli import analyze_workbook
@@ -137,12 +137,19 @@ class TestSpreadingFactor:
             max_size=40,
         )
     )
+    # opposite grid corners, on one sheet and sheets apart
+    @example([(1, 1, 1), (1, MAX_ROW, MAX_COL)])
+    @example([(200, 1, 1), (200, MAX_ROW, MAX_COL)])
+    @example([(1, 1, 1), (200, MAX_ROW, MAX_COL)])
+    # two equally far pairs: a rectangle's diagonals, and two pairs of unlike shape
+    @example([(1, 1, 1), (1, 1, MAX_COL), (1, MAX_ROW, 1), (1, MAX_ROW, MAX_COL)])
+    @example([(1, 1, 1), (1, 4, 5), (1, 6, 1)])
     @settings(max_examples=300, deadline=None)
     def test_pruned_anchors_match_all_pairs(self, points):
         # small coordinates make collinear and duplicate points likely,
         # grid-wide ones make far corners
         keys = [(sheet * (MAX_ROW + 2) + row) * (MAX_COL + 1) + col for sheet, row, col in points]
-        assert max_distance(keys) == oracle.spreading(points)
+        assert max_distance(keys).hex() == oracle.spreading(points).hex()
 
 
 class TestNormalizedKeys:

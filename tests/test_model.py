@@ -6,11 +6,13 @@ import gc
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellgauge.graph import build_graph
+from cellgauge import cli
+from cellgauge.graph import DependencyGraph, build_graph
 from cellgauge.interchange import _cached_cell_ref, read_interchange, read_interchange_file
 from cellgauge.metrics import compute_record
 from cellgauge.model import LITERAL_CELL, CellCoordinate, CellKind, classify_cells
@@ -18,6 +20,8 @@ from cellgauge.xlsx import read_xlsx
 
 from .genutil import gen_workbook_doc, make_workbook
 from .test_xlsx import build_xlsx
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def classify(workbook):
@@ -38,7 +42,7 @@ class TestKinds:
         for row in (1, 2, 3):
             coord = CellCoordinate(1, row, 2)
             assert coord not in kinds and coord in graph.reverse
-        assert compute_record(workbook, graph, kinds).input_cells == 3
+        assert compute_record(workbook, graph).input_cells == 3
 
     def test_unreferenced_text_is_label(self):
         workbook = make_workbook([("S", {"A1": "Revenue"})])
@@ -76,9 +80,10 @@ class TestProperties:
         # stored cells are listed; referenced blank coordinates are counted
         assert set(kinds) == stored
         assert graph.unstored_references == len(referenced - stored)
-        assert {c for c, k in kinds.items() if k is CellKind.INPUT_VALUE} == (
-            referenced & stored
-        ) - {c for c, k in kinds.items() if k is CellKind.FORMULA}
+        inputs = {c for c, k in kinds.items() if k is CellKind.INPUT_VALUE}
+        assert inputs == (referenced & stored) - {c for c, k in kinds.items() if k is CellKind.FORMULA}
+        # the graph's own count of input cells, which the CLI reads instead
+        assert graph.input_cells == len(inputs) + graph.unstored_references
 
     def test_monotonicity_of_adding_a_referencing_formula(self):
         base = make_workbook([("S", {"A1": 1, "B1": "label", "C1": "=A1"})])
@@ -102,6 +107,20 @@ class TestProperties:
         low = make_workbook([("S", {"A1": "=B1", "B1": 1, "C1": "x"})])
         high = make_workbook([("S", {"A1": "=B1", "B1": 999.5, "C1": "other text"})])
         assert classify(low) == classify(high)
+
+
+def test_analyze_workbook_never_classifies_cells(monkeypatch):
+    """The CLI reads the graph's input count: it neither classifies every
+    stored cell nor builds the graph's per-cell cover counts."""
+
+    def refuse(*args):
+        raise AssertionError("per-cell classification in the CLI")
+
+    monkeypatch.setattr(cli, "classify_cells", refuse)
+    monkeypatch.setattr(DependencyGraph, "cover_counts", property(refuse))
+    record = cli.analyze_workbook(read_interchange_file(FIXTURES / "g1.json"))
+    # 5 stored input cells and 4 referenced blank ones
+    assert record.input_cells == 9
 
 
 class TestStoredCellMemory:

@@ -484,6 +484,25 @@ class TestFormulas:
         assert workbook.defined_names == {}
         assert "localSheetId" in caplog.text
 
+    def test_data_table_cell_is_read_by_its_value(self, tmp_path):
+        body = (
+            '<row r="1"><c r="A1"><v>1</v></c></row>'
+            '<row r="2"><c r="B2"><f t="dataTable" ref="B2:B3" dt2D="0" dtr="0" r1="A1"/><v>2</v></c></row>'
+        )
+        workbook = read_xlsx(build_xlsx(tmp_path / "table.xlsx", [("S", body)]))
+        assert workbook.sheets[0].cells[(2, 2)] is LITERAL_CELL
+        record = analyze_workbook(workbook)
+        assert (record.formula_cells, record.parse_failures, record.non_empty_cells) == (0, 0, 2)
+
+    def test_second_cell_at_a_position_is_skipped(self, tmp_path, caplog):
+        body = '<row r="1"><c r="A1"><f>B1*2</f></c><c r="A1"><v>3</v></c></row>'
+        path = build_xlsx(tmp_path / "twice.xlsx", [("S", body)])
+        caplog.set_level(logging.WARNING, logger="cellgauge")
+        cells = read_xlsx(path).sheets[0].cells
+        assert set(cells) == {(1, 1)}
+        assert cells[(1, 1)].formula.text == "B1*2"
+        assert "xl/worksheets/sheet1.xml: skipping second cell at A1" in caplog.text
+
     def test_unparseable_formula_kept_with_failure_marker(self, tmp_path):
         body = '<row r="1"><c r="A1"><f>1+</f></c></row>'
         path = build_xlsx(tmp_path / "bad.xlsx", [("S", body)])
