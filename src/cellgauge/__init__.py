@@ -41,7 +41,7 @@ from .lexer import tokenize
 from .metrics import (
     DEFAULT_CONDITIONAL_FUNCTIONS,
     METRIC_IDS,
-    METRIC_NAMES,
+    METRICS,
     AstMetrics,
     MetricRecord,
     ast_metrics,

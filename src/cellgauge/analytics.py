@@ -14,7 +14,7 @@ from array import array
 from bisect import bisect_right
 
 from .expressions import Value
-from .metrics import METRIC_IDS, MetricRecord
+from .metrics import METRIC_IDS, METRICS, MetricRecord
 
 
 class EmptyCorpusError(ValueError):
@@ -38,7 +38,7 @@ def aggregate(records: list[MetricRecord]) -> CorpusSummary:
     """Arithmetic mean per metric over the records where it is present."""
     if not records:
         raise EmptyCorpusError("no records to aggregate")
-    with_formulas = sum(1 for r in records if (r.metrics["M03"] or 0) > 0)
+    with_formulas = sum(1 for r in records if r.formula_cells > 0)
     per_metric: dict[str, float | None] = {}
     for metric_id in METRIC_IDS:
         values = [r.metrics[metric_id] for r in records if r.metrics[metric_id] is not None]
@@ -59,15 +59,15 @@ class Histogram(Value):
         self.counts = counts
 
 
-# Ratio-valued metrics default to a fixed [0, 1] axis.
-RATIO_METRICS = frozenset({"M04", "M06"})
+# Shares of the non-empty cells default to a fixed [0, 1] axis.
+UNIT_AXIS_METRICS = tuple(row[0] for row in METRICS if row[2] == "ratio" and row[3][1] == "non_empty_cells")
 
 
 def histogram(
     records: list[MetricRecord], metric_id: str, bins: int = 20, bounds: tuple[float, float] | None = None
 ) -> Histogram:
     """Bin the present values of one metric into `bins` bins over `bounds`:
-    by default [0, 1] for ratio metrics, min..max observed otherwise.
+    by default [0, 1] for `UNIT_AXIS_METRICS`, min..max observed otherwise.
 
     Bins are half-open with the final bin right-closed; a value exactly on an
     interior edge counts in the upper bin. With fixed bounds, out-of-range
@@ -79,7 +79,7 @@ def histogram(
         raise NoDataError(f"no values present for {metric_id}")
     if bins < 1:
         raise ValueError("bin count must be >= 1")
-    if bounds is None and metric_id in RATIO_METRICS:
+    if bounds is None and metric_id in UNIT_AXIS_METRICS:
         bounds = (0.0, 1.0)
     if bounds is not None:
         lo, hi = bounds

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analytics import NoDataError, aggregate, correlation_matrix, histogram
+from .analytics import UNIT_AXIS_METRICS, NoDataError, aggregate, correlation_matrix, histogram
 from .graph import build_graph
 from .interchange import SchemaError, read_interchange_file
 from .metrics import (
@@ -329,7 +329,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--range",
         type=_range_option,
         metavar="LO,HI",
-        help="fixed histogram range (default: [0,1] for ratio metrics, observed min..max otherwise)",
+        help=f"fixed histogram range (default: [0,1] for {' and '.join(UNIT_AXIS_METRICS)}, else observed min..max)",
     )
     p_corpus.add_argument("--correlate", action="store_true", help="also emit the metric correlation matrix")
     p_corpus.add_argument(

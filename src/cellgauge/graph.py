@@ -56,7 +56,7 @@ class DependencyGraph:
     """Formula cells and the counts metrics need.
 
     Per parsed formula cell, in the order `build_graph` walks them, parallel
-    lists hold its key (see `_ROW_STRIDE`), fan-out, fan-in, dangling
+    lists hold its key (see `_ROW_STRIDE`), tree, fan-out, fan-in, dangling
     references, spreading factor and anchor keys; the metric pipeline reads
     them by position. The coordinate API (``formula_cells()``, ``fan_out``,
     ``fan_in``, ``spreading_factor``, ``dangling``, ``cover_counts`` and the
@@ -70,6 +70,7 @@ class DependencyGraph:
         self,
         workbook: Workbook,
         keys: list[int],
+        exprs: list[Expr],
         fan_outs: list[int],
         fan_ins: list[int],
         dangling_counts: list[int],
@@ -78,9 +79,12 @@ class DependencyGraph:
         covers: dict[int, int],
         unstored_references: int,
         input_cells: int,
+        formula_count: int,
+        non_empty_count: int,
     ):
         self.workbook = workbook
         self.keys = keys
+        self.exprs = exprs
         self.fan_outs = fan_outs
         self.fan_ins = fan_ins
         self.dangling_counts = dangling_counts
@@ -93,6 +97,8 @@ class DependencyGraph:
         self.unstored_references = unstored_references
         # Referenced stored cells that hold no formula, plus the unstored ones.
         self.input_cells = input_cells
+        self.formula_count = formula_count  # parsed or not
+        self.non_empty_count = non_empty_count
 
     @cached_property
     def _positions(self) -> dict[CellCoordinate, int]:
@@ -138,9 +144,8 @@ class DependencyGraph:
     @cached_property
     def reverse(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
         sources: dict[CellCoordinate, set[CellCoordinate]] = defaultdict(set)
-        for source in self._positions:
-            cell = self.workbook.sheet(source.sheet).cells[source.row, source.col]
-            blocks, _ = _resolve(cell.formula.expr, source.sheet, self.workbook)  # type: ignore[union-attr]
+        for source, expr in zip(self._positions, self.exprs):
+            blocks, _ = _resolve(expr, source.sheet, self.workbook)
             for r1, c1, r2, c2 in blocks:
                 for stacked in range(r1, r2 + 1):
                     sheet, row = divmod(stacked, _SHEET_STRIDE)
@@ -350,17 +355,20 @@ def _sweep(pieces: list[_Block], queries: list[int]) -> tuple[int, dict[int, int
 def build_graph(workbook: Workbook) -> DependencyGraph:
     """Resolve every successfully parsed formula cell; cycles are legal.
 
-    One walk over the stored cells computes each cell's key and, per parsed
-    formula, its entries in the graph's per-formula lists; one row sweep
-    then counts the formulas covering every stored cell.
+    One walk over the stored cells counts the formula and non-empty cells
+    and computes each cell's key and, per parsed formula, its entries in the
+    graph's per-formula lists; one row sweep then counts the formulas
+    covering every stored cell.
     """
     keys: list[int] = []
+    exprs: list[Expr] = []
     fan_outs: list[int] = []
     dangling_counts: list[int] = []
     spreads: list[float] = []
     anchor_keys: list[tuple[int, ...]] = []
     stored: list[int] = []  # keys of every stored cell
     formulas: list[int] = []  # keys of every formula cell, parsed or not
+    literals = 0
     singles: dict[int, int] = {}  # key -> formulas referencing it as a single cell
     pieces: list[_Block] = []  # every formula's blocks, one formula's never overlapping
     for sheet in workbook.sheets:
@@ -370,6 +378,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             stored.append(key)
             formula = cell.formula
             if formula is None:
+                literals += cell.literal
                 continue
             formulas.append(key)
             if formula.expr is None:
@@ -400,6 +409,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             for point in points:
                 singles[point] = singles.get(point, 0) + 1
             keys.append(key)
+            exprs.append(formula.expr)
             fan_outs.append(area + len(points))
             dangling_counts.append(dangling)
             spreads.append(max_distance(anchors))
@@ -417,5 +427,6 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     input_cells = len(covers) - sum(1 for key in formulas if key in covers) + unstored
     fan_ins = [covers.get(key, 0) for key in keys]
     return DependencyGraph(
-        workbook, keys, fan_outs, fan_ins, dangling_counts, spreads, anchor_keys, covers, unstored, input_cells
+        workbook, keys, exprs, fan_outs, fan_ins, dangling_counts, spreads, anchor_keys, covers, unstored,
+        input_cells, len(formulas), len(formulas) + literals,
     )

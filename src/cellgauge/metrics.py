@@ -1,11 +1,11 @@
 """Per-formula complexity measures and their per-workbook aggregation.
 
 The public record carries 22 metric values under the stable column ids
-M01..M22 plus bookkeeping counts. Averages over an empty formula set and
-ratios with a zero denominator are absent (None), never zero. Fan-out,
-fan-in, the spreading factor and the input-cell count are read off the
-graph's per-formula lists and counts; `build_graph` computes the spreading
-factor with the fan-out, in one pass per formula.
+M01..M22 plus bookkeeping counts; `METRICS` defines each of them in one
+row. Averages over an empty formula set and ratios with a zero denominator
+are absent (None), never zero. The cell counts, the per-formula lists and
+the parsed trees are all read off the graph, which collects them in its
+one walk over the stored cells.
 """
 
 from __future__ import annotations
@@ -32,32 +32,37 @@ DEFAULT_CONDITIONAL_FUNCTIONS = frozenset(
     }
 )
 
-METRIC_IDS = tuple(f"M{i:02d}" for i in range(1, 23))
+# The paper's 22 metrics, one row each: (id, name, aggregation, source).
+# A "count" is the workbook count its source names, a "ratio" that of its
+# (numerator, denominator) counts. "avg", "max" and "distinct" aggregate
+# one value per parsed formula: an `AstMetrics` field or one of the graph's
+# per-formula lists.
+METRICS = (
+    ("M01", "avgAstDepth", "avg", "ast_depth"),
+    ("M02", "maxAstDepth", "max", "ast_depth"),
+    ("M03", "formulaCellCount", "count", "formula_cells"),
+    ("M04", "formulaToNonEmptyRatio", "ratio", ("formula_cells", "non_empty_cells")),
+    ("M05", "inputCellCount", "count", "input_cells"),
+    ("M06", "inputToNonEmptyRatio", "ratio", ("input_cells", "non_empty_cells")),
+    ("M07", "formulaToInputRatio", "ratio", ("formula_cells", "input_cells")),
+    ("M08", "distinctFormulaCount", "distinct", "normalized_key"),
+    ("M09", "avgFanOut", "avg", "fan_outs"),
+    ("M10", "maxFanOut", "max", "fan_outs"),
+    ("M11", "avgFanIn", "avg", "fan_ins"),
+    ("M12", "maxFanIn", "max", "fan_ins"),
+    ("M13", "avgConditionals", "avg", "conditional_count"),
+    ("M14", "maxConditionals", "max", "conditional_count"),
+    ("M15", "avgSpreadingFactor", "avg", "spreads"),
+    ("M16", "maxSpreadingFactor", "max", "spreads"),
+    ("M17", "avgFunctions", "avg", "function_count"),
+    ("M18", "maxFunctions", "max", "function_count"),
+    ("M19", "avgDistinctFunctions", "avg", "distinct_function_count"),
+    ("M20", "maxDistinctFunctions", "max", "distinct_function_count"),
+    ("M21", "avgElements", "avg", "element_count"),
+    ("M22", "maxElements", "max", "element_count"),
+)
 
-METRIC_NAMES = {
-    "M01": "avgAstDepth",
-    "M02": "maxAstDepth",
-    "M03": "formulaCellCount",
-    "M04": "formulaToNonEmptyRatio",
-    "M05": "inputCellCount",
-    "M06": "inputToNonEmptyRatio",
-    "M07": "formulaToInputRatio",
-    "M08": "distinctFormulaCount",
-    "M09": "avgFanOut",
-    "M10": "maxFanOut",
-    "M11": "avgFanIn",
-    "M12": "maxFanIn",
-    "M13": "avgConditionals",
-    "M14": "maxConditionals",
-    "M15": "avgSpreadingFactor",
-    "M16": "maxSpreadingFactor",
-    "M17": "avgFunctions",
-    "M18": "maxFunctions",
-    "M19": "avgDistinctFunctions",
-    "M20": "maxDistinctFunctions",
-    "M21": "avgElements",
-    "M22": "maxElements",
-}
+METRIC_IDS = tuple(row[0] for row in METRICS)
 
 
 class AstMetrics(NamedTuple):
@@ -116,54 +121,37 @@ def compute_record(
     conditional_functions: frozenset[str] = DEFAULT_CONDITIONAL_FUNCTIONS,
     workbook_id: str | None = None,
 ) -> MetricRecord:
-    """All 22 metrics for one workbook.
+    """All 22 metrics for one workbook, one per row of `METRICS`.
 
     Formula cells that failed to parse count toward the formula-cell tally
-    and its ratios but are excluded from AST-derived statistics. The graph's
-    per-formula lists and input count are read as they are.
+    and its ratios but are excluded from AST-derived statistics. Everything
+    is read off the graph: its cell counts, its per-formula lists as they
+    are and its parsed trees; no stored cell is visited again.
     """
-    non_empty = 0
-    all_formula_cells = 0
-    trees: list[AstMetrics] = []  # of the parsed formula cells
-    for sheet in workbook.sheets:
-        for cell in sheet.cells.values():
-            if cell.has_content:
-                non_empty += 1
-            if cell.formula is not None:
-                all_formula_cells += 1
-                if cell.formula.expr is not None:
-                    trees.append(ast_metrics(cell.formula.expr, conditional_functions))
-    input_cells = graph.input_cells
-
-    metrics: dict[str, float | int | None] = dict.fromkeys(METRIC_IDS)
-    metrics["M03"] = all_formula_cells
-    metrics["M04"] = _ratio(all_formula_cells, non_empty)
-    metrics["M05"] = input_cells
-    metrics["M06"] = _ratio(input_cells, non_empty)
-    metrics["M07"] = _ratio(all_formula_cells, input_cells)
-
-    if trees:
-        pairs = (
-            ("M01", "M02", [m.ast_depth for m in trees]),
-            ("M09", "M10", graph.fan_outs),
-            ("M11", "M12", graph.fan_ins),
-            ("M13", "M14", [m.conditional_count for m in trees]),
-            ("M15", "M16", graph.spreads),
-            ("M17", "M18", [m.function_count for m in trees]),
-            ("M19", "M20", [m.distinct_function_count for m in trees]),
-            ("M21", "M22", [m.element_count for m in trees]),
-        )
-        for avg_id, max_id, values in pairs:
-            metrics[avg_id] = math.fsum(values) / len(values)
-            metrics[max_id] = max(values)
-        metrics["M08"] = len({m.normalized_key for m in trees})
+    trees = [ast_metrics(expr, conditional_functions) for expr in graph.exprs]
+    counts = {"formula_cells": graph.formula_count, "non_empty_cells": graph.non_empty_count,
+              "input_cells": graph.input_cells}
+    metrics: dict[str, float | int | None] = {}
+    for metric_id, _, aggregation, source in METRICS:
+        if aggregation == "count":
+            metrics[metric_id] = counts[source]
+        elif aggregation == "ratio":
+            metrics[metric_id] = _ratio(counts[source[0]], counts[source[1]])
+        else:
+            values = [getattr(m, source) for m in trees] if source in AstMetrics._fields else getattr(graph, source)
+            if not values:  # no formula parsed
+                metrics[metric_id] = None
+            elif aggregation == "avg":
+                metrics[metric_id] = math.fsum(values) / len(values)
+            elif aggregation == "max":
+                metrics[metric_id] = max(values)
+            else:
+                metrics[metric_id] = len(set(values))
 
     return MetricRecord(
         workbook_id=workbook_id if workbook_id is not None else workbook.name,
         sheet_count=len(workbook.sheets),
-        non_empty_cells=non_empty,
-        input_cells=input_cells,
-        formula_cells=all_formula_cells,
-        parse_failures=all_formula_cells - len(trees),
+        parse_failures=graph.formula_count - len(trees),
         metrics=metrics,
+        **counts,
     )

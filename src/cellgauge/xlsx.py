@@ -1,10 +1,11 @@
 """XLSX (ZIP-packaged SpreadsheetML) reader.
 
 Reads sheets in workbook order, expands shared-formula groups per cell, and
-loads defined names, global and sheet-local (``localSheetId``). A literal is
-kept as one content bit, set when its cell-type marker finds a value: an
-in-range shared-string index, a numeric ``n`` value, any other ``<v>`` or an
-inline string. Cached formula results are never read. A data-table cell
+loads defined names, global and sheet-local (``localSheetId``), in the
+Transitional or Strict SpreadsheetML namespace of the workbook's root. A
+literal is kept as one content bit, set when its cell-type marker finds a
+value: an in-range shared-string index, a numeric ``n`` value, any other
+``<v>`` or an inline string. Cached formula results are never read. A data-table cell
 (``<f t="dataTable">``) holds no formula and is read by its ``<v>``, as any
 value cell is. A cell with a solid fill and no value is stored without
 content. Of two cells at one position the first is kept and the second
@@ -37,8 +38,11 @@ from .tokens import MAX_COL, MAX_ROW
 
 logger = logging.getLogger(__name__)
 
-_MAIN = "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}"
-_REL_ID = "{http://schemas.openxmlformats.org/officeDocument/2006/relationships}id"
+_REL_IDS = {  # the workbook root's namespace -> a sheet's relationship id: Transitional, Strict
+    "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}":
+        "{http://schemas.openxmlformats.org/officeDocument/2006/relationships}id",
+    "{http://purl.oclc.org/ooxml/spreadsheetml/main}": "{http://purl.oclc.org/ooxml/officeDocument/relationships}id",
+}
 _PKG_REL = "{http://schemas.openxmlformats.org/package/2006/relationships}Relationship"
 
 _WORKBOOK_PART = "xl/workbook.xml"
@@ -85,14 +89,14 @@ def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
         raise MalformedSheetXmlError(part, f"malformed XML: {exc}") from None
 
 
-def _count_shared_strings(archive: zipfile.ZipFile) -> int:
+def _count_shared_strings(archive: zipfile.ZipFile, main: str) -> int:
     """The number of shared strings; their text is never read."""
     if _SHARED_STRINGS_PART not in archive.namelist():
         return 0
-    return len(_parse_part(archive, _SHARED_STRINGS_PART).findall(_MAIN + "si"))
+    return len(_parse_part(archive, _SHARED_STRINGS_PART).findall(main + "si"))
 
 
-def _read_filled_styles(archive: zipfile.ZipFile) -> set[int]:
+def _read_filled_styles(archive: zipfile.ZipFile, main: str) -> set[int]:
     """Indices of the cell styles (``cellXfs``) whose fill is solid with a
     6- or 8-digit color; best effort, never fatal."""
     if _STYLES_PART not in archive.namelist():
@@ -103,18 +107,18 @@ def _read_filled_styles(archive: zipfile.ZipFile) -> set[int]:
         logger.warning("unreadable styles part; fills skipped")
         return set()
     solid: list[bool] = []
-    fills = root.find(_MAIN + "fills")
+    fills = root.find(main + "fills")
     if fills is not None:
-        for fill in fills.findall(_MAIN + "fill"):
-            pattern = fill.find(_MAIN + "patternFill")
+        for fill in fills.findall(main + "fill"):
+            pattern = fill.find(main + "patternFill")
             fg = None
             if pattern is not None and pattern.get("patternType") == "solid":
-                fg = pattern.find(_MAIN + "fgColor")
+                fg = pattern.find(main + "fgColor")
             solid.append(fg is not None and len(fg.get("rgb", "")) in (6, 8))
     filled: set[int] = set()
-    cell_xfs = root.find(_MAIN + "cellXfs")
+    cell_xfs = root.find(main + "cellXfs")
     if cell_xfs is not None:
-        for style, xf in enumerate(cell_xfs.findall(_MAIN + "xf")):
+        for style, xf in enumerate(cell_xfs.findall(main + "xf")):
             try:
                 idx = int(xf.get("fillId", ""))
             except ValueError:
@@ -218,14 +222,14 @@ def _holds_value(t: str, v_text: str, string_count: int, part: str, sheet: int, 
     return False
 
 
-def _read_sheet(root: ElementTree.Element, part: str, name: str, index: int, string_count: int,
+def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, index: int, string_count: int,
                 filled_styles: set[int]) -> Worksheet:
     """The sheet's stored cells. A shared-formula master is parsed once; each
     follower shifts the master's tree instead of parsing text again."""
     cells: dict[tuple[int, int], Cell] = {}
     shared: dict[str, tuple[int, int, Formula]] = {}  # group id -> (anchor row, anchor col, parsed master)
-    sheet_data = root.find(_MAIN + "sheetData")
-    for row_el in sheet_data.findall(_MAIN + "row") if sheet_data is not None else ():
+    sheet_data = root.find(main + "sheetData")
+    for row_el in sheet_data.findall(main + "row") if sheet_data is not None else ():
         try:
             row_number = int(row_el.get("r", "0"))
         except ValueError:
@@ -233,7 +237,7 @@ def _read_sheet(root: ElementTree.Element, part: str, name: str, index: int, str
         if not 1 <= row_number <= MAX_ROW:
             row_number = 0
         last_col = 0
-        for c_el in row_el.findall(_MAIN + "c"):
+        for c_el in row_el.findall(main + "c"):
             ref = c_el.get("r")
             if ref:
                 try:
@@ -252,7 +256,7 @@ def _read_sheet(root: ElementTree.Element, part: str, name: str, index: int, str
             if (row, col) in cells:
                 logger.warning("%s: skipping second cell at %s%d", part, column_index_to_letter(col), row)
                 continue
-            f_el = c_el.find(_MAIN + "f")
+            f_el = c_el.find(main + "f")
             # A data table's <f> holds its parameters, not a formula.
             if f_el is not None and f_el.get("t") != "dataTable":
                 text = (f_el.text or "").lstrip("=")
@@ -273,9 +277,9 @@ def _read_sheet(root: ElementTree.Element, part: str, name: str, index: int, str
                 continue
             t = c_el.get("t", "n")
             if t == "inlineStr":
-                literal = c_el.find(_MAIN + "is") is not None
+                literal = c_el.find(main + "is") is not None
             else:
-                v_el = c_el.find(_MAIN + "v")
+                v_el = c_el.find(main + "v")
                 v_text = v_el.text if v_el is not None else None
                 literal = v_text is not None and _holds_value(t, v_text, string_count, part, index, row, col)
             if literal:
@@ -299,29 +303,30 @@ def read_xlsx(path: str | Path) -> Workbook:
         raise NotAZipError(str(path), "not a ZIP archive") from None
     with archive:
         workbook_root = _parse_part(archive, _WORKBOOK_PART)
+        main = workbook_root.tag.rpartition("}")[0] + "}"
         rels = _read_rels(archive)
-        shared_string_count = _count_shared_strings(archive)
-        filled_styles = _read_filled_styles(archive)
+        shared_string_count = _count_shared_strings(archive, main)
+        filled_styles = _read_filled_styles(archive, main)
 
-        sheets_el = workbook_root.find(_MAIN + "sheets")
-        if sheets_el is None:
-            raise MalformedSheetXmlError(_WORKBOOK_PART, "no <sheets> element")
+        sheets_el = workbook_root.find(main + "sheets")
+        if sheets_el is None or main not in _REL_IDS:
+            raise MalformedSheetXmlError(_WORKBOOK_PART, "no SpreadsheetML <sheets> element")
         worksheets: list[Worksheet] = []
-        for position, sheet_el in enumerate(sheets_el.findall(_MAIN + "sheet"), start=1):
+        for position, sheet_el in enumerate(sheets_el.findall(main + "sheet"), start=1):
             sheet_name = sheet_el.get("name") or f"Sheet{position}"
-            rid = sheet_el.get(_REL_ID)
+            rid = sheet_el.get(_REL_IDS[main])
             part = rels.get(rid or "")
             if part is None:
                 raise MissingWorkbookPartError(
                     _WORKBOOK_RELS_PART, f"no relationship for sheet {sheet_name!r}"
                 )
             root = _parse_part(archive, part)
-            worksheets.append(_read_sheet(root, part, sheet_name, position, shared_string_count, filled_styles))
+            worksheets.append(_read_sheet(root, main, part, sheet_name, position, shared_string_count, filled_styles))
 
         defined: dict[tuple[int | None, str], DefinedName] = {}
-        names_el = workbook_root.find(_MAIN + "definedNames")
+        names_el = workbook_root.find(main + "definedNames")
         if names_el is not None:
-            for dn_el in names_el.findall(_MAIN + "definedName"):
+            for dn_el in names_el.findall(main + "definedName"):
                 dn_name = dn_el.get("name")
                 target = (dn_el.text or "").strip()
                 if not dn_name or not target:

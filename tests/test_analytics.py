@@ -89,9 +89,12 @@ class TestHistogram:
         h = histogram(rs, "M04")
         assert h.counts[1] == 1 and h.counts[0] == 0
 
-    def test_ratio_metric_defaults_to_unit_range(self):
-        h = histogram([record(M04=0.5)], "M04")
-        assert h.bin_edges[0] == 0.0 and h.bin_edges[-1] == 1.0
+    @pytest.mark.parametrize("metric_id", METRIC_IDS)
+    def test_ratio_metric_defaults_to_unit_range(self, metric_id):
+        # Only the shares of the non-empty cells; M07 is a ratio too, but unbounded.
+        h = histogram([record(**{metric_id: 0.5})], metric_id)
+        unit = metric_id in ("M04", "M06")
+        assert (h.bin_edges[0], h.bin_edges[-1]) == ((0.0, 1.0) if unit else (0.5, 1.5))
 
     def test_auto_range_covers_observed_values(self):
         rs = [record(M09=v) for v in (2.0, 10.0, 50.0)]

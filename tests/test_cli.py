@@ -189,6 +189,18 @@ class TestAnalyze:
             assert excinfo.value.code == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["analyze", "--help"], ["corpus", "--help"]], ids=["top", "analyze", "corpus"]
+    )
+    def test_help_exits_0(self, capsys, argv):
+        # Help text built from data fails only when it is printed, e.g. on a stray %.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        if argv[0] == "corpus":
+            assert "[0,1] for M04 and M06" in help_text
+
     def test_bad_flag_value_exit_3(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", "x.json", "--format", "yaml"])

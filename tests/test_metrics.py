@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 import traceback
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from cellgauge.cli import analyze_workbook
 from cellgauge.graph import build_graph, max_distance
 from cellgauge.interchange import read_interchange
-from cellgauge.metrics import METRIC_IDS, ast_metrics, compute_record
+from cellgauge.metrics import METRIC_IDS, METRICS, ast_metrics, compute_record
 from cellgauge.model import CellCoordinate
 from cellgauge.parser import parse_text
 from cellgauge.reports import render_report
@@ -228,6 +230,31 @@ class TestComputeRecord:
                 assert got == pytest.approx(want, abs=1e-9), metric_id
             else:
                 assert got == want, metric_id
+
+    def test_record_reads_no_stored_cell(self):
+        # Everything the record needs comes from the graph's one walk.
+        hand = make_workbook(
+            [
+                ("Inputs", {"A1": "Revenue", "B1": 100, "B2": 200, "C1": True, "D9": None}),
+                ("Calc", {"A1": "=SUM(Inputs!B1:B5)", "A2": "=IF(Inputs!C1,A1*2,0)", "B2": "=nope+1"}),
+            ],
+            defined_names={"TOTAL": "Inputs!$B$1:$B$3"},
+        )
+        generated = [read_interchange(gen_workbook_doc(random.Random(seed))) for seed in range(20)]
+        for workbook in [hand, *generated]:
+            graph = build_graph(workbook)
+            expected = compute_record(workbook, graph)
+            for sheet in workbook.sheets:
+                sheet.cells = {}
+            assert compute_record(workbook, graph) == expected
+
+
+class TestCatalog:
+    def test_readme_catalog_lists_the_metric_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        catalog = readme.split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+        pairs = re.findall(r"\| (M\d\d) \| (\w+) ", catalog)
+        assert sorted(pairs) == [(metric_id, name) for metric_id, name, _, _ in METRICS]
 
 
 class TestOracleSweep:

@@ -12,7 +12,7 @@ from xml.sax.saxutils import escape
 import pytest
 
 from cellgauge import xlsx
-from cellgauge.cli import analyze_workbook
+from cellgauge.cli import analyze_workbook, main
 from cellgauge.expressions import Reference, column_index_to_letter, serialize
 from cellgauge.graph import build_graph
 from cellgauge.model import BLANK_CELL, LITERAL_CELL, CellCoordinate, Formula
@@ -711,3 +711,65 @@ class TestStructure:
         assert from_xlsx.non_empty_cells == from_json.non_empty_cells
         assert from_xlsx.input_cells == from_json.input_cells
         assert from_xlsx.parse_failures == from_json.parse_failures
+
+
+STRICT = {
+    "http://schemas.openxmlformats.org/spreadsheetml/2006/main": "http://purl.oclc.org/ooxml/spreadsheetml/main",
+    "http://schemas.openxmlformats.org/officeDocument/2006/relationships":
+        "http://purl.oclc.org/ooxml/officeDocument/relationships",
+}
+
+
+def rewrite_namespaces(path, uris):
+    """Rewrite every part of the package at `path` with each namespace URI
+    of `uris` replaced by its value."""
+    with zipfile.ZipFile(path) as archive:
+        parts = {name: archive.read(name).decode() for name in archive.namelist()}
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, content in parts.items():
+            for old, new in uris.items():
+                content = content.replace(old, new)
+            archive.writestr(name, content)
+    return path
+
+
+class TestNamespaces:
+    STYLES = (
+        f'<?xml version="1.0"?><styleSheet {NS}>'
+        '<fills><fill><patternFill patternType="none"/></fill>'
+        '<fill><patternFill patternType="solid"><fgColor rgb="FFFF0000"/></patternFill></fill></fills>'
+        '<cellXfs><xf fillId="0"/><xf fillId="1" applyFill="1"/></cellXfs></styleSheet>'
+    )
+    # A1 holds a shared string, D3 only a solid fill, which widens the row
+    # range 1:1 to column D; TOTAL names B1.
+    BODY = (
+        '<row r="1"><c r="A1" t="s"><v>0</v></c><c r="B1"><v>5</v></c></row>'
+        '<row r="2"><c r="A2"><f>TOTAL*2</f></c><c r="B2"><f>SUM(1:1)</f></c></row>'
+        '<row r="3"><c r="D3" s="1"/></row>'
+    )
+
+    def build(self, path):
+        return build_xlsx(
+            path, [("S", self.BODY)], shared_strings=("label",), defined_names=(("TOTAL", "S!$B$1"),),
+            styles_xml=self.STYLES,
+        )
+
+    def test_strict_package_reads_as_transitional(self, tmp_path):
+        transitional = read_xlsx(self.build(tmp_path / "book.xlsx"))
+        (tmp_path / "strict").mkdir()  # the same file name, so the same workbook id
+        strict = read_xlsx(rewrite_namespaces(self.build(tmp_path / "strict" / "book.xlsx"), STRICT))
+        assert strict.sheets[0].cells == transitional.sheets[0].cells
+        assert strict.sheets[0].cells[(1, 1)] is LITERAL_CELL
+        assert strict.sheets[0].cells[(3, 4)] is BLANK_CELL
+        graph = build_graph(strict)
+        assert graph.fan_out(CellCoordinate(1, 2, 1)) == 1  # TOTAL
+        assert graph.fan_out(CellCoordinate(1, 2, 2)) == 4  # A1:D1
+        assert analyze_workbook(strict) == analyze_workbook(transitional)
+
+    def test_workbook_root_in_another_namespace_is_malformed(self, tmp_path, capsys):
+        uris = {"http://schemas.openxmlformats.org/spreadsheetml/2006/main": "http://example.com/sheets"}
+        path = rewrite_namespaces(self.build(tmp_path / "other.xlsx"), uris)
+        with pytest.raises(MalformedSheetXmlError) as excinfo:
+            read_xlsx(path)
+        assert excinfo.value.part == "xl/workbook.xml"
+        assert main(["analyze", str(path)]) == 2
