@@ -53,6 +53,7 @@ from .model import (
     CellKind,
     DefinedName,
     Formula,
+    SharedFormula,
     Workbook,
     Worksheet,
     classify_cells,

@@ -1,4 +1,5 @@
-"""Formula AST: node types, canonical serialization, column-letter arithmetic.
+"""Formula AST: node types, canonical serialization, column-letter arithmetic,
+fill-copy shifts.
 
 Leaves are constants and references/ranges; internal nodes are functions,
 operators, and explicit parentheses. Nodes are `Value`s: equal by class and
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import enum
 from typing import NamedTuple
+
+from .tokens import MAX_COL, MAX_ROW
 
 
 class ValueType(enum.Enum):
@@ -374,3 +377,67 @@ def reference_nodes(expr: Expr) -> list[Reference | Range]:
         elif kind is Reference or kind is Range:
             found.append(node)  # type: ignore[arg-type]
     return found
+
+
+def shift_locator(loc: CellLocator, d_row: int, d_col: int) -> CellLocator | None:
+    """The locator moved by the offset in its relative parts; None off the grid."""
+    row = loc.row if loc.row is None or loc.row_abs else loc.row + d_row
+    col = loc.col if loc.col is None or loc.col_abs else loc.col + d_col
+    if (row is not None and not 1 <= row <= MAX_ROW) or (col is not None and not 1 <= col <= MAX_COL):
+        return None
+    return CellLocator(row, col, loc.row_abs, loc.col_abs)
+
+
+def shift_reference(node: Reference | Range, d_row: int, d_col: int) -> Reference | Range:
+    """The reference or range moved by the offset in its relative parts; a
+    #REF! reference, keeping its sheet and external flag, when a part
+    leaves the grid. Names and #REF! stay as they are."""
+    if type(node) is Range:
+        start, end = shift_locator(node.start, d_row, d_col), shift_locator(node.end, d_row, d_col)
+        if start is not None and end is not None:
+            return Range(start, end, node.sheet, node.external)
+    elif node.locator is None:
+        return node
+    elif (locator := shift_locator(node.locator, d_row, d_col)) is not None:
+        return Reference(node.sheet, locator, None, node.external)
+    return Reference(node.sheet, None, None, node.external, True)
+
+
+def shift_expr(expr: Expr, d_row: int, d_col: int) -> Expr:
+    """Translate relative references by a row/column offset (see
+    `shift_reference`), mirroring spreadsheet fill semantics.
+
+    Rebuilds the tree bottom-up with an explicit stack, so chains and nests
+    of any depth are safe."""
+    built: list[Expr] = []  # shifted subtrees, in the order they finish
+    # (node, children already built?) pairs still to visit
+    stack: list[tuple[Expr, bool]] = [(expr, False)]
+    while stack:
+        node, ready = stack.pop()
+        kind = type(node)
+        if kind is Range or kind is Reference:
+            built.append(shift_reference(node, d_row, d_col))  # type: ignore[arg-type]
+            continue
+        if kind is Function:
+            children = node.args  # type: ignore[attr-defined]
+        elif kind is Operator:
+            children = node.operands  # type: ignore[attr-defined]
+        elif kind is Parenthesis:
+            children = (node.inner,)  # type: ignore[attr-defined]
+        else:
+            children = ()
+        if not children:
+            built.append(node)
+        elif not ready:
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+        else:
+            shifted = tuple(built[-len(children):])
+            del built[-len(children):]
+            if kind is Function:
+                built.append(Function(node.name, shifted))  # type: ignore[attr-defined]
+            elif kind is Operator:
+                built.append(Operator(node.kind, shifted))  # type: ignore[attr-defined]
+            else:
+                built.append(Parenthesis(shifted[0]))
+    return built[0]

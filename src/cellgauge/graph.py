@@ -31,8 +31,8 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import combinations, starmap
 
-from .expressions import Expr, Range, Reference, reference_nodes
-from .model import CellCoordinate, Workbook
+from .expressions import Expr, Range, Reference, reference_nodes, shift_reference
+from .model import CellCoordinate, Formula, SharedFormula, Workbook
 from .tokens import MAX_COL, MAX_ROW
 
 # Sheets are stacked into one tall grid: row r of sheet s is stacked row
@@ -56,21 +56,24 @@ class DependencyGraph:
     """Formula cells and the counts metrics need.
 
     Per parsed formula cell, in the order `build_graph` walks them, parallel
-    lists hold its key (see `_ROW_STRIDE`), tree, fan-out, fan-in, dangling
-    references, spreading factor and anchor keys; the metric pipeline reads
-    them by position. The coordinate API (``formula_cells()``, ``fan_out``,
-    ``fan_in``, ``spreading_factor``, ``dangling``, ``cover_counts`` and the
-    decoded ``anchors``) is a set of views built on first access from one
+    lists hold its key (see `_ROW_STRIDE`), formula, fan-out, fan-in,
+    dangling references, spreading factor and anchor keys; the metric
+    pipeline reads them by position. ``exprs`` holds each one's tree, and a
+    shared-formula follower's is its master's, whose measures it shares.
+    The coordinate API (``formula_cells()``, ``fan_out``, ``fan_in``,
+    ``spreading_factor``, ``dangling``, ``cover_counts`` and the decoded
+    ``anchors``) is a set of views built on first access from one
     coordinate-to-position index. ``reverse`` (cell -> formulas referencing
-    it) is built on first access too, in time and memory proportional to the
-    covered area. The metric pipeline builds none of these views.
+    it) is built on first access too, from each formula's own references, in
+    time and memory proportional to the covered area. The metric pipeline
+    builds none of these views.
     """
 
     def __init__(
         self,
         workbook: Workbook,
         keys: list[int],
-        exprs: list[Expr],
+        formulas: list[Formula | SharedFormula],
         fan_outs: list[int],
         fan_ins: list[int],
         dangling_counts: list[int],
@@ -84,7 +87,7 @@ class DependencyGraph:
     ):
         self.workbook = workbook
         self.keys = keys
-        self.exprs = exprs
+        self.formulas = formulas
         self.fan_outs = fan_outs
         self.fan_ins = fan_ins
         self.dangling_counts = dangling_counts
@@ -99,6 +102,10 @@ class DependencyGraph:
         self.input_cells = input_cells
         self.formula_count = formula_count  # parsed or not
         self.non_empty_count = non_empty_count
+
+    @cached_property
+    def exprs(self) -> list[Expr]:
+        return [f.master.expr if type(f) is SharedFormula else f.expr for f in self.formulas]  # type: ignore
 
     @cached_property
     def _positions(self) -> dict[CellCoordinate, int]:
@@ -144,8 +151,9 @@ class DependencyGraph:
     @cached_property
     def reverse(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
         sources: dict[CellCoordinate, set[CellCoordinate]] = defaultdict(set)
-        for source, expr in zip(self._positions, self.exprs):
-            blocks, _ = _resolve(expr, source.sheet, self.workbook)
+        leaves: dict[int, list[Reference | Range]] = {}
+        for source, formula in zip(self._positions, self.formulas):
+            blocks, _ = _resolve(_references(formula, leaves), source.sheet, self.workbook)
             for r1, c1, r2, c2 in blocks:
                 for stacked in range(r1, r2 + 1):
                     sheet, row = divmod(stacked, _SHEET_STRIDE)
@@ -251,11 +259,25 @@ def _region(
     return (base + r1, c1, base + r2, c2)
 
 
-def _resolve(expr: Expr, sheet: int, workbook: Workbook) -> tuple[set[_Block], int]:
-    """(distinct blocks the references of `expr` cover, dangling references)."""
+def _references(formula: Formula | SharedFormula, leaves: dict[int, list]) -> list[Reference | Range]:
+    """The Reference and Range nodes of a parsed formula. A follower's are
+    its master's, found once per master (`leaves` is keyed by the master's
+    id), each shifted by the follower's offset."""
+    if type(formula) is not SharedFormula:
+        return reference_nodes(formula.expr)  # type: ignore[arg-type]
+    master = formula.master
+    found = leaves.get(id(master))
+    if found is None:
+        found = leaves[id(master)] = reference_nodes(master.expr)  # type: ignore[arg-type]
+    d_row, d_col = formula.d_row, formula.d_col
+    return [shift_reference(node, d_row, d_col) for node in found]
+
+
+def _resolve(nodes: list[Reference | Range], sheet: int, workbook: Workbook) -> tuple[set[_Block], int]:
+    """(distinct blocks the references cover, dangling references)."""
     blocks = set()
     dangling = 0
-    for node in reference_nodes(expr):
+    for node in nodes:
         block = _region(node, sheet, workbook)
         if block is None:
             dangling += 1
@@ -358,19 +380,21 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     One walk over the stored cells counts the formula and non-empty cells
     and computes each cell's key and, per parsed formula, its entries in the
     graph's per-formula lists; one row sweep then counts the formulas
-    covering every stored cell.
+    covering every stored cell. A shared-formula follower is resolved from
+    its master's references, shifted; its own tree is never built.
     """
     keys: list[int] = []
-    exprs: list[Expr] = []
+    formulas: list[Formula | SharedFormula] = []  # each parsed formula, in walk order
     fan_outs: list[int] = []
     dangling_counts: list[int] = []
     spreads: list[float] = []
     anchor_keys: list[tuple[int, ...]] = []
     stored: list[int] = []  # keys of every stored cell
-    formulas: list[int] = []  # keys of every formula cell, parsed or not
+    formula_keys: list[int] = []  # keys of every formula cell, parsed or not
     literals = 0
     singles: dict[int, int] = {}  # key -> formulas referencing it as a single cell
     pieces: list[_Block] = []  # every formula's blocks, one formula's never overlapping
+    leaves: dict[int, list[Reference | Range]] = {}  # see _references
     for sheet in workbook.sheets:
         base = sheet.index * _SHEET_STRIDE
         for (row, col), cell in sheet.cells.items():
@@ -380,10 +404,10 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             if formula is None:
                 literals += cell.literal
                 continue
-            formulas.append(key)
-            if formula.expr is None:
+            formula_keys.append(key)
+            if type(formula) is not SharedFormula and formula.expr is None:
                 continue
-            blocks, dangling = _resolve(formula.expr, sheet.index, workbook)
+            blocks, dangling = _resolve(_references(formula, leaves), sheet.index, workbook)
             points, corners, own = [], [], []  # keys of single-cell blocks, keys of corners, other blocks
             for block in blocks:
                 r1, c1, r2, c2 = block
@@ -409,7 +433,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             for point in points:
                 singles[point] = singles.get(point, 0) + 1
             keys.append(key)
-            exprs.append(formula.expr)
+            formulas.append(formula)
             fan_outs.append(area + len(points))
             dangling_counts.append(dangling)
             spreads.append(max_distance(anchors))
@@ -424,9 +448,9 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
         if total:
             covers[key] = total
     unstored = area + sum(1 for key in singles if key not in hits) - len(covers)
-    input_cells = len(covers) - sum(1 for key in formulas if key in covers) + unstored
+    input_cells = len(covers) - sum(1 for key in formula_keys if key in covers) + unstored
     fan_ins = [covers.get(key, 0) for key in keys]
     return DependencyGraph(
-        workbook, keys, exprs, fan_outs, fan_ins, dangling_counts, spreads, anchor_keys, covers, unstored,
-        input_cells, len(formulas), len(formulas) + literals,
+        workbook, keys, formulas, fan_outs, fan_ins, dangling_counts, spreads, anchor_keys, covers, unstored,
+        input_cells, len(formula_keys), len(formula_keys) + literals,
     )

@@ -126,9 +126,17 @@ def compute_record(
     Formula cells that failed to parse count toward the formula-cell tally
     and its ratios but are excluded from AST-derived statistics. Everything
     is read off the graph: its cell counts, its per-formula lists as they
-    are and its parsed trees; no stored cell is visited again.
+    are and its parsed trees, each distinct tree measured once (a
+    shared-formula follower's tree is its master's); no stored cell is
+    visited again.
     """
-    trees = [ast_metrics(expr, conditional_functions) for expr in graph.exprs]
+    measured: dict[int, AstMetrics] = {}  # id of a tree -> its measures
+    trees = []
+    for expr in graph.exprs:
+        tree = measured.get(id(expr))
+        if tree is None:
+            tree = measured[id(expr)] = ast_metrics(expr, conditional_functions)
+        trees.append(tree)
     counts = {"formula_cells": graph.formula_count, "non_empty_cells": graph.non_empty_count,
               "input_cells": graph.input_cells}
     metrics: dict[str, float | int | None] = {}

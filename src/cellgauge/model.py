@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, NamedTuple
 
-from .expressions import Expr, Value
+from .expressions import Expr, Value, serialize, shift_expr
 
 if TYPE_CHECKING:
     from .graph import DependencyGraph
@@ -23,6 +23,7 @@ __all__ = [
     "CellKind",
     "DefinedName",
     "Formula",
+    "SharedFormula",
     "Workbook",
     "Worksheet",
     "classify_cells",
@@ -55,6 +56,30 @@ class Formula(Value):
         self.error = error
 
 
+class SharedFormula(Value):
+    """A shared-formula follower: its group's parsed master moved by
+    (d_row, d_col). The offset keeps every Range of the master on the grid,
+    so the follower's tree measures and copy key are the master's. Its tree
+    and text are built on each access; a parsed master leaves no error."""
+
+    __slots__ = ("master", "d_row", "d_col")
+
+    error = None
+
+    def __init__(self, master: Formula, d_row: int, d_col: int):
+        self.master = master
+        self.d_row = d_row
+        self.d_col = d_col
+
+    @property
+    def expr(self) -> Expr:
+        return shift_expr(self.master.expr, self.d_row, self.d_col)  # type: ignore[arg-type]
+
+    @property
+    def text(self) -> str:
+        return serialize(self.expr)
+
+
 class Cell(Value):
     """A stored cell's content: a formula, a literal (whose value is not
     kept), or neither (stored for its formatting alone, e.g. a fill). Its
@@ -62,7 +87,7 @@ class Cell(Value):
 
     __slots__ = ("formula", "literal")
 
-    def __init__(self, formula: Formula | None = None, literal: bool = False):
+    def __init__(self, formula: Formula | SharedFormula | None = None, literal: bool = False):
         if literal and formula is not None:
             raise ValueError("a cell has both a literal and a formula")
         self.formula = formula

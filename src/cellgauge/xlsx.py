@@ -1,14 +1,16 @@
 """XLSX (ZIP-packaged SpreadsheetML) reader.
 
-Reads sheets in workbook order, expands shared-formula groups per cell, and
-loads defined names, global and sheet-local (``localSheetId``), in the
-Transitional or Strict SpreadsheetML namespace of the workbook's root. A
-literal is kept as one content bit, set when its cell-type marker finds a
-value: an in-range shared-string index, a numeric ``n`` value, any other
-``<v>`` or an inline string. Cached formula results are never read. A data-table cell
-(``<f t="dataTable">``) holds no formula and is read by its ``<v>``, as any
-value cell is. A cell with a solid fill and no value is stored without
-content. Of two cells at one position the first is kept and the second
+Reads sheets in workbook order, keeps each shared-formula follower as its
+master plus an offset, and loads defined names, global and sheet-local
+(``localSheetId``), in the Transitional or Strict SpreadsheetML namespace of
+the workbook's root. A literal is kept as one content bit, set when its
+cell-type marker finds a value: an in-range shared-string index, a numeric
+``n`` value, any other ``<v>`` or an inline string. Cached formula results
+are never read. A data-table cell (``<f t="dataTable">``) holds no formula
+and is read by its ``<v>``, as any value cell is. The later cells of an
+array formula's range (``<f t="array" ref="...">``) hold its results, so a
+value there is stored without content, as is a cell with a solid fill and
+no value. Of two cells at one position the first is kept and the second
 skipped. Per-cell anomalies are logged, not fatal.
 """
 
@@ -20,19 +22,19 @@ import zlib
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .expressions import (
-    CellLocator,
-    Expr,
-    Function,
-    Operator,
-    Parenthesis,
-    Range,
-    Reference,
-    column_index_to_letter,
-    serialize,
-)
+from .expressions import Expr, Range, column_index_to_letter, reference_nodes, serialize, shift_expr
 from .interchange import _parse_defined_target, parse_cell_ref
-from .model import BLANK_CELL, LITERAL_CELL, Cell, CellCoordinate, DefinedName, Formula, Workbook, Worksheet
+from .model import (
+    BLANK_CELL,
+    LITERAL_CELL,
+    Cell,
+    CellCoordinate,
+    DefinedName,
+    Formula,
+    SharedFormula,
+    Workbook,
+    Worksheet,
+)
 from .parser import parse_formula
 from .tokens import MAX_COL, MAX_ROW
 
@@ -144,63 +146,6 @@ def _read_rels(archive: zipfile.ZipFile) -> dict[str, str]:
     return rels
 
 
-def _shift_locator(loc: CellLocator, d_row: int, d_col: int) -> CellLocator | None:
-    """The locator moved by the offset in its relative parts; None off the grid."""
-    row = loc.row if loc.row is None or loc.row_abs else loc.row + d_row
-    col = loc.col if loc.col is None or loc.col_abs else loc.col + d_col
-    if (row is not None and not 1 <= row <= MAX_ROW) or (col is not None and not 1 <= col <= MAX_COL):
-        return None
-    return CellLocator(row=row, col=col, row_abs=loc.row_abs, col_abs=loc.col_abs)
-
-
-def _shift_expr(expr: Expr, d_row: int, d_col: int) -> Expr:
-    """Translate relative references by a row/column offset; out-of-grid
-    results become #REF! references, mirroring spreadsheet fill semantics.
-
-    Rebuilds the tree bottom-up with an explicit stack, so chains and nests
-    of any depth are safe."""
-    built: list[Expr] = []  # shifted subtrees, in the order they finish
-    # (node, children already built?) pairs still to visit
-    stack: list[tuple[Expr, bool]] = [(expr, False)]
-    while stack:
-        node, ready = stack.pop()
-        kind = type(node)
-        if kind is Range or (kind is Reference and node.locator is not None):  # type: ignore[attr-defined]
-            ends = (node.start, node.end) if kind is Range else (node.locator,)  # type: ignore[attr-defined]
-            moved = [_shift_locator(loc, d_row, d_col) for loc in ends]
-            sheet, external = node.sheet, node.external  # type: ignore[attr-defined]
-            if None in moved:
-                built.append(Reference(sheet=sheet, ref_error=True, external=external))
-            elif kind is Range:
-                built.append(Range(*moved, sheet=sheet, external=external))  # type: ignore[arg-type]
-            else:
-                built.append(Reference(sheet=sheet, locator=moved[0], external=external))
-            continue
-        if kind is Function:
-            children = node.args  # type: ignore[attr-defined]
-        elif kind is Operator:
-            children = node.operands  # type: ignore[attr-defined]
-        elif kind is Parenthesis:
-            children = (node.inner,)  # type: ignore[attr-defined]
-        else:
-            children = ()
-        if not children:
-            built.append(node)
-        elif not ready:
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(children))
-        else:
-            shifted = tuple(built[-len(children):])
-            del built[-len(children):]
-            if kind is Function:
-                built.append(Function(node.name, shifted))  # type: ignore[attr-defined]
-            elif kind is Operator:
-                built.append(Operator(node.kind, shifted))  # type: ignore[attr-defined]
-            else:
-                built.append(Parenthesis(shifted[0]))
-    return built[0]
-
-
 def _holds_value(t: str, v_text: str, string_count: int, part: str, sheet: int, row: int, col: int) -> bool:
     """Whether a ``<v>`` text is a value of its cell-type marker."""
     if t == "s":
@@ -222,12 +167,38 @@ def _holds_value(t: str, v_text: str, string_count: int, part: str, sheet: int, 
     return False
 
 
+def _array_block(ref: str | None, part: str) -> tuple[int, int, int, int] | None:
+    """The block an array formula's ``ref`` spans; None when unreadable."""
+    first, _, last = (ref or "").replace("$", "").partition(":")
+    try:
+        (r1, c1), (r2, c2) = parse_cell_ref(first), parse_cell_ref(last or first)
+    except ValueError:
+        logger.warning("%s: array formula with bad range %r", part, ref)
+        return None
+    return min(r1, r2), min(c1, c2), max(r1, r2), max(c1, c2)
+
+
+def _range_offsets(expr: Expr | None) -> tuple[range, range]:
+    """The row and the column offsets at which every Range of the tree stays
+    on the grid: a shared-formula follower at such an offset of its master
+    has the master's copy key."""
+    nodes = reference_nodes(expr) if expr is not None else ()
+    ends = [end for node in nodes if type(node) is Range for end in (node.start, node.end)]
+    rows = [end.row for end in ends if end.row is not None and not end.row_abs]
+    cols = [end.col for end in ends if end.col is not None and not end.col_abs]
+    return (range(1 - min(rows, default=MAX_ROW), MAX_ROW + 1 - max(rows, default=1)),
+            range(1 - min(cols, default=MAX_COL), MAX_COL + 1 - max(cols, default=1)))
+
+
 def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, index: int, string_count: int,
                 filled_styles: set[int]) -> Worksheet:
-    """The sheet's stored cells. A shared-formula master is parsed once; each
-    follower shifts the master's tree instead of parsing text again."""
+    """The sheet's stored cells. A shared-formula master is parsed once; a
+    follower is the master plus its offset, or, where the offset moves one of
+    the master's ranges off the grid, the master's shifted tree."""
     cells: dict[tuple[int, int], Cell] = {}
-    shared: dict[str, tuple[int, int, Formula]] = {}  # group id -> (anchor row, anchor col, parsed master)
+    # group id -> (anchor row, anchor col, parsed master, row and column offsets that keep its ranges)
+    shared: dict[str, tuple[int, int, Formula, range, range]] = {}
+    arrays: list[tuple[int, int, int, int]] = []  # (first row, first col, last row, last col) of array formulas
     sheet_data = root.find(main + "sheetData")
     for row_el in sheet_data.findall(main + "row") if sheet_data is not None else ():
         try:
@@ -258,20 +229,27 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                 continue
             f_el = c_el.find(main + "f")
             # A data table's <f> holds its parameters, not a formula.
-            if f_el is not None and f_el.get("t") != "dataTable":
+            if f_el is not None and (kind := f_el.get("t")) != "dataTable":
                 text = (f_el.text or "").lstrip("=")
-                group = f_el.get("si", "") if f_el.get("t") == "shared" else None
+                group = f_el.get("si", "") if kind == "shared" else None
                 if group is None or text:
                     formula = parse_formula(text)
                     if group is not None:
-                        shared[group] = (row, col, formula)
+                        shared[group] = (row, col, formula, *_range_offsets(formula.expr))
+                    elif kind == "array" and (block := _array_block(f_el.get("ref"), part)) is not None:
+                        arrays.append(block)
                 elif group not in shared:
                     logger.warning("%s: shared formula follower before master (si=%s)", part, group)
                     formula = parse_formula("")
                 else:
-                    a_row, a_col, formula = shared[group]
-                    if formula.expr is not None:  # else the master failed to parse: inherit it verbatim
-                        shifted = _shift_expr(formula.expr, row - a_row, col - a_col)
+                    a_row, a_col, formula, row_offsets, col_offsets = shared[group]
+                    d_row, d_col = row - a_row, col - a_col
+                    if formula.expr is None:
+                        pass  # the master failed to parse: inherit it verbatim
+                    elif d_row in row_offsets and d_col in col_offsets:
+                        formula = SharedFormula(formula, d_row, d_col)
+                    else:  # a range turns into #REF!, which changes the copy key
+                        shifted = shift_expr(formula.expr, d_row, d_col)
                         formula = Formula(serialize(shifted), shifted)
                 cells[(row, col)] = Cell(formula)
                 continue
@@ -283,7 +261,9 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                 v_text = v_el.text if v_el is not None else None
                 literal = v_text is not None and _holds_value(t, v_text, string_count, part, index, row, col)
             if literal:
-                cells[(row, col)] = LITERAL_CELL
+                # A value in the range of an earlier array formula is one of its results.
+                in_array = arrays and any(r1 <= row <= r2 and c1 <= col <= c2 for r1, c1, r2, c2 in arrays)
+                cells[(row, col)] = BLANK_CELL if in_array else LITERAL_CELL
             elif filled_styles and (style := c_el.get("s")) is not None:
                 try:
                     if int(style) in filled_styles:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import pickle
 import random
 import struct
 import zipfile
@@ -11,12 +12,14 @@ from xml.sax.saxutils import escape
 
 import pytest
 
-from cellgauge import xlsx
+from cellgauge import metrics, xlsx
 from cellgauge.cli import analyze_workbook, main
-from cellgauge.expressions import Reference, column_index_to_letter, serialize
+from cellgauge.expressions import Range, Reference, column_index_to_letter, reference_nodes, serialize, shift_reference
 from cellgauge.graph import build_graph
-from cellgauge.model import BLANK_CELL, LITERAL_CELL, CellCoordinate, Formula
+from cellgauge.metrics import METRIC_IDS
+from cellgauge.model import BLANK_CELL, LITERAL_CELL, CellCoordinate, Formula, SharedFormula
 from cellgauge.parser import parse_text
+from cellgauge.tokens import MAX_COL, MAX_ROW
 from cellgauge.xlsx import (
     CorruptPartError,
     MalformedSheetXmlError,
@@ -494,6 +497,38 @@ class TestFormulas:
         record = analyze_workbook(workbook)
         assert (record.formula_cells, record.parse_failures, record.non_empty_cells) == (0, 0, 2)
 
+    def test_array_formula_results_are_stored_without_content(self, tmp_path, caplog):
+        # B1 holds a 3-cell array formula over the inputs A1:A3; B2 and B3
+        # hold only its cached results, and widen the used area as before.
+        body = (
+            '<row r="1"><c r="A1"><v>1</v></c><c r="B1"><f t="array" ref="B1:B3">A1:A3*2</f><v>2</v></c></row>'
+            '<row r="2"><c r="A2"><v>2</v></c><c r="B2"><v>4</v></c></row>'
+            '<row r="3"><c r="A3"><v>3</v></c><c r="B3"><v>6</v></c></row>'
+        )
+        workbook = read_xlsx(build_xlsx(tmp_path / "array.xlsx", [("S", body)]))
+        sheet = workbook.sheets[0]
+        assert sheet.cells[(2, 2)] is BLANK_CELL and sheet.cells[(3, 2)] is BLANK_CELL
+        assert sheet.used_box() == (1, 1, 3, 2)
+        record = analyze_workbook(workbook)
+        assert (record.formula_cells, record.non_empty_cells, record.input_cells) == (1, 4, 3)
+        assert (record.metrics["M04"], record.metrics["M05"]) == (0.25, 3)
+        expected = oracle.record(workbook)
+        assert record.metrics == pytest.approx({metric_id: expected[metric_id] for metric_id in METRIC_IDS}, abs=1e-9)
+
+        # A cell of the range with a formula of its own is a formula; a value
+        # outside the range, or in the range of an unreadable ref, is a literal.
+        body = (
+            '<row r="1"><c r="A1"><f t="array" ref="$A$1:B2">1</f></c><c r="C1"><v>1</v></c>'
+            '<c r="D1"><f t="array" ref="D1:D">1</f></c></row>'
+            '<row r="2"><c r="A2"><f>3</f></c><c r="B2"><v>4</v></c><c r="D2"><v>5</v></c></row>'
+        )
+        caplog.set_level(logging.WARNING, logger="cellgauge")
+        cells = read_xlsx(build_xlsx(tmp_path / "arrays.xlsx", [("S", body)])).sheets[0].cells
+        assert cells[(2, 1)].formula.text == "3"
+        assert cells[(2, 2)] is BLANK_CELL
+        assert cells[(1, 3)] is LITERAL_CELL and cells[(2, 4)] is LITERAL_CELL
+        assert "array formula with bad range 'D1:D'" in caplog.text
+
     def test_second_cell_at_a_position_is_skipped(self, tmp_path, caplog):
         body = '<row r="1"><c r="A1"><f>B1*2</f></c><c r="A1"><v>3</v></c></row>'
         path = build_xlsx(tmp_path / "twice.xlsx", [("S", body)])
@@ -509,6 +544,116 @@ class TestFormulas:
         cell = read_xlsx(path).sheets[0].cells[(1, 1)]
         assert cell.formula.text == "1+"
         assert cell.formula.expr is None and cell.formula.error
+
+
+def build_shared_groups(path):
+    """The 800 formula cells of
+    `TestFormulas.test_shared_followers_match_a_naive_shift_of_their_master`,
+    on sheet S of a package that also holds the two sheets their formulas
+    name, with literals, and targets for four of `genutil.NAMES`."""
+    rng = random.Random(20)
+    sheets = ("S", "Other Data", "it's")
+    grid = [(row, col) for row in range(1, 41) for col in range(1, 21)]
+    group_of = {cell: rng.randrange(200) for cell in rng.sample(grid, 800)}
+    masters: dict[int, tuple[int, int]] = {}
+    rows: dict[int, list[str]] = {}
+    for row, col in sorted(group_of):
+        group = group_of[(row, col)]
+        if group in masters:
+            f_el = f'<f t="shared" si="{group}"/>'
+        else:
+            masters[group] = (row, col)
+            f_el = f'<f t="shared" si="{group}">{escape(genutil.gen_expr(rng, sheets=sheets))}</f>'
+        rows.setdefault(row, []).append(f'<c r="{column_index_to_letter(col)}{row}">{f_el}</c>')
+    body = "".join(f'<row r="{row}">{"".join(cells)}</row>' for row, cells in rows.items())
+    def literals(last_row, letters):
+        return "".join(
+            f'<row r="{row}">' + "".join(f'<c r="{letter}{row}"><v>{row}</v></c>' for letter in letters) + "</row>"
+            for row in range(1, last_row + 1)
+        )
+
+    names = (("alpha", "'Other Data'!$A$1:$B$3"), ("TOTAL", "S!$C$2"), ("net.total", "'it''s'!$B$2"),
+             ("grandTotal", "S!$A:$A"))
+    return build_xlsx(path, [("S", body), ("Other Data", literals(8, "ABCDEF")), ("it's", literals(3, "AB"))],
+                      defined_names=names)
+
+
+def follower_workbook(path, rows):
+    """A package with data in A1:A{rows} and one shared-formula group,
+    SUM($A$1:A1) in B1 filled down to B{rows}."""
+    body = "".join(
+        f'<row r="{r}"><c r="A{r}"><v>{r}</v></c><c r="B{r}">'
+        + (f'<f t="shared" ref="B1:B{rows}" si="0">SUM($A$1:A1)</f>' if r == 1 else '<f t="shared" si="0"/>')
+        + "</c></row>"
+        for r in range(1, rows + 1)
+    )
+    return build_xlsx(path, [("Sheet1", body)])
+
+
+class TestSharedFollowers:
+    def test_generated_groups_agree_with_the_oracle(self, tmp_path):
+        workbook = read_xlsx(build_shared_groups(tmp_path / "groups.xlsx"))
+        kinds = {type(cell.formula) for cell in workbook.sheets[0].cells.values()}
+        assert kinds == {Formula, SharedFormula}  # masters, full shifts and followers
+        record = analyze_workbook(workbook)
+        expected = oracle.record(workbook)
+        assert (record.sheet_count, record.non_empty_cells, record.input_cells, record.formula_cells,
+                record.parse_failures) == (expected["sheetCount"], expected["nonEmptyCells"],
+                                           expected["inputCells"], expected["formulaCells"],
+                                           expected["parseFailures"])
+        for metric_id in METRIC_IDS:
+            assert record.metrics[metric_id] == pytest.approx(expected[metric_id], abs=1e-9), metric_id
+
+        graph = build_graph(workbook)
+        expanded = oracle.expansions(workbook)
+        assert set(graph.formula_cells()) == set(expanded)
+        transpose: dict = {}
+        for coordinate, (cells, dangling) in expanded.items():
+            assert (graph.fan_out(coordinate), graph.dangling[coordinate]) == (len(cells), dangling)
+            for target in cells:
+                transpose.setdefault(CellCoordinate(*target), set()).add(coordinate)
+        assert graph.reverse == {target: frozenset(sources) for target, sources in transpose.items()}
+
+    @pytest.mark.parametrize(
+        "text", ["SUM(B2:C$3)", "SUM(B:B)+C1", "SUM(2:$4)", "SUM($A$1:$XFD$1048576)", "SUM(XFC1048575:XFD1048576)"]
+    )
+    def test_range_offsets_are_the_offsets_the_shift_keeps_ranges_at(self, text):
+        expr = parse_text(text)
+        rows, cols = xlsx._range_offsets(expr)
+        ranges = [node for node in reference_nodes(expr) if isinstance(node, Range)]
+        def edges(keep, limit):  # each end of the kept offsets and its outer neighbour, within the grid
+            return {max(1 - limit, min(limit - 1, d)) for d in (keep.start - 1, keep.start, keep.stop - 1, keep.stop, 0)}
+
+        for d_row in edges(rows, MAX_ROW):
+            for d_col in edges(cols, MAX_COL):
+                kept = all(isinstance(shift_reference(node, d_row, d_col), Range) for node in ranges)
+                assert kept == (d_row in rows and d_col in cols), (d_row, d_col)
+
+    def test_followers_are_measured_once_and_never_written(self, tmp_path):
+        path = follower_workbook(tmp_path / "fill.xlsx", 300)
+        with mock.patch("cellgauge.xlsx.serialize", side_effect=AssertionError("a follower was written")), \
+                mock.patch("cellgauge.metrics.ast_metrics", wraps=metrics.ast_metrics) as measured:
+            workbook = read_xlsx(path)
+            record = analyze_workbook(workbook)
+        assert measured.call_count == 1
+        cells = workbook.sheets[0].cells
+        assert all(type(cells[(r, 2)].formula) is SharedFormula for r in range(2, 301))
+        assert cells[(300, 2)].formula.text == "SUM($A$1:A300)"
+        expected = oracle.record(workbook)
+        assert record.metrics == pytest.approx({metric_id: expected[metric_id] for metric_id in METRIC_IDS}, abs=1e-9)
+        assert (record.non_empty_cells, record.input_cells) == (expected["nonEmptyCells"], expected["inputCells"])
+
+    def test_workbook_with_followers_survives_pickling(self, tmp_path):
+        workbook = read_xlsx(follower_workbook(tmp_path / "fill.xlsx", 30))
+        copy = pickle.loads(pickle.dumps(workbook))
+        assert [(s.name, s.index, s.cells) for s in copy.sheets] == [
+            (s.name, s.index, s.cells) for s in workbook.sheets
+        ]
+        assert copy.defined_names == workbook.defined_names
+        # The followers still share one master, so it is still measured once.
+        assert len({id(cell.formula.master) for (_, col), cell in copy.sheets[0].cells.items()
+                    if col == 2 and type(cell.formula) is SharedFormula}) == 1
+        assert analyze_workbook(copy) == analyze_workbook(workbook)
 
 
 class TestStyles:
