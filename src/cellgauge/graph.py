@@ -58,8 +58,9 @@ class DependencyGraph:
     Per parsed formula cell, in the order `build_graph` walks them, parallel
     lists hold its key (see `_ROW_STRIDE`), formula, fan-out, fan-in,
     dangling references, spreading factor and anchor keys; the metric
-    pipeline reads them by position. ``exprs`` holds each one's tree, and a
-    shared-formula follower's is its master's, whose measures it shares.
+    pipeline reads them by position. ``exprs`` holds the tree the metrics
+    measure for each one: a shared-formula follower's is its master's, whose
+    measures it shares, unless its shift turns a range into #REF!.
     The coordinate API (``formula_cells()``, ``fan_out``, ``fan_in``,
     ``spreading_factor``, ``dangling``, ``cover_counts`` and the decoded
     ``anchors``) is a set of views built on first access from one
@@ -74,6 +75,7 @@ class DependencyGraph:
         workbook: Workbook,
         keys: list[int],
         formulas: list[Formula | SharedFormula],
+        exprs: list[Expr],
         fan_outs: list[int],
         fan_ins: list[int],
         dangling_counts: list[int],
@@ -88,6 +90,7 @@ class DependencyGraph:
         self.workbook = workbook
         self.keys = keys
         self.formulas = formulas
+        self.exprs = exprs
         self.fan_outs = fan_outs
         self.fan_ins = fan_ins
         self.dangling_counts = dangling_counts
@@ -102,10 +105,6 @@ class DependencyGraph:
         self.input_cells = input_cells
         self.formula_count = formula_count  # parsed or not
         self.non_empty_count = non_empty_count
-
-    @cached_property
-    def exprs(self) -> list[Expr]:
-        return [f.master.expr if type(f) is SharedFormula else f.expr for f in self.formulas]  # type: ignore
 
     @cached_property
     def _positions(self) -> dict[CellCoordinate, int]:
@@ -151,9 +150,9 @@ class DependencyGraph:
     @cached_property
     def reverse(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
         sources: dict[CellCoordinate, set[CellCoordinate]] = defaultdict(set)
-        leaves: dict[int, list[Reference | Range]] = {}
+        leaves: dict[int, tuple[list[Reference | Range], list[type]]] = {}
         for source, formula in zip(self._positions, self.formulas):
-            blocks, _ = _resolve(_references(formula, leaves), source.sheet, self.workbook)
+            blocks, _ = _resolve(_references(formula, leaves)[0], source.sheet, self.workbook)
             for r1, c1, r2, c2 in blocks:
                 for stacked in range(r1, r2 + 1):
                     sheet, row = divmod(stacked, _SHEET_STRIDE)
@@ -259,18 +258,24 @@ def _region(
     return (base + r1, c1, base + r2, c2)
 
 
-def _references(formula: Formula | SharedFormula, leaves: dict[int, list]) -> list[Reference | Range]:
-    """The Reference and Range nodes of a parsed formula. A follower's are
-    its master's, found once per master (`leaves` is keyed by the master's
-    id), each shifted by the follower's offset."""
+def _references(formula: Formula | SharedFormula, leaves: dict[int, tuple]) -> tuple[list[Reference | Range], Expr]:
+    """The Reference and Range nodes of a parsed formula, and the tree the
+    metrics measure. A follower's nodes are its master's, found once per
+    master with their types (`leaves` is keyed by the master's id), each
+    shifted by the follower's offset. Its tree is its master's unless a
+    shifted node changes type: a Range off the grid becomes a #REF!
+    Reference, which changes the copy key, and needs the shifted tree."""
     if type(formula) is not SharedFormula:
-        return reference_nodes(formula.expr)  # type: ignore[arg-type]
+        return reference_nodes(formula.expr), formula.expr  # type: ignore[arg-type,return-value]
     master = formula.master
     found = leaves.get(id(master))
     if found is None:
-        found = leaves[id(master)] = reference_nodes(master.expr)  # type: ignore[arg-type]
+        nodes = reference_nodes(master.expr)  # type: ignore[arg-type]
+        found = leaves[id(master)] = (nodes, list(map(type, nodes)))
+    nodes, types = found
     d_row, d_col = formula.d_row, formula.d_col
-    return [shift_reference(node, d_row, d_col) for node in found]
+    shifted = [shift_reference(node, d_row, d_col) for node in nodes]
+    return shifted, master.expr if list(map(type, shifted)) == types else formula.expr  # type: ignore[return-value]
 
 
 def _resolve(nodes: list[Reference | Range], sheet: int, workbook: Workbook) -> tuple[set[_Block], int]:
@@ -381,10 +386,12 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     and computes each cell's key and, per parsed formula, its entries in the
     graph's per-formula lists; one row sweep then counts the formulas
     covering every stored cell. A shared-formula follower is resolved from
-    its master's references, shifted; its own tree is never built.
+    its master's references, shifted; its own tree is built only when the
+    shift turns a range into #REF! (see `_references`).
     """
     keys: list[int] = []
     formulas: list[Formula | SharedFormula] = []  # each parsed formula, in walk order
+    exprs: list[Expr] = []  # the tree each one is measured by
     fan_outs: list[int] = []
     dangling_counts: list[int] = []
     spreads: list[float] = []
@@ -394,7 +401,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     literals = 0
     singles: dict[int, int] = {}  # key -> formulas referencing it as a single cell
     pieces: list[_Block] = []  # every formula's blocks, one formula's never overlapping
-    leaves: dict[int, list[Reference | Range]] = {}  # see _references
+    leaves: dict[int, tuple[list[Reference | Range], list[type]]] = {}  # see _references
     for sheet in workbook.sheets:
         base = sheet.index * _SHEET_STRIDE
         for (row, col), cell in sheet.cells.items():
@@ -407,7 +414,8 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             formula_keys.append(key)
             if type(formula) is not SharedFormula and formula.expr is None:
                 continue
-            blocks, dangling = _resolve(_references(formula, leaves), sheet.index, workbook)
+            nodes, expr = _references(formula, leaves)
+            blocks, dangling = _resolve(nodes, sheet.index, workbook)
             points, corners, own = [], [], []  # keys of single-cell blocks, keys of corners, other blocks
             for block in blocks:
                 r1, c1, r2, c2 = block
@@ -434,6 +442,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
                 singles[point] = singles.get(point, 0) + 1
             keys.append(key)
             formulas.append(formula)
+            exprs.append(expr)
             fan_outs.append(area + len(points))
             dangling_counts.append(dangling)
             spreads.append(max_distance(anchors))
@@ -451,6 +460,6 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     input_cells = len(covers) - sum(1 for key in formula_keys if key in covers) + unstored
     fan_ins = [covers.get(key, 0) for key in keys]
     return DependencyGraph(
-        workbook, keys, formulas, fan_outs, fan_ins, dangling_counts, spreads, anchor_keys, covers, unstored,
+        workbook, keys, formulas, exprs, fan_outs, fan_ins, dangling_counts, spreads, anchor_keys, covers, unstored,
         input_cells, len(formula_keys), len(formula_keys) + literals,
     )

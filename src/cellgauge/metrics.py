@@ -127,8 +127,8 @@ def compute_record(
     and its ratios but are excluded from AST-derived statistics. Everything
     is read off the graph: its cell counts, its per-formula lists as they
     are and its parsed trees, each distinct tree measured once (a
-    shared-formula follower's tree is its master's); no stored cell is
-    visited again.
+    shared-formula follower's tree is mostly its master's; see
+    `DependencyGraph.exprs`); no stored cell is visited again.
     """
     measured: dict[int, AstMetrics] = {}  # id of a tree -> its measures
     trees = []

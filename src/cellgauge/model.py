@@ -58,9 +58,9 @@ class Formula(Value):
 
 class SharedFormula(Value):
     """A shared-formula follower: its group's parsed master moved by
-    (d_row, d_col). The offset keeps every Range of the master on the grid,
-    so the follower's tree measures and copy key are the master's. Its tree
-    and text are built on each access; a parsed master leaves no error."""
+    (d_row, d_col). Its tree and text are built on each access; a parsed
+    master leaves no error. `build_graph` measures it by the master's tree
+    unless the offset moves one of the master's ranges off the grid."""
 
     __slots__ = ("master", "d_row", "d_col")
 

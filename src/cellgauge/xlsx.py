@@ -22,7 +22,7 @@ import zlib
 from pathlib import Path
 from xml.etree import ElementTree
 
-from .expressions import Expr, Range, column_index_to_letter, reference_nodes, serialize, shift_expr
+from .expressions import column_index_to_letter
 from .interchange import _parse_defined_target, parse_cell_ref
 from .model import (
     BLANK_CELL,
@@ -83,7 +83,7 @@ def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
         data = archive.read(part)
     except KeyError:
         raise MissingWorkbookPartError(part, "part not found in package") from None
-    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError) as exc:
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError) as exc:
         raise CorruptPartError(part, f"unreadable ZIP member: {exc}") from None
     try:
         return ElementTree.fromstring(data)
@@ -178,26 +178,12 @@ def _array_block(ref: str | None, part: str) -> tuple[int, int, int, int] | None
     return min(r1, r2), min(c1, c2), max(r1, r2), max(c1, c2)
 
 
-def _range_offsets(expr: Expr | None) -> tuple[range, range]:
-    """The row and the column offsets at which every Range of the tree stays
-    on the grid: a shared-formula follower at such an offset of its master
-    has the master's copy key."""
-    nodes = reference_nodes(expr) if expr is not None else ()
-    ends = [end for node in nodes if type(node) is Range for end in (node.start, node.end)]
-    rows = [end.row for end in ends if end.row is not None and not end.row_abs]
-    cols = [end.col for end in ends if end.col is not None and not end.col_abs]
-    return (range(1 - min(rows, default=MAX_ROW), MAX_ROW + 1 - max(rows, default=1)),
-            range(1 - min(cols, default=MAX_COL), MAX_COL + 1 - max(cols, default=1)))
-
-
 def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, index: int, string_count: int,
                 filled_styles: set[int]) -> Worksheet:
-    """The sheet's stored cells. A shared-formula master is parsed once; a
-    follower is the master plus its offset, or, where the offset moves one of
-    the master's ranges off the grid, the master's shifted tree."""
+    """The sheet's stored cells. A shared-formula master is parsed once and
+    each follower is stored as the master plus its offset."""
     cells: dict[tuple[int, int], Cell] = {}
-    # group id -> (anchor row, anchor col, parsed master, row and column offsets that keep its ranges)
-    shared: dict[str, tuple[int, int, Formula, range, range]] = {}
+    shared: dict[str, tuple[int, int, Formula]] = {}  # group id -> (anchor row, anchor col, parsed master)
     arrays: list[tuple[int, int, int, int]] = []  # (first row, first col, last row, last col) of array formulas
     sheet_data = root.find(main + "sheetData")
     for row_el in sheet_data.findall(main + "row") if sheet_data is not None else ():
@@ -235,22 +221,18 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                 if group is None or text:
                     formula = parse_formula(text)
                     if group is not None:
-                        shared[group] = (row, col, formula, *_range_offsets(formula.expr))
-                    elif kind == "array" and (block := _array_block(f_el.get("ref"), part)) is not None:
+                        shared[group] = (row, col, formula)
+                    # A ref of its anchor alone, as Excel writes for one cell, holds no results.
+                    elif kind == "array" and (block := _array_block(f_el.get("ref"), part)) not in (
+                            None, (row, col, row, col)):
                         arrays.append(block)
                 elif group not in shared:
                     logger.warning("%s: shared formula follower before master (si=%s)", part, group)
                     formula = parse_formula("")
                 else:
-                    a_row, a_col, formula, row_offsets, col_offsets = shared[group]
-                    d_row, d_col = row - a_row, col - a_col
-                    if formula.expr is None:
-                        pass  # the master failed to parse: inherit it verbatim
-                    elif d_row in row_offsets and d_col in col_offsets:
-                        formula = SharedFormula(formula, d_row, d_col)
-                    else:  # a range turns into #REF!, which changes the copy key
-                        shifted = shift_expr(formula.expr, d_row, d_col)
-                        formula = Formula(serialize(shifted), shifted)
+                    a_row, a_col, formula = shared[group]
+                    if formula.expr is not None:  # a master that failed to parse is inherited verbatim
+                        formula = SharedFormula(formula, row - a_row, col - a_col)
                 cells[(row, col)] = Cell(formula)
                 continue
             t = c_el.get("t", "n")

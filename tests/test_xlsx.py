@@ -6,6 +6,7 @@ import logging
 import pickle
 import random
 import struct
+import time
 import zipfile
 from unittest import mock
 from xml.sax.saxutils import escape
@@ -14,10 +15,10 @@ import pytest
 
 from cellgauge import metrics, xlsx
 from cellgauge.cli import analyze_workbook, main
-from cellgauge.expressions import Range, Reference, column_index_to_letter, reference_nodes, serialize, shift_reference
+from cellgauge.expressions import Range, Reference, column_index_to_letter, reference_nodes, serialize, shift_expr
 from cellgauge.graph import build_graph
-from cellgauge.metrics import METRIC_IDS
-from cellgauge.model import BLANK_CELL, LITERAL_CELL, CellCoordinate, Formula, SharedFormula
+from cellgauge.metrics import METRIC_IDS, ast_metrics
+from cellgauge.model import BLANK_CELL, LITERAL_CELL, Cell, CellCoordinate, Formula, SharedFormula, Workbook, Worksheet
 from cellgauge.parser import parse_text
 from cellgauge.tokens import MAX_COL, MAX_ROW
 from cellgauge.xlsx import (
@@ -529,6 +530,31 @@ class TestFormulas:
         assert cells[(1, 3)] is LITERAL_CELL and cells[(2, 4)] is LITERAL_CELL
         assert "array formula with bad range 'D1:D'" in caplog.text
 
+    def test_single_cell_array_formulas_read_as_fast_as_plain_ones(self, tmp_path):
+        # Excel writes a Ctrl+Shift+Enter formula in one cell as an array
+        # formula whose ref is that cell: it holds no results, so the values
+        # after it are checked against no range.
+        def package(name, f_el):
+            body = "".join(
+                f'<row r="{r}"><c r="A{r}">{f_el.format(r=r)}</c>'
+                + "".join(f'<c r="{column_index_to_letter(c)}{r}"><v>{c}</v></c>' for c in range(2, 12)) + "</row>"
+                for r in range(1, 2001)
+            )
+            return build_xlsx(tmp_path / name, [("S", body)])
+
+        def best_read(path):
+            timings = []
+            for _ in range(3):
+                started = time.perf_counter()
+                workbook = read_xlsx(path)
+                timings.append(time.perf_counter() - started)
+            return min(timings), workbook
+
+        plain, plain_book = best_read(package("plain.xlsx", "<f>SUM(B{r}:K{r})</f>"))
+        array, array_book = best_read(package("array.xlsx", '<f t="array" ref="A{r}">SUM(B{r}:K{r})</f>'))
+        assert array_book.sheets[0].cells == plain_book.sheets[0].cells
+        assert array < 2 * plain, (array, plain)
+
     def test_second_cell_at_a_position_is_skipped(self, tmp_path, caplog):
         body = '<row r="1"><c r="A1"><f>B1*2</f></c><c r="A1"><v>3</v></c></row>'
         path = build_xlsx(tmp_path / "twice.xlsx", [("S", body)])
@@ -594,7 +620,7 @@ class TestSharedFollowers:
     def test_generated_groups_agree_with_the_oracle(self, tmp_path):
         workbook = read_xlsx(build_shared_groups(tmp_path / "groups.xlsx"))
         kinds = {type(cell.formula) for cell in workbook.sheets[0].cells.values()}
-        assert kinds == {Formula, SharedFormula}  # masters, full shifts and followers
+        assert kinds == {Formula, SharedFormula}  # masters and followers
         record = analyze_workbook(workbook)
         expected = oracle.record(workbook)
         assert (record.sheet_count, record.non_empty_cells, record.input_cells, record.formula_cells,
@@ -605,6 +631,9 @@ class TestSharedFollowers:
             assert record.metrics[metric_id] == pytest.approx(expected[metric_id], abs=1e-9), metric_id
 
         graph = build_graph(workbook)
+        # Some followers shift a range off the grid and are measured by their own tree.
+        assert any(type(formula) is SharedFormula and expr is not formula.master.expr
+                   for formula, expr in zip(graph.formulas, graph.exprs))
         expanded = oracle.expansions(workbook)
         assert set(graph.formula_cells()) == set(expanded)
         transpose: dict = {}
@@ -617,21 +646,51 @@ class TestSharedFollowers:
     @pytest.mark.parametrize(
         "text", ["SUM(B2:C$3)", "SUM(B:B)+C1", "SUM(2:$4)", "SUM($A$1:$XFD$1048576)", "SUM(XFC1048575:XFD1048576)"]
     )
-    def test_range_offsets_are_the_offsets_the_shift_keeps_ranges_at(self, text):
-        expr = parse_text(text)
-        rows, cols = xlsx._range_offsets(expr)
-        ranges = [node for node in reference_nodes(expr) if isinstance(node, Range)]
-        def edges(keep, limit):  # each end of the kept offsets and its outer neighbour, within the grid
-            return {max(1 - limit, min(limit - 1, d)) for d in (keep.start - 1, keep.start, keep.stop - 1, keep.stop, 0)}
+    def test_follower_tree_at_edge_offsets(self, text):
+        # A follower is measured by its master's very tree exactly where the
+        # shift keeps every range on the grid, and by a tree that measures as
+        # its shifted master everywhere.
+        master = Formula(text, parse_text(text))
+        ranges = [node for node in reference_nodes(master.expr) if isinstance(node, Range)]
+        def edges(ends, attr, limit):  # the offsets that put a relative range end on, or just off, a grid edge
+            values = [getattr(end, attr) for end in ends if getattr(end, attr) is not None
+                      and not getattr(end, attr + "_abs")]
+            return {max(1 - limit, min(limit - 1, d)) for v in values for d in (-v, 1 - v, limit - v, limit + 1 - v)}
 
-        for d_row in edges(rows, MAX_ROW):
-            for d_col in edges(cols, MAX_COL):
-                kept = all(isinstance(shift_reference(node, d_row, d_col), Range) for node in ranges)
-                assert kept == (d_row in rows and d_col in cols), (d_row, d_col)
+        ends = [end for node in ranges for end in (node.start, node.end)]
+        rows, cols = edges(ends, "row", MAX_ROW), edges(ends, "col", MAX_COL)
+        offsets = [(d_row, d_col) for d_row in rows | {0, MAX_ROW - 1} for d_col in cols | {0, 1 - MAX_COL}]
+        cells = {(1, 1): Cell(master)}
+        cells.update({(i, 2): Cell(SharedFormula(master, *offset)) for i, offset in enumerate(offsets, start=1)})
+        graph = build_graph(Workbook("edges", (Worksheet("S", 1, cells),)))
+        moved_off = False
+        for formula, expr in zip(graph.formulas[1:], graph.exprs[1:]):
+            shifted = shift_expr(master.expr, formula.d_row, formula.d_col)
+            kept = sum(isinstance(node, Range) for node in reference_nodes(shifted)) == len(ranges)
+            assert (expr is master.expr) == kept, (formula.d_row, formula.d_col)
+            assert ast_metrics(expr) == ast_metrics(shifted), (formula.d_row, formula.d_col)
+            moved_off |= not kept
+        assert moved_off == bool(rows | cols)  # an all-absolute master never moves off
+
+    def test_follower_that_moves_a_range_off_the_grid_is_stored_as_a_shared_formula(self, tmp_path):
+        body = (
+            '<row r="2"><c r="B2"><f t="shared" ref="A2:B3" si="0">SUM(A1:A2)+A1</f></c></row>'
+            '<row r="3"><c r="A3"><f t="shared" si="0"/></c><c r="B3"><f t="shared" si="0"/></c></row>'
+        )
+        workbook = read_xlsx(build_xlsx(tmp_path / "offgrid.xlsx", [("S", body)]))
+        cells = workbook.sheets[0].cells
+        master = cells[(2, 2)].formula
+        assert [cells[key].formula for key in [(3, 1), (3, 2)]] == [SharedFormula(master, 1, -1),
+                                                                   SharedFormula(master, 1, 0)]
+        assert cells[(3, 1)].formula.text == "SUM(#REF!)+#REF!"
+        graph = build_graph(workbook)
+        assert [expr is master.expr for expr in graph.exprs] == [True, False, True]  # B2, A3, B3
+        assert graph.exprs[1] == cells[(3, 1)].formula.expr == parse_text("SUM(#REF!)+#REF!")
+        assert analyze_workbook(workbook).metrics["M08"] == 2
 
     def test_followers_are_measured_once_and_never_written(self, tmp_path):
         path = follower_workbook(tmp_path / "fill.xlsx", 300)
-        with mock.patch("cellgauge.xlsx.serialize", side_effect=AssertionError("a follower was written")), \
+        with mock.patch("cellgauge.model.serialize", side_effect=AssertionError("a follower was written")), \
                 mock.patch("cellgauge.metrics.ast_metrics", wraps=metrics.ast_metrics) as measured:
             workbook = read_xlsx(path)
             record = analyze_workbook(workbook)
@@ -776,6 +835,20 @@ class TestStructure:
         path = build_unknown_encoding_xlsx(tmp_path / "utf9.xlsx", "xl/styles.xml")
         cells = read_xlsx(path).sheets[0].cells
         assert set(cells) == {(1, 1)} and cells[(1, 1)].literal
+
+    def test_central_directory_offset_past_the_end_is_a_corrupt_part(self, tmp_path, capsys):
+        path = build_xlsx(tmp_path / "offset.xlsx", [("S", '<row r="1"><c r="A1"><v>1</v></c></row>')])
+        data = bytearray(path.read_bytes())
+        end = data.rindex(b"PK\x05\x06")  # the end-of-central-directory record
+        (offset,) = struct.unpack_from("<I", data, end + 16)
+        struct.pack_into("<I", data, end + 16, 2 * offset)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptPartError) as excinfo:
+            read_xlsx(path)
+        assert excinfo.value.part == "xl/workbook.xml"
+        capsys.readouterr()
+        assert main(["analyze", str(path)]) == 2
+        assert "xl/workbook.xml" in capsys.readouterr().err
 
     def test_truncated_member_is_a_corrupt_part(self, tmp_path):
         path = build_xlsx(tmp_path / "short.xlsx", [("S", "")])
