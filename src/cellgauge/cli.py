@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .analytics import UNIT_AXIS_METRICS, NoDataError, aggregate, correlation_matrix, histogram
 from .graph import build_graph
-from .interchange import SchemaError, read_interchange_file
+from .interchange import SchemaError, path_text, read_interchange_file
 from .metrics import (
     DEFAULT_CONDITIONAL_FUNCTIONS,
     METRIC_IDS,
@@ -236,7 +236,7 @@ def _scan_paths(root: Path) -> tuple[list[tuple[str, str]], int]:
             continue
         suffix = path.suffix.lower()
         if suffix in (".xlsx", ".json"):
-            selected.append((str(path), path.relative_to(root).as_posix()))
+            selected.append((str(path), path_text(path.relative_to(root).as_posix())))
         elif suffix in _SKIP_EXTENSIONS:
             legacy_skips += 1
             logger.warning("skipping legacy spreadsheet format: %s", path)

@@ -208,36 +208,30 @@ def _region(
 ) -> _Block | tuple[()] | None:
     """The block `node` covers, () when it covers no cell, None when it dangles.
 
-    An unqualified reference means `sheet`, the formula's own sheet. A
-    defined name resolves to the block of its target, found with
-    ``sheet=None``: the target must name its sheet and cannot be another
-    name. The name is the one local to the sheet it is qualified with
-    (``Two!Total``), or else to `sheet`, if there is one, and else the
-    global one. A range clips to the grid, and a full-row or full-column
-    range to the used box of its sheet.
+    A reference qualified with a sheet (``Two!A1``, ``Two!Total``) means
+    that sheet, and dangles when there is none of that name; an unqualified
+    one means `sheet`, the formula's own sheet. A defined name resolves to
+    the block of its target, found with ``sheet=None``: the target must name
+    its sheet and cannot be another name. The name is the one local to the
+    sheet meant, else the global one. A range clips to the grid, and a
+    full-row or full-column range to the used box of its sheet.
     """
     if node.external:
         return None
-    kind = type(node)
-    if kind is Reference:
-        if node.ref_error:
-            return None
-        if node.name is not None:
-            if sheet is None:
-                return None
-            if node.sheet is not None:
-                sheet = workbook.sheet_index(node.sheet)
-            defined = workbook.defined_name(node.name, sheet)
-            target = defined.expr if defined is not None else None
-            if type(target) is Reference or type(target) is Range:
-                return _region(target, None, workbook)  # type: ignore[arg-type]
-            return None
     if node.sheet is not None:
         sheet = workbook.sheet_index(node.sheet)
     if sheet is None:
         return None
     base = sheet * _SHEET_STRIDE
-    if kind is Reference:
+    if type(node) is Reference:
+        if node.ref_error:
+            return None
+        if node.name is not None:
+            defined = workbook.defined_name(node.name, sheet)
+            target = defined.expr if defined is not None else None
+            if type(target) is Range or type(target) is Reference and target.name is None:  # type: ignore[union-attr]
+                return _region(target, None, workbook)  # type: ignore[arg-type]
+            return None
         row, col = node.locator.row, node.locator.col  # type: ignore[union-attr]
         if row is None or col is None or not (0 < row <= MAX_ROW and 0 < col <= MAX_COL):
             return None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 from pathlib import Path
 from typing import Any
@@ -171,6 +172,11 @@ def read_interchange(document: Any, *, default_name: str | None = None) -> Workb
         raise SchemaError("$.sheets", str(exc)) from None
 
 
+def path_text(name: str) -> str:
+    """A file-system name as text: each byte of it that is not UTF-8 is ``\\xNN``."""
+    return os.fsencode(name).decode("utf-8", "backslashreplace")
+
+
 def read_interchange_file(path: str | Path) -> Workbook:
     path = Path(path)
     with open(path, encoding="utf-8-sig") as fp:
@@ -182,4 +188,4 @@ def read_interchange_file(path: str | Path) -> Workbook:
             raise SchemaError("$", f"not UTF-8 text: {exc}") from None
         except RecursionError:
             raise SchemaError("$", "JSON nested too deeply to decode") from None
-    return read_interchange(document, default_name=path.stem)
+    return read_interchange(document, default_name=path_text(path.stem))

@@ -7,11 +7,11 @@ the workbook's root. A literal is kept as one content bit, set when its
 cell-type marker finds a value: an in-range shared-string index, a numeric
 ``n`` value, any other ``<v>`` or an inline string. Cached formula results
 are never read. A data-table cell (``<f t="dataTable">``) holds no formula
-and is read by its ``<v>``, as any value cell is. The later cells of an
-array formula's range (``<f t="array" ref="...">``) hold its results, so a
-value there is stored without content, as is a cell with a solid fill and
-no value. Of two cells at one position the first is kept and the second
-skipped. Per-cell anomalies are logged, not fatal.
+and is read by its ``<v>``, as any value cell is. A value in the range of an
+earlier array formula (``<f t="array" ref="...">``) is one of its results
+until a value below the range is read (rows ascend); it is stored without
+content, as is a cell with a solid fill and no value. Of two cells at one
+position the first is kept. Per-cell anomalies are logged, not fatal.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 from .expressions import column_index_to_letter
-from .interchange import _parse_defined_target, parse_cell_ref
+from .interchange import _parse_defined_target, parse_cell_ref, path_text
 from .model import (
     BLANK_CELL,
     LITERAL_CELL,
@@ -222,9 +222,7 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                     formula = parse_formula(text)
                     if group is not None:
                         shared[group] = (row, col, formula)
-                    # A ref of its anchor alone, as Excel writes for one cell, holds no results.
-                    elif kind == "array" and (block := _array_block(f_el.get("ref"), part)) not in (
-                            None, (row, col, row, col)):
+                    elif kind == "array" and (block := _array_block(f_el.get("ref"), part)) is not None:
                         arrays.append(block)
                 elif group not in shared:
                     logger.warning("%s: shared formula follower before master (si=%s)", part, group)
@@ -244,7 +242,9 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                 literal = v_text is not None and _holds_value(t, v_text, string_count, part, index, row, col)
             if literal:
                 # A value in the range of an earlier array formula is one of its results.
-                in_array = arrays and any(r1 <= row <= r2 and c1 <= col <= c2 for r1, c1, r2, c2 in arrays)
+                if arrays:  # rows ascend: a block that ends above this row holds no more
+                    arrays = [block for block in arrays if block[2] >= row]
+                in_array = arrays and any(r1 <= row and c1 <= col <= c2 for r1, c1, _, c2 in arrays)
                 cells[(row, col)] = BLANK_CELL if in_array else LITERAL_CELL
             elif filled_styles and (style := c_el.get("s")) is not None:
                 try:
@@ -276,8 +276,7 @@ def read_xlsx(path: str | Path) -> Workbook:
         worksheets: list[Worksheet] = []
         for position, sheet_el in enumerate(sheets_el.findall(main + "sheet"), start=1):
             sheet_name = sheet_el.get("name") or f"Sheet{position}"
-            rid = sheet_el.get(_REL_IDS[main])
-            part = rels.get(rid or "")
+            part = rels.get(sheet_el.get(_REL_IDS[main]) or "")
             if part is None:
                 raise MissingWorkbookPartError(
                     _WORKBOOK_RELS_PART, f"no relationship for sheet {sheet_name!r}"
@@ -308,6 +307,6 @@ def read_xlsx(path: str | Path) -> Workbook:
                 defined[key] = DefinedName(dn_name, target, _parse_defined_target(target), scope)
 
     try:
-        return Workbook(path.stem, tuple(worksheets), defined)
+        return Workbook(path_text(path.stem), tuple(worksheets), defined)
     except ValueError as exc:  # sheet names that differ only in case, or a default Sheet<n> taken
         raise MalformedSheetXmlError(_WORKBOOK_PART, str(exc)) from None

@@ -196,10 +196,12 @@ def expand(expr, own_sheet: int, workbook: Workbook):
             if node.ref_error or node.external:
                 dangling += 1
             elif node.name is not None:
-                # local to the sheet it is qualified with, else the own sheet
+                # local to the sheet it is qualified with, else the own sheet,
+                # else global; a name qualified with a missing sheet dangles
                 key = node.name.casefold()
                 names = workbook.defined_names
-                defined = names.get((sheet_of(node.sheet), key)) or names.get((None, key))
+                sheet = sheet_of(node.sheet)
+                defined = sheet and (names.get((sheet, key)) or names.get((None, key)))
                 target = defined.expr if defined else None
                 if isinstance(target, Reference) and target.sheet and target.locator and not (
                     target.external or target.ref_error

@@ -258,6 +258,40 @@ class TestCorpus:
         assert "broken.json" in err
         assert "legacy" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_file_name_that_is_not_utf8_is_written_with_its_bytes_escaped(self, capsys, tmp_path, fmt):
+        # The byte 0xff is no UTF-8: its workbookId shows it as \xff, with
+        # --out and on a strict UTF-8 stdout alike, and in analyze as well.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        document = json.loads((FIXTURES / "g1.json").read_text(encoding="utf-8"))
+        del document["name"]  # so analyze names the workbook after its file
+        for name in (b"a.json", b"c\xff.json"):
+            (corpus / os.fsdecode(name)).write_text(json.dumps(document), encoding="utf-8")
+
+        def ids(text):
+            if fmt == "json":
+                return [record["workbookId"] for record in json.loads(text)]
+            return [row[0] for row in csv.reader(io.StringIO(text))][1:]
+
+        target = tmp_path / f"report.{fmt}"
+        assert run(["corpus", str(corpus), "--out", str(target), "--format", fmt], capsys)[0] == 0
+        assert ids(target.read_text(encoding="utf-8")) == ["a.json", "c\\xff.json"]
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for args, expected in (
+            (["corpus", str(corpus)], ["a.json", "c\\xff.json"]),
+            (["analyze", str(corpus / os.fsdecode(b"c\xff.json"))], ["c\\xff"]),
+        ):
+            result = subprocess.run(
+                [sys.executable, "-m", "cellgauge.cli", *args, "--format", fmt],
+                capture_output=True, env=env, timeout=60,
+            )
+            assert result.returncode == 0, result.stderr
+            assert ids(result.stdout.decode("utf-8")) == expected
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_corrupt_zip_member_skipped_not_fatal(self, capsys, tmp_path, threads):
         from .test_xlsx import build_bad_crc_xlsx, build_xlsx

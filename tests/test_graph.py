@@ -83,6 +83,16 @@ class TestResolve:
         workbook = make_workbook([("One", {"A1": "=Missing!B2"})])
         assert resolved(workbook) == (set(), 1)
 
+    def test_name_qualified_with_a_missing_sheet_dangles(self):
+        # The qualifier resolves before the name, so Missing!Total does not
+        # fall back to the global Total as One!Total does.
+        workbook = make_workbook(
+            [("One", {"A1": "=Missing!Total+One!Total"})], defined_names={"Total": "One!B2"}
+        )
+        assert resolved(workbook) == ({C(1, 2, 2)}, 1)
+        cells, dangling = oracle.expand(parse_text("Missing!Total"), 1, workbook)
+        assert (cells, dangling) == (set(), 1)
+
     def test_external_reference_dangles(self):
         workbook = make_workbook([("One", {"A1": "=[Book2]Sheet1!A1"})])
         assert resolved(workbook) == (set(), 1)

@@ -44,6 +44,16 @@ def assert_followers_match_their_text(cells, keys):
         assert formula.expr == parse_text(formula.text)
 
 
+def best_read(path):
+    """(fastest of three reads in seconds, the workbook read)."""
+    timings = []
+    for _ in range(3):
+        started = time.perf_counter()
+        workbook = read_xlsx(path)
+        timings.append(time.perf_counter() - started)
+    return min(timings), workbook
+
+
 def ref_errors(expr) -> int:
     """The #REF! references in a tree."""
     own = isinstance(expr, Reference) and expr.ref_error
@@ -554,6 +564,68 @@ class TestFormulas:
         array, array_book = best_read(package("array.xlsx", '<f t="array" ref="A{r}">SUM(B{r}:K{r})</f>'))
         assert array_book.sheets[0].cells == plain_book.sheets[0].cells
         assert array < 2 * plain, (array, plain)
+
+    @pytest.mark.parametrize("rows", [2000, 4000])
+    def test_array_results_are_matched_in_linear_time(self, tmp_path, rows):
+        # Each row holds a 2-cell array formula over A:B and ten values in
+        # B:K, the one in B its result: a value is checked only against the
+        # ranges that reach its row, not against every earlier one.
+        def package(name, f_el):
+            body = "".join(
+                f'<row r="{r}"><c r="A{r}">{f_el.format(r=r)}</c>'
+                + "".join(f'<c r="{column_index_to_letter(c)}{r}"><v>{c}</v></c>' for c in range(2, 12)) + "</row>"
+                for r in range(1, rows + 1)
+            )
+            return build_xlsx(tmp_path / name, [("S", body)])
+
+        plain, plain_book = best_read(package("plain.xlsx", "<f>SUM(C{r}:K{r})</f>"))
+        array, array_book = best_read(package("array.xlsx", '<f t="array" ref="A{r}:B{r}">SUM(C{r}:K{r})</f>'))
+        cells = array_book.sheets[0].cells
+        assert cells == {key: BLANK_CELL if key[1] == 2 else cell for key, cell in plain_book.sheets[0].cells.items()}
+        assert array < 2 * plain, (array, plain)
+
+    def test_array_results_in_later_rows_are_stored_without_content(self, tmp_path):
+        # B1 holds an array formula over B1:C3; its results fill C1, B2:C2 and
+        # B3:C3, while A2, D2 and B4 lie outside the range.
+        body = (
+            '<row r="1"><c r="A1"><v>1</v></c><c r="B1"><f t="array" ref="B1:C3">A1:A3*{1,2}</f></c>'
+            '<c r="C1"><v>2</v></c></row>'
+            '<row r="2"><c r="A2"><v>2</v></c><c r="B2"><v>2</v></c><c r="C2"><v>4</v></c><c r="D2"><v>1</v></c></row>'
+            '<row r="3"><c r="B3"><v>0</v></c><c r="C3"><v>0</v></c></row>'
+            '<row r="4"><c r="B4"><v>1</v></c></row>'
+        )
+        cells = read_xlsx(build_xlsx(tmp_path / "block.xlsx", [("S", body)])).sheets[0].cells
+        assert {key for key, cell in cells.items() if cell is BLANK_CELL} == {(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)}
+        assert {key for key, cell in cells.items() if cell is LITERAL_CELL} == {(1, 1), (2, 1), (2, 4), (4, 2)}
+
+    def test_one_cell_array_ranges_follow_the_same_rule(self, tmp_path):
+        # A ref of the anchor alone holds no other cell; a one-cell ref beside
+        # the anchor holds a result, as any range does.
+        body = (
+            '<row r="1"><c r="A1"><f t="array" ref="A1">1</f></c><c r="B1"><v>1</v></c>'
+            '<c r="C1"><f t="array" ref="D1">2</f></c><c r="D1"><v>2</v></c><c r="E1"><v>3</v></c></row>'
+            '<row r="2"><c r="A2"><v>4</v></c><c r="D2"><v>5</v></c></row>'
+        )
+        cells = read_xlsx(build_xlsx(tmp_path / "one.xlsx", [("S", body)])).sheets[0].cells
+        assert {key for key, cell in cells.items() if cell is BLANK_CELL} == {(1, 4)}
+        assert {key for key, cell in cells.items() if cell is LITERAL_CELL} == {(1, 2), (1, 5), (2, 1), (2, 4)}
+
+    @pytest.mark.parametrize(
+        ("order", "result"), [((1, 2, 3), True), ((1, 3, 2), False), ((2, 1, 3), False)], ids=str
+    )
+    def test_array_results_are_matched_while_rows_ascend(self, tmp_path, order, result):
+        # B2 is in the range of B1's array formula. It is a result only when
+        # it is read after B1 and before A3, a value below the range: Excel
+        # writes rows in ascending order, and the reader relies on it.
+        rows = {
+            1: '<row r="1"><c r="B1"><f t="array" ref="B1:B2">A1:A2</f></c></row>',
+            2: '<row r="2"><c r="B2"><v>2</v></c></row>',
+            3: '<row r="3"><c r="A3"><v>3</v></c></row>',
+        }
+        body = "".join(rows[r] for r in order)
+        cells = read_xlsx(build_xlsx(tmp_path / "order.xlsx", [("S", body)])).sheets[0].cells
+        assert cells[(2, 2)] is (BLANK_CELL if result else LITERAL_CELL)
+        assert cells[(3, 1)] is LITERAL_CELL
 
     def test_second_cell_at_a_position_is_skipped(self, tmp_path, caplog):
         body = '<row r="1"><c r="A1"><f>B1*2</f></c><c r="A1"><v>3</v></c></row>'
