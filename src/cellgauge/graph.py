@@ -56,55 +56,35 @@ class DependencyGraph:
     """Formula cells and the counts metrics need.
 
     Per parsed formula cell, in the order `build_graph` walks them, parallel
-    lists hold its key (see `_ROW_STRIDE`), formula, fan-out, fan-in,
-    dangling references, spreading factor and anchor keys; the metric
-    pipeline reads them by position. ``exprs`` holds the tree the metrics
-    measure for each one: a shared-formula follower's is its master's, whose
-    measures it shares, unless its shift turns a range into #REF!.
-    The coordinate API (``formula_cells()``, ``fan_out``, ``fan_in``,
-    ``spreading_factor``, ``dangling``, ``cover_counts`` and the decoded
-    ``anchors``) is a set of views built on first access from one
-    coordinate-to-position index. ``reverse`` (cell -> formulas referencing
-    it) is built on first access too, from each formula's own references, in
-    time and memory proportional to the covered area. The metric pipeline
-    builds none of these views.
+    lists hold its key (see `_ROW_STRIDE`), fan-out, fan-in and spreading
+    factor; the metric pipeline reads them by position. ``exprs`` holds the
+    tree the metrics measure for each one: a shared-formula follower's is its
+    master's, whose measures it shares, unless its shift turns a range into
+    #REF!. The coordinate API (``formula_cells()``, ``fan_out``, ``fan_in``,
+    ``spreading_factor`` and ``cover_counts``) is a set of views built on
+    first access from one coordinate-to-position index. ``dangling``,
+    ``anchors`` and ``reverse`` (cell -> formulas referencing it) resolve
+    each formula again from the workbook, once, on first access to any of
+    them; ``reverse`` takes time and memory proportional to the covered area.
+    The metric pipeline builds none of these views.
     """
 
-    def __init__(
-        self,
-        workbook: Workbook,
-        keys: list[int],
-        formulas: list[Formula | SharedFormula],
-        exprs: list[Expr],
-        fan_outs: list[int],
-        fan_ins: list[int],
-        dangling_counts: list[int],
-        spreads: list[float],
-        anchor_keys: list[tuple[int, ...]],
-        covers: dict[int, int],
-        unstored_references: int,
-        input_cells: int,
-        formula_count: int,
-        non_empty_count: int,
-    ):
+    def __init__(self, workbook: Workbook):
         self.workbook = workbook
-        self.keys = keys
-        self.formulas = formulas
-        self.exprs = exprs
-        self.fan_outs = fan_outs
-        self.fan_ins = fan_ins
-        self.dangling_counts = dangling_counts
-        self.spreads = spreads
-        self.anchor_keys = anchor_keys
+        self.keys: list[int] = []
+        self.exprs: list[Expr] = []
+        self.fan_outs: list[int] = []
+        self.fan_ins: list[int] = []
+        self.spreads: list[float] = []
         # Key of each stored cell referenced by at least one formula ->
         # number of distinct formulas referencing it.
-        self._covers = covers
+        self._covers: dict[int, int] = {}
         # Referenced coordinates that hold no stored cell.
-        self.unstored_references = unstored_references
+        self.unstored_references = 0
         # Referenced stored cells that hold no formula, plus the unstored ones.
-        self.input_cells = input_cells
-        self.formula_count = formula_count  # parsed or not
-        self.non_empty_count = non_empty_count
+        self.input_cells = 0
+        self.formula_count = 0  # parsed or not
+        self.non_empty_count = 0
 
     @cached_property
     def _positions(self) -> dict[CellCoordinate, int]:
@@ -129,30 +109,37 @@ class DependencyGraph:
         return self.spreads[self._position(coordinate)]
 
     @cached_property
-    def dangling(self) -> dict[CellCoordinate, int]:
-        """Each formula's dangling references."""
-        return dict(zip(self._positions, self.dangling_counts))
-
-    @cached_property
     def cover_counts(self) -> dict[CellCoordinate, int]:
         """Each stored cell referenced by at least one formula -> number of
         distinct formulas referencing it."""
         return {CellCoordinate(*_point(key)): count for key, count in self._covers.items()}
 
     @cached_property
+    def _resolved(self) -> list[tuple[set[_Block], int]]:
+        """Each formula's blocks and dangling references, resolved again as the walk did."""
+        leaves: dict[int, tuple[list[Reference | Range], list[type]]] = {}
+        return [
+            _resolve(_references(self.workbook.sheet(sheet).cells[row, col].formula, leaves)[0], sheet, self.workbook)
+            for sheet, row, col in self._positions
+        ]
+
+    @cached_property
+    def dangling(self) -> dict[CellCoordinate, int]:
+        """Each formula's dangling references."""
+        return {coord: dangling for coord, (_, dangling) in zip(self._positions, self._resolved)}
+
+    @cached_property
     def anchors(self) -> dict[CellCoordinate, tuple[CellCoordinate, ...]]:
         """Each formula's single-cell targets and block corners, in order."""
         return {
-            coord: tuple([CellCoordinate(*_point(key)) for key in sorted(keys)])
-            for coord, keys in zip(self._positions, self.anchor_keys)
+            coord: tuple([CellCoordinate(*_point(key)) for key in sorted(_anchors(blocks)[0])])
+            for coord, (blocks, _) in zip(self._positions, self._resolved)
         }
 
     @cached_property
     def reverse(self) -> dict[CellCoordinate, frozenset[CellCoordinate]]:
         sources: dict[CellCoordinate, set[CellCoordinate]] = defaultdict(set)
-        leaves: dict[int, tuple[list[Reference | Range], list[type]]] = {}
-        for source, formula in zip(self._positions, self.formulas):
-            blocks, _ = _resolve(_references(formula, leaves)[0], source.sheet, self.workbook)
+        for source, (blocks, _) in zip(self._positions, self._resolved):
             for r1, c1, r2, c2 in blocks:
                 for stacked in range(r1, r2 + 1):
                     sheet, row = divmod(stacked, _SHEET_STRIDE)
@@ -285,6 +272,23 @@ def _resolve(nodes: list[Reference | Range], sheet: int, workbook: Workbook) -> 
     return blocks, dangling
 
 
+def _anchors(blocks: set[_Block]) -> tuple[tuple[int, ...], list[int], list[_Block]]:
+    """A formula's anchor keys (its single-cell targets and block corners,
+    each once), the keys of its single-cell blocks, and its other blocks."""
+    points, corners, own = [], [], []
+    for block in blocks:
+        r1, c1, r2, c2 = block
+        top = r1 * _ROW_STRIDE
+        if r1 == r2 and c1 == c2:
+            points.append(top + c1)
+        else:
+            own.append(block)
+            bottom = r2 * _ROW_STRIDE
+            corners += (top + c1, top + c2, bottom + c1, bottom + c2)
+    # Distinct blocks have distinct single-cell keys, but corners repeat.
+    return tuple({*corners, *points}) if corners else tuple(points), points, own
+
+
 def _disjoint(blocks: list[_Block]) -> list[_Block]:
     """Disjoint pieces whose union is the union of `blocks`.
 
@@ -383,13 +387,8 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
     its master's references, shifted; its own tree is built only when the
     shift turns a range into #REF! (see `_references`).
     """
-    keys: list[int] = []
-    formulas: list[Formula | SharedFormula] = []  # each parsed formula, in walk order
-    exprs: list[Expr] = []  # the tree each one is measured by
-    fan_outs: list[int] = []
-    dangling_counts: list[int] = []
-    spreads: list[float] = []
-    anchor_keys: list[tuple[int, ...]] = []
+    graph = DependencyGraph(workbook)
+    keys, exprs, fan_outs, spreads = graph.keys, graph.exprs, graph.fan_outs, graph.spreads
     stored: list[int] = []  # keys of every stored cell
     formula_keys: list[int] = []  # keys of every formula cell, parsed or not
     literals = 0
@@ -409,19 +408,7 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             if type(formula) is not SharedFormula and formula.expr is None:
                 continue
             nodes, expr = _references(formula, leaves)
-            blocks, dangling = _resolve(nodes, sheet.index, workbook)
-            points, corners, own = [], [], []  # keys of single-cell blocks, keys of corners, other blocks
-            for block in blocks:
-                r1, c1, r2, c2 = block
-                top = r1 * _ROW_STRIDE
-                if r1 == r2 and c1 == c2:
-                    points.append(top + c1)
-                else:
-                    own.append(block)
-                    bottom = r2 * _ROW_STRIDE
-                    corners += (top + c1, top + c2, bottom + c1, bottom + c2)
-            # Distinct blocks have distinct single-cell keys, but corners repeat.
-            anchors = tuple({*corners, *points}) if corners else tuple(points)
+            anchors, points, own = _anchors(_resolve(nodes, sheet.index, workbook)[0])
             area = 0
             if own:
                 if len(own) > 1:
@@ -435,25 +422,20 @@ def build_graph(workbook: Workbook) -> DependencyGraph:
             for point in points:
                 singles[point] = singles.get(point, 0) + 1
             keys.append(key)
-            formulas.append(formula)
             exprs.append(expr)
             fan_outs.append(area + len(points))
-            dangling_counts.append(dangling)
             spreads.append(max_distance(anchors))
-            anchor_keys.append(anchors)
     area, hits = 0, {}
     if pieces:
         # A stored single target is queried twice, with the same answer.
         area, hits = _sweep(pieces, sorted([*stored, *singles]))
-    covers: dict[int, int] = {}
+    covers = graph._covers
     for key in stored:
         total = hits.get(key, 0) + singles.get(key, 0)
         if total:
             covers[key] = total
-    unstored = area + sum(1 for key in singles if key not in hits) - len(covers)
-    input_cells = len(covers) - sum(1 for key in formula_keys if key in covers) + unstored
-    fan_ins = [covers.get(key, 0) for key in keys]
-    return DependencyGraph(
-        workbook, keys, formulas, exprs, fan_outs, fan_ins, dangling_counts, spreads, anchor_keys, covers, unstored,
-        input_cells, len(formula_keys), len(formula_keys) + literals,
-    )
+    graph.unstored_references = area + sum(1 for key in singles if key not in hits) - len(covers)
+    graph.input_cells = len(covers) - sum(1 for key in formula_keys if key in covers) + graph.unstored_references
+    graph.fan_ins = [covers.get(key, 0) for key in keys]
+    graph.formula_count, graph.non_empty_count = len(formula_keys), len(formula_keys) + literals
+    return graph

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import zipfile
 import zlib
+from bisect import bisect_left, bisect_right, insort
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -184,7 +185,11 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
     each follower is stored as the master plus its offset."""
     cells: dict[tuple[int, int], Cell] = {}
     shared: dict[str, tuple[int, int, Formula]] = {}  # group id -> (anchor row, anchor col, parsed master)
-    arrays: list[tuple[int, int, int, int]] = []  # (first row, first col, last row, last col) of array formulas
+    # Open array formulas as (first col, last col, first row, last row), sorted, and again as
+    # (-last row, first col, last col, first row), sorted: the next to close is the last.
+    arrays: list[tuple[int, int, int, int]] = []
+    closing: list[tuple[int, int, int, int]] = []
+    widest = 0  # the most columns an open block spans beyond its first; -1 until recounted
     sheet_data = root.find(main + "sheetData")
     for row_el in sheet_data.findall(main + "row") if sheet_data is not None else ():
         try:
@@ -223,7 +228,10 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                     if group is not None:
                         shared[group] = (row, col, formula)
                     elif kind == "array" and (block := _array_block(f_el.get("ref"), part)) is not None:
-                        arrays.append(block)
+                        r1, c1, r2, c2 = block
+                        insort(arrays, (c1, c2, r1, r2))
+                        insort(closing, (-r2, c1, c2, r1))
+                        widest = max(widest, c2 - c1)
                 elif group not in shared:
                     logger.warning("%s: shared formula follower before master (si=%s)", part, group)
                     formula = parse_formula("")
@@ -242,9 +250,14 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                 literal = v_text is not None and _holds_value(t, v_text, string_count, part, index, row, col)
             if literal:
                 # A value in the range of an earlier array formula is one of its results.
-                if arrays:  # rows ascend: a block that ends above this row holds no more
-                    arrays = [block for block in arrays if block[2] >= row]
-                in_array = arrays and any(r1 <= row and c1 <= col <= c2 for r1, c1, _, c2 in arrays)
+                while closing and -closing[-1][0] < row:  # rows ascend: a block that ends above this row holds no more
+                    end, c1, c2, r1 = closing.pop()
+                    del arrays[bisect_left(arrays, (c1, c2, r1, -end))]
+                    widest = -1 if c2 - c1 == widest else widest
+                if widest < 0:
+                    widest = max((c2 - c1 for c1, c2, _, _ in arrays), default=0)
+                in_array = arrays and any(r1 <= row and col <= c2 for _, c2, r1, _ in arrays[
+                    bisect_left(arrays, (col - widest,)):bisect_right(arrays, (col, MAX_COL + 1))])
                 cells[(row, col)] = BLANK_CELL if in_array else LITERAL_CELL
             elif filled_styles and (style := c_el.get("s")) is not None:
                 try:

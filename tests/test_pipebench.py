@@ -75,3 +75,4 @@ def test_seed1_traced_counters_match_ci_pin(spans, name, workloads, tmp_path):
             "--out", str(tmp_path / f"report.{workload.report_format}"), *workload.cli_args]
     values, _ = spans.layer_metrics(spans.traced_pass(lambda: cli.main(argv)))
     assert {metric: values[metric] for metric in TRACE_PINS[name]} == TRACE_PINS[name]
+    assert values["graph.reverse_edges"] == values["graph.expanded_cells"]

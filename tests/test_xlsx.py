@@ -30,6 +30,7 @@ from cellgauge.xlsx import (
 )
 
 from . import genutil, oracle
+from .test_graph import _corner_anchors
 
 NS = 'xmlns="http://schemas.openxmlformats.org/spreadsheetml/2006/main"'
 NS_R = 'xmlns:r="http://schemas.openxmlformats.org/officeDocument/2006/relationships"'
@@ -627,6 +628,58 @@ class TestFormulas:
         assert cells[(2, 2)] is (BLANK_CELL if result else LITERAL_CELL)
         assert cells[(3, 1)] is LITERAL_CELL
 
+    def test_tall_array_ranges_read_within_twice_their_plain_twin(self, tmp_path):
+        # 800 array formulas in row 1, each over its own column down to row
+        # 2,000, then 1,999 rows of ten values in ten of those columns: a
+        # value is checked only against the ranges that start at or left of
+        # its column and reach it, not against every open one.
+        def package(name, f_el):
+            head = "".join(f'<c r="{column_index_to_letter(c)}1">{f_el.format(c=column_index_to_letter(c))}</c>'
+                           for c in range(1, 801))
+            body = f'<row r="1">{head}</row>' + "".join(
+                f'<row r="{r}">' + "".join(f'<c r="{column_index_to_letter(c)}{r}"><v>{c}</v></c>'
+                                          for c in range(80, 801, 80)) + "</row>"
+                for r in range(2, 2001)
+            )
+            return build_xlsx(tmp_path / name, [("S", body)])
+
+        plain, plain_book = best_read(package("plain.xlsx", "<f>1+1</f>"))
+        array, array_book = best_read(package("array.xlsx", '<f t="array" ref="{c}1:{c}2000">1+1</f>'))
+        cells = array_book.sheets[0].cells
+        assert cells == {key: BLANK_CELL if key[0] > 1 else cell for key, cell in plain_book.sheets[0].cells.items()}
+        assert array < 2 * plain, (array, plain)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_array_results_follow_the_rule_for_crafted_refs_in_any_row_order(self, tmp_path, seed):
+        # Stacked, overlapping, reversed and one-cell refs, some rows out of
+        # order: a value is a result when some array formula read before it
+        # spans it and no value read since lay below that formula's range.
+        rng = random.Random(seed)
+        rows = list(range(1, 13))
+        if seed % 2:
+            rng.shuffle(rows)
+        body, arrays, results = "", [], set()
+        for r in rows:
+            cols = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
+            body += f'<row r="{r}">'
+            for c in cols:
+                position = f"{column_index_to_letter(c)}{r}"
+                if rng.random() < 0.3:
+                    r1, c1 = rng.randint(1, 12), rng.randint(1, 8)
+                    r2, c2 = (r1, c1) if rng.random() < 0.2 else (rng.randint(1, 12), rng.randint(1, 8))
+                    first, last = f"{column_index_to_letter(c1)}{r1}", f"{column_index_to_letter(c2)}{r2}"
+                    ref = first if first == last else f"{first}:{last}"
+                    body += f'<c r="{position}"><f t="array" ref="{ref}">1</f></c>'
+                    arrays.append((min(r1, r2), min(c1, c2), max(r1, r2), max(c1, c2)))
+                else:
+                    body += f'<c r="{position}"><v>1</v></c>'
+                    arrays = [block for block in arrays if block[2] >= r]
+                    if any(r1 <= r and c1 <= c <= c2 for r1, c1, _, c2 in arrays):
+                        results.add((r, c))
+            body += "</row>"
+        cells = read_xlsx(build_xlsx(tmp_path / "crafted.xlsx", [("S", body)])).sheets[0].cells
+        assert {key for key, cell in cells.items() if cell is BLANK_CELL} == results
+
     def test_second_cell_at_a_position_is_skipped(self, tmp_path, caplog):
         body = '<row r="1"><c r="A1"><f>B1*2</f></c><c r="A1"><v>3</v></c></row>'
         path = build_xlsx(tmp_path / "twice.xlsx", [("S", body)])
@@ -703,14 +756,18 @@ class TestSharedFollowers:
             assert record.metrics[metric_id] == pytest.approx(expected[metric_id], abs=1e-9), metric_id
 
         graph = build_graph(workbook)
+        sheet = workbook.sheets[0]
+        formulas = [sheet.cells[coordinate.row, coordinate.col].formula for coordinate in graph.formula_cells()]
         # Some followers shift a range off the grid and are measured by their own tree.
         assert any(type(formula) is SharedFormula and expr is not formula.master.expr
-                   for formula, expr in zip(graph.formulas, graph.exprs))
+                   for formula, expr in zip(formulas, graph.exprs))
         expanded = oracle.expansions(workbook)
         assert set(graph.formula_cells()) == set(expanded)
         transpose: dict = {}
         for coordinate, (cells, dangling) in expanded.items():
             assert (graph.fan_out(coordinate), graph.dangling[coordinate]) == (len(cells), dangling)
+            formula = sheet.cells[coordinate.row, coordinate.col].formula
+            assert graph.anchors[coordinate] == _corner_anchors(formula.expr, coordinate.sheet, workbook), coordinate
             for target in cells:
                 transpose.setdefault(CellCoordinate(*target), set()).add(coordinate)
         assert graph.reverse == {target: frozenset(sources) for target, sources in transpose.items()}
@@ -736,7 +793,8 @@ class TestSharedFollowers:
         cells.update({(i, 2): Cell(SharedFormula(master, *offset)) for i, offset in enumerate(offsets, start=1)})
         graph = build_graph(Workbook("edges", (Worksheet("S", 1, cells),)))
         moved_off = False
-        for formula, expr in zip(graph.formulas[1:], graph.exprs[1:]):
+        for coordinate, expr in list(zip(graph.formula_cells(), graph.exprs))[1:]:
+            formula = cells[coordinate.row, coordinate.col].formula
             shifted = shift_expr(master.expr, formula.d_row, formula.d_col)
             kept = sum(isinstance(node, Range) for node in reference_nodes(shifted)) == len(ranges)
             assert (expr is master.expr) == kept, (formula.d_row, formula.d_col)
@@ -833,6 +891,38 @@ class TestStructure:
         workbook = read_xlsx(path)
         assert [s.name for s in workbook.sheets] == ["Zeta", "Alpha", "Mid"]
         assert [s.index for s in workbook.sheets] == [1, 2, 3]
+
+    def test_a_chartsheet_is_a_sheet_with_no_cells(self, tmp_path):
+        # Every <sheet> entry is a sheet, whatever its part holds: a
+        # chartsheet has no <sheetData>, so it counts in sheetCount and in
+        # the localSheetId positions, and holds no cell.
+        data = '<row r="1"><c r="A1"><v>3</v></c><c r="B1"><f>Total*2</f></c></row>'
+        path = build_xlsx(tmp_path / "chart.xlsx", [("Chart", ""), ("Data", data)],
+                          defined_names=[("Total", "Data!$A$1", 1)])
+        with zipfile.ZipFile(path) as archive:
+            parts = {name: archive.read(name).decode() for name in archive.namelist()}
+        del parts["xl/worksheets/sheet1.xml"]
+        parts["xl/chartsheets/sheet1.xml"] = (
+            f'<?xml version="1.0"?><chartsheet {NS} {NS_R}><sheetPr/><drawing r:id="rId1"/></chartsheet>'
+        )
+        rels = parts["xl/_rels/workbook.xml.rels"]
+        parts["xl/_rels/workbook.xml.rels"] = rels.replace(
+            'relationships/worksheet" Target="worksheets/sheet1.xml"',
+            'relationships/chartsheet" Target="chartsheets/sheet1.xml"',
+        )
+        assert parts["xl/_rels/workbook.xml.rels"] != rels
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, content in parts.items():
+                archive.writestr(name, content)
+
+        workbook = read_xlsx(path)
+        assert [(sheet.name, sheet.index, len(sheet.cells)) for sheet in workbook.sheets] == [("Chart", 1, 0),
+                                                                                           ("Data", 2, 2)]
+        record = analyze_workbook(workbook)
+        assert (record.sheet_count, record.formula_cells, record.input_cells) == (2, 1, 1)
+        graph = build_graph(workbook)
+        formula = CellCoordinate(2, 1, 2)
+        assert (graph.fan_out(formula), graph.dangling[formula]) == (1, 0)  # Total is local to Data
 
     @pytest.mark.parametrize("names", [("Data", "data"), ("", "Sheet1")], ids=["case", "default_name"])
     def test_colliding_sheet_names_are_malformed_workbook_xml(self, tmp_path, names):
