@@ -377,6 +377,16 @@ def _sweep(pieces: list[_Block], queries: list[int]) -> tuple[int, dict[int, int
     return area, hits
 
 
+def covered_points(blocks: list[tuple[int, int, int, int]], points) -> set[tuple[int, int]]:
+    """The ``(row, col)`` points of one sheet that lie in at least one of its
+    blocks, each ``(first row, first col, last row, last col)``: one row
+    sweep over the blocks and the points."""
+    if not blocks:
+        return set()
+    hits = _sweep(blocks, sorted(row * _ROW_STRIDE + col for row, col in points))[1]
+    return {divmod(key, _ROW_STRIDE) for key in hits}
+
+
 def build_graph(workbook: Workbook) -> DependencyGraph:
     """Resolve every successfully parsed formula cell; cycles are legal.
 

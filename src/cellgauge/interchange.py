@@ -65,7 +65,9 @@ def parse_cell_ref(text: str) -> tuple[int, int]:
 _cached_cell_ref = functools.lru_cache(maxsize=8192)(parse_cell_ref)
 
 
-def _parse_defined_target(target: str):
+def parse_defined_target(target: str):
+    """The parsed tree of a defined name's target text, a leading ``=``
+    dropped; None when it does not parse."""
     text = target[1:] if target.startswith("=") else target
     try:
         return parse_text(text)
@@ -165,7 +167,7 @@ def read_interchange(document: Any, *, default_name: str | None = None) -> Workb
             raise SchemaError(f"$.definedNames[{n_idx}].target", "expected a target string")
         key = (None, dn_name.casefold())
         if key not in defined:  # first definition wins
-            defined[key] = DefinedName(dn_name, target, _parse_defined_target(target))
+            defined[key] = DefinedName(dn_name, target, parse_defined_target(target))
     try:
         return Workbook(name, tuple(sheets), defined)
     except ValueError as exc:

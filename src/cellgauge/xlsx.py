@@ -7,11 +7,11 @@ the workbook's root. A literal is kept as one content bit, set when its
 cell-type marker finds a value: an in-range shared-string index, a numeric
 ``n`` value, any other ``<v>`` or an inline string. Cached formula results
 are never read. A data-table cell (``<f t="dataTable">``) holds no formula
-and is read by its ``<v>``, as any value cell is. A value in the range of an
-earlier array formula (``<f t="array" ref="...">``) is one of its results
-until a value below the range is read (rows ascend); it is stored without
-content, as is a cell with a solid fill and no value. Of two cells at one
-position the first is kept. Per-cell anomalies are logged, not fatal.
+and is read by its ``<v>``, as any value cell is. A value with no ``<f>`` in
+the ``ref`` of an array formula of its sheet (``<f t="array" ref="...">``)
+is one of its cached results, whatever the order of the rows; it is stored
+without content, as is a cell with a solid fill and no value. Of two cells
+at one position the first is kept. Per-cell anomalies are logged, not fatal.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from __future__ import annotations
 import logging
 import zipfile
 import zlib
-from bisect import bisect_left, bisect_right, insort
 from pathlib import Path
 from xml.etree import ElementTree
 
 from .expressions import column_index_to_letter
-from .interchange import _parse_defined_target, parse_cell_ref, path_text
+from .graph import covered_points
+from .interchange import parse_cell_ref, parse_defined_target, path_text
 from .model import (
     BLANK_CELL,
     LITERAL_CELL,
@@ -185,11 +185,7 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
     each follower is stored as the master plus its offset."""
     cells: dict[tuple[int, int], Cell] = {}
     shared: dict[str, tuple[int, int, Formula]] = {}  # group id -> (anchor row, anchor col, parsed master)
-    # Open array formulas as (first col, last col, first row, last row), sorted, and again as
-    # (-last row, first col, last col, first row), sorted: the next to close is the last.
-    arrays: list[tuple[int, int, int, int]] = []
-    closing: list[tuple[int, int, int, int]] = []
-    widest = 0  # the most columns an open block spans beyond its first; -1 until recounted
+    arrays: list[tuple[int, int, int, int]] = []  # the block of each readable array formula's ref
     sheet_data = root.find(main + "sheetData")
     for row_el in sheet_data.findall(main + "row") if sheet_data is not None else ():
         try:
@@ -228,10 +224,7 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                     if group is not None:
                         shared[group] = (row, col, formula)
                     elif kind == "array" and (block := _array_block(f_el.get("ref"), part)) is not None:
-                        r1, c1, r2, c2 = block
-                        insort(arrays, (c1, c2, r1, r2))
-                        insort(closing, (-r2, c1, c2, r1))
-                        widest = max(widest, c2 - c1)
+                        arrays.append(block)
                 elif group not in shared:
                     logger.warning("%s: shared formula follower before master (si=%s)", part, group)
                     formula = parse_formula("")
@@ -249,22 +242,16 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                 v_text = v_el.text if v_el is not None else None
                 literal = v_text is not None and _holds_value(t, v_text, string_count, part, index, row, col)
             if literal:
-                # A value in the range of an earlier array formula is one of its results.
-                while closing and -closing[-1][0] < row:  # rows ascend: a block that ends above this row holds no more
-                    end, c1, c2, r1 = closing.pop()
-                    del arrays[bisect_left(arrays, (c1, c2, r1, -end))]
-                    widest = -1 if c2 - c1 == widest else widest
-                if widest < 0:
-                    widest = max((c2 - c1 for c1, c2, _, _ in arrays), default=0)
-                in_array = arrays and any(r1 <= row and col <= c2 for _, c2, r1, _ in arrays[
-                    bisect_left(arrays, (col - widest,)):bisect_right(arrays, (col, MAX_COL + 1))])
-                cells[(row, col)] = BLANK_CELL if in_array else LITERAL_CELL
+                cells[(row, col)] = LITERAL_CELL
             elif filled_styles and (style := c_el.get("s")) is not None:
                 try:
                     if int(style) in filled_styles:
                         cells[(row, col)] = BLANK_CELL
                 except ValueError:
                     pass  # not a style index: a default cell, nothing to store
+    if arrays:  # a value in an array formula's ref is one of its cached results
+        for key in covered_points(arrays, (key for key, cell in cells.items() if cell is LITERAL_CELL)):
+            cells[key] = BLANK_CELL
     return Worksheet(name, index, cells)
 
 
@@ -317,7 +304,7 @@ def read_xlsx(path: str | Path) -> Workbook:
                 key = (scope, dn_name.casefold())
                 if key in defined:
                     continue  # first definition in each scope wins
-                defined[key] = DefinedName(dn_name, target, _parse_defined_target(target), scope)
+                defined[key] = DefinedName(dn_name, target, parse_defined_target(target), scope)
 
     try:
         return Workbook(path_text(path.stem), tuple(worksheets), defined)

@@ -11,7 +11,7 @@ import random
 from pathlib import Path
 
 from cellgauge.expressions import column_index_to_letter
-from cellgauge.interchange import _parse_defined_target, parse_cell_ref
+from cellgauge.interchange import parse_cell_ref, parse_defined_target
 from cellgauge.model import Cell, DefinedName, Workbook, Worksheet
 from cellgauge.parser import parse_formula
 
@@ -159,7 +159,7 @@ def make_workbook(sheets, defined_names=None, name="test"):
                 cells[(row, col)] = Cell(literal=content is not None)
         worksheets.append(Worksheet(sheet_name, index, cells))
     defined = {
-        (None, name_.casefold()): DefinedName(name_, target, _parse_defined_target(target))
+        (None, name_.casefold()): DefinedName(name_, target, parse_defined_target(target))
         for name_, target in (defined_names or {}).items()
     }
     return Workbook(name, tuple(worksheets), defined)

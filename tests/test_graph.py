@@ -20,11 +20,12 @@ from cellgauge.expressions import (
     ValueType,
     column_index_to_letter,
 )
-from cellgauge.graph import NotAFormulaCellError, build_graph
+from cellgauge.graph import NotAFormulaCellError, build_graph, covered_points
 from cellgauge.interchange import read_interchange
 from cellgauge.metrics import compute_record
 from cellgauge.model import LITERAL_CELL, Cell, CellCoordinate, Formula, Workbook, Worksheet
 from cellgauge.parser import parse_text
+from cellgauge.tokens import MAX_COL, MAX_ROW
 
 from . import oracle
 from .genutil import gen_workbook_doc, make_workbook
@@ -364,6 +365,20 @@ class TestRectangleCounts:
         for coord in graph.formula_cells():
             assert graph.fan_out(coord) == len(expanded[coord][0])
             assert graph.fan_in(coord) == len(graph.reverse.get(coord, ()))
+
+    @given(st.integers(0, 2**48))
+    @settings(max_examples=150, deadline=None)
+    def test_covered_points_match_brute_force(self, seed):
+        rng = random.Random(seed)
+        blocks = []
+        for _ in range(rng.randint(0, 8)):  # overlapping, touching, one-cell
+            r1, c1 = rng.randint(1, 12), rng.randint(1, 12)
+            blocks.append((r1, c1, r1 + rng.randint(0, 4), c1 + rng.randint(0, 4)))
+        if rng.random() < 0.2:
+            blocks.append((MAX_ROW - 1, MAX_COL - 2, MAX_ROW, MAX_COL))  # the grid's corner
+        points = {(rng.randint(1, 16), rng.randint(1, 16)) for _ in range(40)} | {(MAX_ROW, MAX_COL), (MAX_ROW, 1)}
+        expected = {(r, c) for r, c in points if any(r1 <= r <= r2 and c1 <= c <= c2 for r1, c1, r2, c2 in blocks)}
+        assert covered_points(blocks, list(points)) == expected
 
 
 def _running_sum(col: int, row: int) -> Formula:

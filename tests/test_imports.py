@@ -1,7 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+none is a private (``_``-prefixed) name of another module of the package.
 
 A name counts as used when the module reads it or a string annotation names
-it. The package's ``__init__`` imports to re-export, so it is not checked.
+it. The package's ``__init__`` imports to re-export, so only the second
+check covers it.
 """
 
 from __future__ import annotations
@@ -62,3 +64,28 @@ def test_a_name_in_a_string_annotation_is_used():
     tree = ast.parse('import os.path\nfrom x import G as H\nfrom y import J\ndef f(h: "list[H]") -> "J": pass')
     assert imported_names(tree) == {"os", "H", "J"}
     assert imported_names(tree) - used_names(tree) == {"os"}
+
+
+def private_imports(tree: ast.Module) -> set[str]:
+    """The ``_``-prefixed names a module imports from another module of the package."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").partition(".")[0] == PACKAGE.name)
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_module_imports_no_private_name_of_the_package(path):
+    private = private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not private, f"{path.name} imports private names of the package: {sorted(private)}"
+
+
+def test_a_private_name_from_the_package_is_found():
+    tree = ast.parse(
+        "from .interchange import _parse_defined_target, parse_cell_ref\n"
+        "from cellgauge.graph import _sweep\nfrom os import _exit\nfrom __future__ import annotations"
+    )
+    assert private_imports(tree) == {"_parse_defined_target", "_sweep"}

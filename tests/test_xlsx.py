@@ -8,6 +8,7 @@ import random
 import struct
 import time
 import zipfile
+from collections import defaultdict
 from unittest import mock
 from xml.sax.saxutils import escape
 
@@ -53,6 +54,54 @@ def best_read(path):
         workbook = read_xlsx(path)
         timings.append(time.perf_counter() - started)
     return min(timings), workbook
+
+
+def build_formula_twin(path, formulas, values, array):
+    """A one-sheet package of formula cells ``(row, col, text, ref)`` and
+    value cells ``(row, col)``, rows and cells ascending: each formula an
+    array formula over its ref when `array` is set, a plain ``<f>`` else."""
+    rows = defaultdict(list)
+    for row, col, text, ref in formulas:
+        rows[row].append((col, f'<f t="array" ref="{ref}">{text}</f>' if array else f"<f>{text}</f>"))
+    for row, col in values:
+        rows[row].append((col, f"<v>{col}</v>"))
+    body = "".join(
+        f'<row r="{row}">'
+        + "".join(f'<c r="{column_index_to_letter(col)}{row}">{inner}</c>' for col, inner in sorted(cells))
+        + "</row>"
+        for row, cells in sorted(rows.items())
+    )
+    return build_xlsx(path, [("S", body)])
+
+
+def array_timing_shape(shape):
+    """(formula cells, value cells, whether a value cell at (row, col) is a
+    result) of one shape for `build_formula_twin`."""
+    letter = column_index_to_letter
+    if shape == "one_cell":
+        # Excel writes a Ctrl+Shift+Enter formula in one cell as an array
+        # formula whose ref is that cell: it holds no results.
+        rows = range(1, 2001)
+        formulas = [(r, 1, f"SUM(B{r}:K{r})", f"A{r}") for r in rows]
+        return formulas, [(r, c) for r in rows for c in range(2, 12)], lambda row, col: False
+    if shape in ("2000", "4000"):
+        # That many rows, each a 2-cell array formula over A:B and ten values
+        # in B:K, the one in B its result.
+        rows = range(1, int(shape) + 1)
+        formulas = [(r, 1, f"SUM(C{r}:K{r})", f"A{r}:B{r}") for r in rows]
+        return formulas, [(r, c) for r in rows for c in range(2, 12)], lambda row, col: col == 2
+    if shape == "tall":
+        # 800 array formulas in row 1, each over its own column down to row
+        # 2,000, then 1,999 rows of ten values in ten of those columns.
+        formulas = [(1, c, "1+1", f"{letter(c)}1:{letter(c)}2000") for c in range(1, 801)]
+        return formulas, [(r, c) for r in range(2, 2001) for c in range(80, 801, 80)], lambda row, col: True
+    # "wide": a crafted ref in A1 that starts below its own row and spans
+    # every other ref's column (A1999:AEN2000), 800 one-column refs down to
+    # row 2,000 in B1:ADU1, then 1,999 rows of ten values in ADU:AED. Only
+    # the values in ADU and in the last two rows are results.
+    formulas = [(1, 1, "1+1", "A1999:AEN2000")]
+    formulas += [(1, c, "1+1", f"{letter(c)}1:{letter(c)}2000") for c in range(2, 802)]
+    return formulas, [(r, c) for r in range(2, 2001) for c in range(801, 811)], lambda row, col: col == 801 or row >= 1999
 
 
 def ref_errors(expr) -> int:
@@ -135,6 +184,19 @@ def build_xlsx(
     return path
 
 
+def rewrite_parts(path, rewrite, compression=zipfile.ZIP_STORED):
+    """Rewrite the package at `path`: `rewrite` changes its dict of parts,
+    name -> bytes, in place, and every part is written back with
+    `compression`."""
+    with zipfile.ZipFile(path) as archive:
+        parts = {name: archive.read(name) for name in archive.namelist()}
+    rewrite(parts)
+    with zipfile.ZipFile(path, "w", compression) as archive:
+        for name, content in parts.items():
+            archive.writestr(name, content)
+    return path
+
+
 def build_bad_crc_xlsx(path):
     """A package whose first sheet member no longer matches its stored CRC-32."""
     build_xlsx(path, [("S", '<row r="1"><c r="A1"><v>1</v></c></row>')])
@@ -166,14 +228,11 @@ def build_unknown_encoding_xlsx(path, part):
     parser does not know."""
     body = '<row r="1"><c r="A1" t="s"><v>0</v></c></row>'
     build_xlsx(path, [("S", body)], shared_strings=("x",), styles_xml=f'<?xml version="1.0"?><styleSheet {NS}/>')
-    with zipfile.ZipFile(path) as archive:
-        parts = {name: archive.read(name) for name in archive.namelist()}
-    declaration_end = parts[part].index(b"?>") + 2
-    parts[part] = b'<?xml version="1.0" encoding="UTF-9"?>' + parts[part][declaration_end:]
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, content in parts.items():
-            archive.writestr(name, content)
-    return path
+
+    def redeclare(parts):
+        parts[part] = b'<?xml version="1.0" encoding="UTF-9"?>' + parts[part][parts[part].index(b"?>") + 2:]
+
+    return rewrite_parts(path, redeclare)
 
 
 class TestLiterals:
@@ -541,48 +600,18 @@ class TestFormulas:
         assert cells[(1, 3)] is LITERAL_CELL and cells[(2, 4)] is LITERAL_CELL
         assert "array formula with bad range 'D1:D'" in caplog.text
 
-    def test_single_cell_array_formulas_read_as_fast_as_plain_ones(self, tmp_path):
-        # Excel writes a Ctrl+Shift+Enter formula in one cell as an array
-        # formula whose ref is that cell: it holds no results, so the values
-        # after it are checked against no range.
-        def package(name, f_el):
-            body = "".join(
-                f'<row r="{r}"><c r="A{r}">{f_el.format(r=r)}</c>'
-                + "".join(f'<c r="{column_index_to_letter(c)}{r}"><v>{c}</v></c>' for c in range(2, 12)) + "</row>"
-                for r in range(1, 2001)
-            )
-            return build_xlsx(tmp_path / name, [("S", body)])
-
-        def best_read(path):
-            timings = []
-            for _ in range(3):
-                started = time.perf_counter()
-                workbook = read_xlsx(path)
-                timings.append(time.perf_counter() - started)
-            return min(timings), workbook
-
-        plain, plain_book = best_read(package("plain.xlsx", "<f>SUM(B{r}:K{r})</f>"))
-        array, array_book = best_read(package("array.xlsx", '<f t="array" ref="A{r}">SUM(B{r}:K{r})</f>'))
-        assert array_book.sheets[0].cells == plain_book.sheets[0].cells
-        assert array < 2 * plain, (array, plain)
-
-    @pytest.mark.parametrize("rows", [2000, 4000])
-    def test_array_results_are_matched_in_linear_time(self, tmp_path, rows):
-        # Each row holds a 2-cell array formula over A:B and ten values in
-        # B:K, the one in B its result: a value is checked only against the
-        # ranges that reach its row, not against every earlier one.
-        def package(name, f_el):
-            body = "".join(
-                f'<row r="{r}"><c r="A{r}">{f_el.format(r=r)}</c>'
-                + "".join(f'<c r="{column_index_to_letter(c)}{r}"><v>{c}</v></c>' for c in range(2, 12)) + "</row>"
-                for r in range(1, rows + 1)
-            )
-            return build_xlsx(tmp_path / name, [("S", body)])
-
-        plain, plain_book = best_read(package("plain.xlsx", "<f>SUM(C{r}:K{r})</f>"))
-        array, array_book = best_read(package("array.xlsx", '<f t="array" ref="A{r}:B{r}">SUM(C{r}:K{r})</f>'))
-        cells = array_book.sheets[0].cells
-        assert cells == {key: BLANK_CELL if key[1] == 2 else cell for key, cell in plain_book.sheets[0].cells.items()}
+    @pytest.mark.parametrize("shape", ["one_cell", "2000", "4000", "tall", "wide"])
+    def test_array_results_are_matched_in_linear_time(self, tmp_path, shape):
+        # An array package reads within twice its plain-<f> twin (see
+        # `array_timing_shape`): marking its results does not cost refs ×
+        # values.
+        formulas, values, is_result = array_timing_shape(shape)
+        plain, plain_book = best_read(build_formula_twin(tmp_path / "plain.xlsx", formulas, values, array=False))
+        array, array_book = best_read(build_formula_twin(tmp_path / "array.xlsx", formulas, values, array=True))
+        assert array_book.sheets[0].cells == {
+            key: BLANK_CELL if cell is LITERAL_CELL and is_result(*key) else cell
+            for key, cell in plain_book.sheets[0].cells.items()
+        }
         assert array < 2 * plain, (array, plain)
 
     def test_array_results_in_later_rows_are_stored_without_content(self, tmp_path):
@@ -611,13 +640,11 @@ class TestFormulas:
         assert {key for key, cell in cells.items() if cell is BLANK_CELL} == {(1, 4)}
         assert {key for key, cell in cells.items() if cell is LITERAL_CELL} == {(1, 2), (1, 5), (2, 1), (2, 4)}
 
-    @pytest.mark.parametrize(
-        ("order", "result"), [((1, 2, 3), True), ((1, 3, 2), False), ((2, 1, 3), False)], ids=str
-    )
-    def test_array_results_are_matched_while_rows_ascend(self, tmp_path, order, result):
-        # B2 is in the range of B1's array formula. It is a result only when
-        # it is read after B1 and before A3, a value below the range: Excel
-        # writes rows in ascending order, and the reader relies on it.
+    @pytest.mark.parametrize("order", [(1, 2, 3), (1, 3, 2), (2, 1, 3)], ids=str)
+    def test_array_results_do_not_depend_on_row_order(self, tmp_path, order):
+        # B2 is in the range of B1's array formula: it is a result whether it
+        # is read before or after B1, and before or after A3, a value below
+        # the range. A3 lies outside the range and stays a literal.
         rows = {
             1: '<row r="1"><c r="B1"><f t="array" ref="B1:B2">A1:A2</f></c></row>',
             2: '<row r="2"><c r="B2"><v>2</v></c></row>',
@@ -625,40 +652,19 @@ class TestFormulas:
         }
         body = "".join(rows[r] for r in order)
         cells = read_xlsx(build_xlsx(tmp_path / "order.xlsx", [("S", body)])).sheets[0].cells
-        assert cells[(2, 2)] is (BLANK_CELL if result else LITERAL_CELL)
+        assert cells[(2, 2)] is BLANK_CELL
         assert cells[(3, 1)] is LITERAL_CELL
-
-    def test_tall_array_ranges_read_within_twice_their_plain_twin(self, tmp_path):
-        # 800 array formulas in row 1, each over its own column down to row
-        # 2,000, then 1,999 rows of ten values in ten of those columns: a
-        # value is checked only against the ranges that start at or left of
-        # its column and reach it, not against every open one.
-        def package(name, f_el):
-            head = "".join(f'<c r="{column_index_to_letter(c)}1">{f_el.format(c=column_index_to_letter(c))}</c>'
-                           for c in range(1, 801))
-            body = f'<row r="1">{head}</row>' + "".join(
-                f'<row r="{r}">' + "".join(f'<c r="{column_index_to_letter(c)}{r}"><v>{c}</v></c>'
-                                          for c in range(80, 801, 80)) + "</row>"
-                for r in range(2, 2001)
-            )
-            return build_xlsx(tmp_path / name, [("S", body)])
-
-        plain, plain_book = best_read(package("plain.xlsx", "<f>1+1</f>"))
-        array, array_book = best_read(package("array.xlsx", '<f t="array" ref="{c}1:{c}2000">1+1</f>'))
-        cells = array_book.sheets[0].cells
-        assert cells == {key: BLANK_CELL if key[0] > 1 else cell for key, cell in plain_book.sheets[0].cells.items()}
-        assert array < 2 * plain, (array, plain)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_array_results_follow_the_rule_for_crafted_refs_in_any_row_order(self, tmp_path, seed):
         # Stacked, overlapping, reversed and one-cell refs, some rows out of
-        # order: a value is a result when some array formula read before it
-        # spans it and no value read since lay below that formula's range.
+        # order, refs that start before their formula: a value is a result
+        # when some array formula's ref on the sheet spans it.
         rng = random.Random(seed)
         rows = list(range(1, 13))
         if seed % 2:
             rng.shuffle(rows)
-        body, arrays, results = "", [], set()
+        body, arrays, values = "", [], []
         for r in rows:
             cols = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
             body += f'<row r="{r}">'
@@ -673,12 +679,65 @@ class TestFormulas:
                     arrays.append((min(r1, r2), min(c1, c2), max(r1, r2), max(c1, c2)))
                 else:
                     body += f'<c r="{position}"><v>1</v></c>'
-                    arrays = [block for block in arrays if block[2] >= r]
-                    if any(r1 <= r and c1 <= c <= c2 for r1, c1, _, c2 in arrays):
-                        results.add((r, c))
+                    values.append((r, c))
             body += "</row>"
+        results = {(r, c) for r, c in values if any(r1 <= r <= r2 and c1 <= c <= c2 for r1, c1, r2, c2 in arrays)}
         cells = read_xlsx(build_xlsx(tmp_path / "crafted.xlsx", [("S", body)])).sheets[0].cells
         assert {key for key, cell in cells.items() if cell is BLANK_CELL} == results
+
+    def test_array_results_of_sheets_as_excel_writes_them_follow_the_streaming_rule(self, tmp_path):
+        # 200 sheets with rows and cells ascending, each array formula on the
+        # first cell of its ref: stacked, touching, overlapping, one-cell and
+        # wide refs, and cells in a ref with a formula of their own. Each
+        # stores what a reader that streams the rows finds: a value is a
+        # result when some array formula read before it spans it and no value
+        # read since lay below that formula's range.
+        rng = random.Random(27)
+        sheets, expected = [], []
+        for _ in range(200):
+            refs: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+            for _ in range(rng.randint(1, 6)):
+                if refs and rng.random() < 0.4:  # stacked below or touching right of an earlier ref
+                    r1, c1, r2, c2 = rng.choice(list(refs.values()))
+                    r1, c1 = (r2 + 1, c1) if rng.random() < 0.5 else (r1, c2 + 1)
+                else:
+                    r1, c1 = rng.randint(1, 12), rng.randint(1, 10)
+                if r1 <= 12 and c1 <= 10:
+                    one_cell = rng.random() < 0.25
+                    r2, c2 = (r1, c1) if one_cell else (rng.randint(r1, min(r1 + 4, 12)), rng.randint(c1, 10))
+                    refs.setdefault((r1, c1), (r1, c1, r2, c2))
+            body, arrays, kinds = "", [], {}
+            for r in range(1, 13):
+                body += f'<row r="{r}">'
+                for c in range(1, 11):
+                    position = f"{column_index_to_letter(c)}{r}"
+                    if (r, c) in refs:
+                        _, _, r2, c2 = refs[(r, c)]
+                        last = f"{column_index_to_letter(c2)}{r2}"
+                        body += f'<c r="{position}"><f t="array" ref="{position}:{last}">1</f></c>'
+                        arrays.append(refs[(r, c)])
+                        kinds[(r, c)] = "formula"
+                    elif (draw := rng.random()) < 0.15:
+                        body += f'<c r="{position}"><f>1</f></c>'
+                        kinds[(r, c)] = "formula"
+                    elif draw < 0.75:
+                        body += f'<c r="{position}"><v>1</v></c>'
+                        kinds[(r, c)] = "literal"
+                        arrays = [block for block in arrays if block[2] >= r]
+                        if any(r1 <= r and c1 <= c <= c2 for r1, c1, _, c2 in arrays):
+                            kinds[(r, c)] = "result"
+                body += "</row>"
+            sheets.append((f"S{len(sheets) + 1}", body))
+            expected.append(kinds)
+        workbook = read_xlsx(build_xlsx(tmp_path / "excel.xlsx", sheets))
+        read = [
+            {key: "formula" if cell.formula is not None else "result" if cell is BLANK_CELL else "literal"
+             for key, cell in sheet.cells.items()}
+            for sheet in workbook.sheets
+        ]
+        assert read == expected
+        stored = [kind for sheet in expected for kind in sheet.values()]
+        assert stored.count("result") > 1000 and stored.count("literal") > 1000
 
     def test_second_cell_at_a_position_is_skipped(self, tmp_path, caplog):
         body = '<row r="1"><c r="A1"><f>B1*2</f></c><c r="A1"><v>3</v></c></row>'
@@ -899,21 +958,20 @@ class TestStructure:
         data = '<row r="1"><c r="A1"><v>3</v></c><c r="B1"><f>Total*2</f></c></row>'
         path = build_xlsx(tmp_path / "chart.xlsx", [("Chart", ""), ("Data", data)],
                           defined_names=[("Total", "Data!$A$1", 1)])
-        with zipfile.ZipFile(path) as archive:
-            parts = {name: archive.read(name).decode() for name in archive.namelist()}
-        del parts["xl/worksheets/sheet1.xml"]
-        parts["xl/chartsheets/sheet1.xml"] = (
-            f'<?xml version="1.0"?><chartsheet {NS} {NS_R}><sheetPr/><drawing r:id="rId1"/></chartsheet>'
-        )
-        rels = parts["xl/_rels/workbook.xml.rels"]
-        parts["xl/_rels/workbook.xml.rels"] = rels.replace(
-            'relationships/worksheet" Target="worksheets/sheet1.xml"',
-            'relationships/chartsheet" Target="chartsheets/sheet1.xml"',
-        )
-        assert parts["xl/_rels/workbook.xml.rels"] != rels
-        with zipfile.ZipFile(path, "w") as archive:
-            for name, content in parts.items():
-                archive.writestr(name, content)
+
+        def to_chartsheet(parts):
+            del parts["xl/worksheets/sheet1.xml"]
+            parts["xl/chartsheets/sheet1.xml"] = (
+                f'<?xml version="1.0"?><chartsheet {NS} {NS_R}><sheetPr/><drawing r:id="rId1"/></chartsheet>'
+            )
+            rels = parts["xl/_rels/workbook.xml.rels"]
+            parts["xl/_rels/workbook.xml.rels"] = rels.replace(
+                b'relationships/worksheet" Target="worksheets/sheet1.xml"',
+                b'relationships/chartsheet" Target="chartsheets/sheet1.xml"',
+            )
+            assert parts["xl/_rels/workbook.xml.rels"] != rels
+
+        rewrite_parts(path, to_chartsheet)
 
         workbook = read_xlsx(path)
         assert [(sheet.name, sheet.index, len(sheet.cells)) for sheet in workbook.sheets] == [("Chart", 1, 0),
@@ -964,11 +1022,7 @@ class TestStructure:
     def test_member_that_does_not_inflate_is_a_corrupt_part(self, tmp_path):
         path = build_xlsx(tmp_path / "deflate.xlsx", [("S", '<row r="1"><c r="A1"><v>1</v></c></row>')])
         part = "xl/worksheets/sheet1.xml"
-        with zipfile.ZipFile(path) as archive:
-            parts = {name: archive.read(name) for name in archive.namelist()}
-        with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
-            for name, content in parts.items():
-                archive.writestr(name, content)
+        rewrite_parts(path, lambda parts: None, zipfile.ZIP_DEFLATED)
         with zipfile.ZipFile(path) as archive:
             offset = archive.getinfo(part).header_offset
         data = bytearray(path.read_bytes())
@@ -1103,14 +1157,13 @@ STRICT = {
 def rewrite_namespaces(path, uris):
     """Rewrite every part of the package at `path` with each namespace URI
     of `uris` replaced by its value."""
-    with zipfile.ZipFile(path) as archive:
-        parts = {name: archive.read(name).decode() for name in archive.namelist()}
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, content in parts.items():
+
+    def replace(parts):
+        for name in parts:
             for old, new in uris.items():
-                content = content.replace(old, new)
-            archive.writestr(name, content)
-    return path
+                parts[name] = parts[name].replace(old.encode(), new.encode())
+
+    return rewrite_parts(path, replace)
 
 
 class TestNamespaces:
