@@ -12,6 +12,9 @@ the ``ref`` of an array formula of its sheet (``<f t="array" ref="...">``)
 is one of its cached results, whatever the order of the rows; it is stored
 without content, as is a cell with a solid fill and no value. Of two cells
 at one position the first is kept. Per-cell anomalies are logged, not fatal.
+Worksheet parts and the shared strings are streamed through expat, so no
+element tree of a sheet is built; the workbook part, its relationships and
+the styles are parsed whole.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import zipfile
 import zlib
 from pathlib import Path
 from xml.etree import ElementTree
+from xml.parsers import expat
 
 from .expressions import column_index_to_letter
 from .graph import covered_points
@@ -79,12 +83,17 @@ class CorruptPartError(XlsxError):
     compression method the reader does not support."""
 
 
+_READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError)
+_CHUNK = 1 << 16  # bytes of a streamed part fed to its parser at a time
+_BATCH = 128  # rows and cells of a sheet gathered before they are stored
+
+
 def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
     try:
         data = archive.read(part)
     except KeyError:
         raise MissingWorkbookPartError(part, "part not found in package") from None
-    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError) as exc:
+    except _READ_ERRORS as exc:
         raise CorruptPartError(part, f"unreadable ZIP member: {exc}") from None
     try:
         return ElementTree.fromstring(data)
@@ -92,11 +101,79 @@ def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
         raise MalformedSheetXmlError(part, f"malformed XML: {exc}") from None
 
 
+def _undefined_entity(name: str, is_parameter_entity: bool) -> None:
+    # ElementTree refuses an entity that a document with an external DTD
+    # leaves undefined; expat alone would skip it.
+    if not is_parameter_entity:
+        raise expat.ExpatError(f"undefined entity &{name};")
+
+
+def _stream_parser() -> expat.XMLParserType:
+    """An expat parser that names an element ``uri}local``, as ElementTree
+    does without the leading ``{``."""
+    parser = expat.ParserCreate(None, "}")
+    parser.buffer_text = True
+    parser.SkippedEntityHandler = _undefined_entity
+    return parser
+
+
+def _read_chunk(stream, part: str) -> bytes:
+    try:
+        return stream.read(_CHUNK)
+    except _READ_ERRORS as exc:
+        raise CorruptPartError(part, f"unreadable ZIP member: {exc}") from None
+
+
+def _open_part(archive: zipfile.ZipFile, part: str):
+    try:
+        return archive.open(part)
+    except KeyError:
+        raise MissingWorkbookPartError(part, "part not found in package") from None
+    except _READ_ERRORS as exc:
+        raise CorruptPartError(part, f"unreadable ZIP member: {exc}") from None
+
+
+def _stream_part(archive: zipfile.ZipFile, part: str, parser: expat.XMLParserType) -> None:
+    """Feed `part` to `parser` chunk by chunk, with the typed errors of
+    `_parse_part`: a read error wins over an XML error, as when the part is
+    read whole. The handlers, which may refer to the parser, are cleared
+    afterwards."""
+    try:
+        with _open_part(archive, part) as stream:
+            try:
+                while chunk := _read_chunk(stream, part):
+                    parser.Parse(chunk, False)
+                parser.Parse(b"", True)
+            except (expat.ExpatError, LookupError) as exc:  # LookupError: an unknown declared encoding
+                while _read_chunk(stream, part):
+                    pass
+                raise MalformedSheetXmlError(part, f"malformed XML: {exc}") from None
+    finally:
+        parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+
+
 def _count_shared_strings(archive: zipfile.ZipFile, main: str) -> int:
-    """The number of shared strings; their text is never read."""
+    """The number of shared strings (``<si>`` children of the root); their
+    text is never read."""
     if _SHARED_STRINGS_PART not in archive.namelist():
         return 0
-    return len(_parse_part(archive, _SHARED_STRINGS_PART).findall(main + "si"))
+    si = main[1:] + "si"
+    count = depth = 0
+
+    def start(tag, attrs):
+        nonlocal count, depth
+        depth += 1
+        if depth == 2 and tag == si:
+            count += 1
+
+    def end(tag):
+        nonlocal depth
+        depth -= 1
+
+    parser = _stream_parser()
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    _stream_part(archive, _SHARED_STRINGS_PART, parser)
+    return count
 
 
 def _read_filled_styles(archive: zipfile.ZipFile, main: str) -> set[int]:
@@ -179,24 +256,94 @@ def _array_block(ref: str | None, part: str) -> tuple[int, int, int, int] | None
     return min(r1, r2), min(c1, c2), max(r1, r2), max(c1, c2)
 
 
-def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, index: int, string_count: int,
+def _read_sheet(archive: zipfile.ZipFile, part: str, main: str, name: str, index: int, string_count: int,
                 filled_styles: set[int]) -> Worksheet:
-    """The sheet's stored cells. A shared-formula master is parsed once and
-    each follower is stored as the master plus its offset."""
+    """The sheet's stored cells. Only the rows of the root's first
+    ``<sheetData>``, their ``<c>`` children and a cell's first ``<f>`` and
+    ``<v>`` are read, and of those two only the text before a child element;
+    no other text is kept. A shared-formula master is parsed once and each
+    follower is stored as the master plus its offset."""
     cells: dict[tuple[int, int], Cell] = {}
     shared: dict[str, tuple[int, int, Formula]] = {}  # group id -> (anchor row, anchor col, parsed master)
     arrays: list[tuple[int, int, int, int]] = []  # the block of each readable array formula's ref
-    sheet_data = root.find(main + "sheetData")
-    for row_el in sheet_data.findall(main + "row") if sheet_data is not None else ():
-        try:
-            row_number = int(row_el.get("r", "0"))
-        except ValueError:
-            row_number = 0
-        if not 1 <= row_number <= MAX_ROW:
-            row_number = 0
-        last_col = 0
-        for c_el in row_el.findall(main + "c"):
-            ref = c_el.get("r")
+    sheet_data_tag, row_tag, c_tag, f_tag, v_tag, is_tag = (
+        main[1:] + local for local in ("sheetData", "row", "c", "f", "v", "is")
+    )
+    # A <row> start adds its number to `pending` and a <c> end what the
+    # cell holds; `store` keeps them `_BATCH` at a time. Keeping each cell
+    # as its </c> arrives, interleaved with expat's own work, made the
+    # benchmark's xlsx_formulas workload about 5% slower end to end.
+    pending: list[int | tuple] = []
+    parser = _stream_parser()
+    depth = 0  # of the open element; the root's is 1
+    chain = 0  # depth of the innermost open element of root > first <sheetData> > <row> > <c>
+    sheet_data_seen = False
+    c_attrs: dict[str, str] = {}
+    f_attrs: dict[str, str] | None = None  # of the cell's first <f>
+    f_text: list[str] = []
+    v_text: list[str] | None = None  # of the cell's first <v>
+    inline = False
+
+    # Character data reaches a handler only from the start of a cell's
+    # first <f> or <v> to its end or the start of its first child.
+    def start(tag, attrs):
+        nonlocal depth, chain, sheet_data_seen, c_attrs, f_attrs, f_text, v_text, inline
+        depth += 1
+        if depth != chain + 1:
+            if depth == 6:
+                parser.CharacterDataHandler = None
+        elif depth == 5:
+            if tag == f_tag:
+                if f_attrs is None:
+                    f_attrs, f_text = attrs, []
+                    parser.CharacterDataHandler = f_text.append
+            elif tag == v_tag:
+                if v_text is None:
+                    v_text = []
+                    parser.CharacterDataHandler = v_text.append
+            elif tag == is_tag:
+                inline = True
+        elif depth == 4:
+            if tag == c_tag:
+                chain, c_attrs, f_attrs, v_text, inline = 4, attrs, None, None, False
+        elif depth == 3:
+            if tag == row_tag:
+                chain = 3
+                try:
+                    number = int(attrs.get("r", "0"))
+                except ValueError:
+                    number = 0
+                pending.append(number if 1 <= number <= MAX_ROW else 0)
+                if len(pending) == _BATCH:
+                    store()
+        elif depth == 2:
+            if tag == sheet_data_tag and not sheet_data_seen:
+                chain, sheet_data_seen = 2, True
+        else:
+            chain = 1
+
+    def end(tag):
+        nonlocal depth, chain
+        depth -= 1
+        if depth == 4:
+            parser.CharacterDataHandler = None
+        elif depth == chain - 1:
+            chain = depth
+            if depth == 3:
+                pending.append((c_attrs, f_attrs, f_text, v_text, inline))
+                if len(pending) == _BATCH:
+                    store()
+
+    row_number = last_col = 0
+
+    def store():
+        nonlocal row_number, last_col
+        for item in pending:
+            if item.__class__ is int:  # a row starts
+                row_number, last_col = item, 0
+                continue
+            c_attrs, f_attrs, f_text, v_text, inline = item
+            ref = c_attrs.get("r")
             if ref:
                 try:
                     row, col = parse_cell_ref(ref.replace("$", ""))
@@ -214,16 +361,15 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
             if (row, col) in cells:
                 logger.warning("%s: skipping second cell at %s%d", part, column_index_to_letter(col), row)
                 continue
-            f_el = c_el.find(main + "f")
             # A data table's <f> holds its parameters, not a formula.
-            if f_el is not None and (kind := f_el.get("t")) != "dataTable":
-                text = (f_el.text or "").lstrip("=")
-                group = f_el.get("si", "") if kind == "shared" else None
+            if f_attrs is not None and (kind := f_attrs.get("t")) != "dataTable":
+                text = "".join(f_text).lstrip("=")
+                group = f_attrs.get("si", "") if kind == "shared" else None
                 if group is None or text:
                     formula = parse_formula(text)
                     if group is not None:
                         shared[group] = (row, col, formula)
-                    elif kind == "array" and (block := _array_block(f_el.get("ref"), part)) is not None:
+                    elif kind == "array" and (block := _array_block(f_attrs.get("ref"), part)) is not None:
                         arrays.append(block)
                 elif group not in shared:
                     logger.warning("%s: shared formula follower before master (si=%s)", part, group)
@@ -234,21 +380,24 @@ def _read_sheet(root: ElementTree.Element, main: str, part: str, name: str, inde
                         formula = SharedFormula(formula, row - a_row, col - a_col)
                 cells[(row, col)] = Cell(formula)
                 continue
-            t = c_el.get("t", "n")
+            t = c_attrs.get("t", "n")
             if t == "inlineStr":
-                literal = c_el.find(main + "is") is not None
-            else:
-                v_el = c_el.find(main + "v")
-                v_text = v_el.text if v_el is not None else None
-                literal = v_text is not None and _holds_value(t, v_text, string_count, part, index, row, col)
+                literal = inline
+            else:  # no <v>, or one with no text, holds no value
+                literal = bool(v_text) and _holds_value(t, "".join(v_text), string_count, part, index, row, col)
             if literal:
                 cells[(row, col)] = LITERAL_CELL
-            elif filled_styles and (style := c_el.get("s")) is not None:
+            elif filled_styles and (style := c_attrs.get("s")) is not None:
                 try:
                     if int(style) in filled_styles:
                         cells[(row, col)] = BLANK_CELL
                 except ValueError:
                     pass  # not a style index: a default cell, nothing to store
+        pending.clear()
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    _stream_part(archive, part, parser)
+    store()
     if arrays:  # a value in an array formula's ref is one of its cached results
         for key in covered_points(arrays, (key for key, cell in cells.items() if cell is LITERAL_CELL)):
             cells[key] = BLANK_CELL
@@ -281,8 +430,9 @@ def read_xlsx(path: str | Path) -> Workbook:
                 raise MissingWorkbookPartError(
                     _WORKBOOK_RELS_PART, f"no relationship for sheet {sheet_name!r}"
                 )
-            root = _parse_part(archive, part)
-            worksheets.append(_read_sheet(root, main, part, sheet_name, position, shared_string_count, filled_styles))
+            worksheets.append(
+                _read_sheet(archive, part, main, sheet_name, position, shared_string_count, filled_styles)
+            )
 
         defined: dict[tuple[int | None, str], DefinedName] = {}
         names_el = workbook_root.find(main + "definedNames")
