@@ -12,9 +12,9 @@ the ``ref`` of an array formula of its sheet (``<f t="array" ref="...">``)
 is one of its cached results, whatever the order of the rows; it is stored
 without content, as is a cell with a solid fill and no value. Of two cells
 at one position the first is kept. Per-cell anomalies are logged, not fatal.
-Worksheet parts and the shared strings are streamed through expat, so no
-element tree of a sheet is built; the workbook part, its relationships and
-the styles are parsed whole.
+Every part is streamed through expat in 64 KiB chunks; no tree of a sheet
+is built, and those of the workbook part, its relationships and the styles
+keep no text but a defined name's.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from .tokens import MAX_COL, MAX_ROW
 
 logger = logging.getLogger(__name__)
 
-_REL_IDS = {  # the workbook root's namespace -> a sheet's relationship id: Transitional, Strict
+_REL_IDS = {  # the workbook root's namespace -> a sheet's relationship id, as expat names it: Transitional, Strict
     "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}":
-        "{http://schemas.openxmlformats.org/officeDocument/2006/relationships}id",
-    "{http://purl.oclc.org/ooxml/spreadsheetml/main}": "{http://purl.oclc.org/ooxml/officeDocument/relationships}id",
+        "http://schemas.openxmlformats.org/officeDocument/2006/relationships}id",
+    "{http://purl.oclc.org/ooxml/spreadsheetml/main}": "http://purl.oclc.org/ooxml/officeDocument/relationships}id",
 }
 _PKG_REL = "{http://schemas.openxmlformats.org/package/2006/relationships}Relationship"
 
@@ -86,19 +86,7 @@ class CorruptPartError(XlsxError):
 _READ_ERRORS = (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError)
 _CHUNK = 1 << 16  # bytes of a streamed part fed to its parser at a time
 _BATCH = 128  # rows and cells of a sheet gathered before they are stored
-
-
-def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
-    try:
-        data = archive.read(part)
-    except KeyError:
-        raise MissingWorkbookPartError(part, "part not found in package") from None
-    except _READ_ERRORS as exc:
-        raise CorruptPartError(part, f"unreadable ZIP member: {exc}") from None
-    try:
-        return ElementTree.fromstring(data)
-    except (ElementTree.ParseError, LookupError) as exc:  # LookupError: an unknown declared encoding
-        raise MalformedSheetXmlError(part, f"malformed XML: {exc}") from None
+_UNKNOWN_ENCODING = expat.errors.codes[expat.errors.XML_ERROR_UNKNOWN_ENCODING]
 
 
 def _undefined_entity(name: str, is_parameter_entity: bool) -> None:
@@ -109,8 +97,7 @@ def _undefined_entity(name: str, is_parameter_entity: bool) -> None:
 
 
 def _stream_parser() -> expat.XMLParserType:
-    """An expat parser that names an element ``uri}local``, as ElementTree
-    does without the leading ``{``."""
+    """An expat parser that names an element or attribute ``uri}local``."""
     parser = expat.ParserCreate(None, "}")
     parser.buffer_text = True
     parser.SkippedEntityHandler = _undefined_entity
@@ -134,22 +121,40 @@ def _open_part(archive: zipfile.ZipFile, part: str):
 
 
 def _stream_part(archive: zipfile.ZipFile, part: str, parser: expat.XMLParserType) -> None:
-    """Feed `part` to `parser` chunk by chunk, with the typed errors of
-    `_parse_part`: a read error wins over an XML error, as when the part is
-    read whole. The handlers, which may refer to the parser, are cleared
-    afterwards."""
+    """Feed `part` to `parser` in chunks, raising a bad part's typed error (a read
+    error wins over an XML error); then clear the handlers, which may refer to it."""
     try:
         with _open_part(archive, part) as stream:
             try:
                 while chunk := _read_chunk(stream, part):
                     parser.Parse(chunk, False)
                 parser.Parse(b"", True)
-            except (expat.ExpatError, LookupError) as exc:  # LookupError: an unknown declared encoding
+            except (expat.ExpatError, LookupError, ValueError) as exc:  # the last two: an encoding expat cannot map
+                if not isinstance(exc, expat.ExpatError) and parser.ErrorCode != _UNKNOWN_ENCODING:
+                    raise  # raised by a handler: the reader's own fault
                 while _read_chunk(stream, part):
                     pass
                 raise MalformedSheetXmlError(part, f"malformed XML: {exc}") from None
     finally:
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
+
+
+def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
+    """The part as ElementTree's tree, with expat's attribute names and no text but a ``<definedName>``'s."""
+    builder, parser = ElementTree.TreeBuilder(), _stream_parser()
+    names: dict[str, str] = {}  # expat's name -> ElementTree's, one string for all elements of a name
+
+    def start(tag, attrs):
+        builder.start(names.get(tag) or names.setdefault(tag, "{" + tag if "}" in tag else tag), attrs)
+        parser.CharacterDataHandler = builder.data if tag.endswith("}definedName") else None
+
+    def end(tag):
+        parser.CharacterDataHandler = None
+        builder.end(names[tag])
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    _stream_part(archive, part, parser)
+    return builder.close()
 
 
 def _count_shared_strings(archive: zipfile.ZipFile, main: str) -> int:

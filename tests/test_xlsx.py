@@ -228,14 +228,14 @@ def build_unsupported_compression_xlsx(path):
     return path
 
 
-def build_unknown_encoding_xlsx(path, part):
-    """A package whose ``part`` declares the encoding UTF-9, which the XML
-    parser does not know."""
+def build_unknown_encoding_xlsx(path, part, encoding="UTF-9"):
+    """A package whose ``part`` declares `encoding`, which the XML parser
+    cannot map: UTF-9 it does not know, and Shift_JIS is multi-byte."""
     body = '<row r="1"><c r="A1" t="s"><v>0</v></c></row>'
     build_xlsx(path, [("S", body)], shared_strings=("x",), styles_xml=f'<?xml version="1.0"?><styleSheet {NS}/>')
 
     def redeclare(parts):
-        parts[part] = b'<?xml version="1.0" encoding="UTF-9"?>' + parts[part][parts[part].index(b"?>") + 2:]
+        parts[part] = f'<?xml version="1.0" encoding="{encoding}"?>'.encode() + parts[part][parts[part].index(b"?>") + 2:]
 
     return rewrite_parts(path, redeclare)
 
@@ -1046,18 +1046,36 @@ class TestStructure:
             read_xlsx(path)
         assert excinfo.value.part == "xl/worksheets/sheet1.xml"
 
-    @pytest.mark.parametrize("part", ["xl/worksheets/sheet1.xml", "xl/workbook.xml", "xl/sharedStrings.xml"])
-    def test_unknown_declared_encoding_is_malformed_xml(self, tmp_path, part):
-        path = build_unknown_encoding_xlsx(tmp_path / "utf9.xlsx", part)
+    @pytest.mark.parametrize("part, encoding", [
+        pytest.param(part, encoding, id=part if encoding == "UTF-9" else f"{encoding}-{part}")
+        for encoding in ("UTF-9", "Shift_JIS")
+        for part in ("xl/worksheets/sheet1.xml", "xl/workbook.xml", "xl/sharedStrings.xml", "xl/_rels/workbook.xml.rels")
+    ])
+    def test_unknown_declared_encoding_is_malformed_xml(self, tmp_path, part, encoding, capsys):
+        path = build_unknown_encoding_xlsx(tmp_path / "odd.xlsx", part, encoding)
         with pytest.raises(MalformedSheetXmlError) as excinfo:
             read_xlsx(path)
         assert excinfo.value.part == part
-        assert "unknown encoding" in str(excinfo.value)
+        assert ("unknown encoding" if encoding == "UTF-9" else "multi-byte encodings") in str(excinfo.value)
+        assert main(["analyze", str(path)]) == 2
+        assert part in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_a_handler_error_is_not_taken_for_malformed_xml(self, tmp_path, error):
+        # expat refuses a declared encoding with a ValueError or a
+        # LookupError; raised by the reader's own handlers (here while the
+        # sheet's cells are stored), they propagate as they are.
+        rows = "".join(f'<row r="{r}"><c r="A{r}"><f>1</f></c></row>' for r in range(1, 201))
+        path = build_xlsx(tmp_path / "book.xlsx", [("S", rows)])
+        with mock.patch.object(xlsx, "parse_formula", side_effect=error("boom")):
+            with pytest.raises(error, match="boom"):
+                read_xlsx(path)
 
     def test_unknown_declared_encoding_in_styles_is_skipped(self, tmp_path):
-        path = build_unknown_encoding_xlsx(tmp_path / "utf9.xlsx", "xl/styles.xml")
-        cells = read_xlsx(path).sheets[0].cells
-        assert set(cells) == {(1, 1)} and cells[(1, 1)].literal
+        for encoding in ("UTF-9", "Shift_JIS"):
+            path = build_unknown_encoding_xlsx(tmp_path / f"{encoding}.xlsx", "xl/styles.xml", encoding)
+            cells = read_xlsx(path).sheets[0].cells
+            assert set(cells) == {(1, 1)} and cells[(1, 1)].literal, encoding
 
     def test_central_directory_offset_past_the_end_is_a_corrupt_part(self, tmp_path, capsys):
         path = build_xlsx(tmp_path / "offset.xlsx", [("S", '<row r="1"><c r="A1"><v>1</v></c></row>')])
@@ -1076,9 +1094,10 @@ class TestStructure:
     def test_truncated_member_is_a_corrupt_part(self, tmp_path):
         path = build_xlsx(tmp_path / "short.xlsx", [("S", "")])
         truncated = EOFError("Compressed file ended before the end-of-stream marker was reached")
-        with mock.patch.object(zipfile.ZipFile, "read", side_effect=truncated):
-            with pytest.raises(CorruptPartError):
+        with mock.patch.object(zipfile.ZipExtFile, "read", side_effect=truncated):
+            with pytest.raises(CorruptPartError) as excinfo:
                 read_xlsx(path)
+        assert excinfo.value.part == "xl/workbook.xml"
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -1379,26 +1398,128 @@ class TestSheetXml:
         assert "undefined entity &one;" in str(excinfo.value)
 
 
+def read_workbook_part(tmp_path, workbook_inner=None, styles_xml=None, root="workbook", ns=NS):
+    """A package of two sheets, S (A1 a value, B1 a blank cell of style 1,
+    C1 one of style 2) and T (empty), read back. `workbook_inner`, given,
+    is what the root of ``xl/workbook.xml`` holds; `root` is its tag and
+    `ns` its SpreadsheetML namespace declaration."""
+    body = '<row r="1"><c r="A1"><v>1</v></c><c r="B1" s="1"/><c r="C1" s="2"/></row>'
+    path = build_xlsx(tmp_path / "book.xlsx", [("S", body), ("T", "")], styles_xml=styles_xml)
+    if workbook_inner is not None:
+        def replace(parts):
+            parts["xl/workbook.xml"] = f'<?xml version="1.0"?><{root} {ns} {NS_R}>{workbook_inner}</{root}>'.encode()
+
+        rewrite_parts(path, replace)
+    return read_xlsx(path)
+
+
+def defined_targets(workbook):
+    """{casefolded name: target} of a workbook's defined names."""
+    return {name: dn.target for (_, name), dn in workbook.defined_names.items()}
+
+
+SHEETS = '<sheets><sheet name="S" sheetId="1" r:id="rId1"/><sheet name="T" sheetId="2" r:id="rId2"/></sheets>'
+
+
+class TestWorkbookXml:
+    """What the workbook, relationships and styles parts mean to the
+    reader, pinned case by case: the first matching child in the
+    workbook's namespace is read, and of the text only a
+    ``<definedName>``'s before its first child element."""
+
+    def test_only_the_first_sheets_and_defined_names_are_read(self, tmp_path):
+        inner = (
+            '<sheets><sheet name="S" sheetId="1" r:id="rId1"/></sheets>'
+            '<definedNames><definedName name="A">S!$A$1</definedName></definedNames>'
+            '<sheets><sheet name="T" sheetId="2" r:id="rId2"/></sheets>'
+            '<definedNames><definedName name="B">S!$B$1</definedName></definedNames>'
+        )
+        workbook = read_workbook_part(tmp_path, inner)
+        assert [sheet.name for sheet in workbook.sheets] == ["S"]
+        assert defined_targets(workbook) == {"a": "S!$A$1"}
+
+    def test_only_the_first_fills_cell_styles_pattern_and_color_are_read(self, tmp_path):
+        solid = '<patternFill patternType="solid"><fgColor rgb="FF00FF00"/></patternFill>'
+        styles = (
+            f'<?xml version="1.0"?><styleSheet {NS}>'
+            f'<fills><fill><patternFill patternType="none"/>{solid}</fill>'
+            '<fill><patternFill patternType="solid"><fgColor rgb="F00"/><fgColor rgb="FF0000FF"/></patternFill></fill>'
+            f"<fill>{solid}</fill></fills>"
+            f"<fills><fill>{solid}</fill><fill>{solid}</fill><fill>{solid}</fill></fills>"
+            '<cellXfs><xf fillId="0"/><xf fillId="1"/><xf fillId="0"/></cellXfs>'
+            '<cellXfs><xf fillId="2"/><xf fillId="2"/><xf fillId="2"/></cellXfs>'
+            "</styleSheet>"
+        )
+        # Fill 0's first pattern is not solid and fill 1's first color has
+        # three digits, so styles 1 and 2 are not filled; only the last,
+        # solid fill fills a style that uses it.
+        assert described(read_workbook_part(tmp_path, styles_xml=styles).sheets[0].cells) == {"A1": "literal"}
+        styles = styles.replace('<xf fillId="0"/></cellXfs>', '<xf fillId="2"/></cellXfs>', 1)
+        cells = read_workbook_part(tmp_path, styles_xml=styles).sheets[0].cells
+        assert described(cells) == {"A1": "literal", "C1": "blank"}
+
+    def test_defined_name_text_split_by_entities_cdata_and_comments_is_joined(self, tmp_path):
+        inner = SHEETS + (
+            '<definedNames><definedName name="X">S!$A&#36;1<!-- note --><![CDATA[:$B]]>&#36;2</definedName>'
+            '<definedName name="Y">\n  S!$C$1 </definedName></definedNames>'
+        )
+        assert defined_targets(read_workbook_part(tmp_path, inner)) == {"x": "S!$A$1:$B$2", "y": "S!$C$1"}
+
+    def test_only_defined_name_text_before_a_child_counts(self, tmp_path):
+        inner = SHEETS + (
+            '<definedNames><definedName name="X">S!$A$1<x>:$B$2</x>:$C$3</definedName>'
+            '<definedName name="Y"><x>S!$A$1</x></definedName></definedNames>'
+        )
+        assert defined_targets(read_workbook_part(tmp_path, inner)) == {"x": "S!$A$1"}
+
+    def test_prefixed_namespace_root_reads_as_an_unprefixed_one(self, tmp_path):
+        inner = SHEETS.replace("<", "<x:").replace("<x:/", "</x:") + (
+            '<x:definedNames><x:definedName name="X">S!$A$1</x:definedName></x:definedNames>'
+        )
+        workbook = read_workbook_part(tmp_path, inner, root="x:workbook", ns=NS.replace("xmlns=", "xmlns:x="))
+        assert [sheet.name for sheet in workbook.sheets] == ["S", "T"]
+        assert defined_targets(workbook) == {"x": "S!$A$1"}
+
+    def test_sheets_in_a_foreign_namespace_are_not_read(self, tmp_path):
+        foreign = '<sheets xmlns="urn:other"><sheet name="O" sheetId="9" r:id="rId2"/></sheets>'
+        workbook = read_workbook_part(tmp_path, foreign + SHEETS)
+        assert [sheet.name for sheet in workbook.sheets] == ["S", "T"]
+        with pytest.raises(MalformedSheetXmlError) as excinfo:
+            read_workbook_part(tmp_path, foreign)
+        assert "no SpreadsheetML <sheets> element" in str(excinfo.value)
+
+    @pytest.mark.parametrize("uris", [{}, STRICT], ids=["transitional", "strict"])
+    def test_relationship_id_is_read_in_the_matching_namespace(self, tmp_path, uris):
+        # A sheet's r:id is read in the relationships namespace that matches
+        # the root's; one in the other relationships namespace names no part.
+        path = rewrite_namespaces(build_xlsx(tmp_path / "book.xlsx", [("S", "")]), uris)
+        assert [sheet.name for sheet in read_xlsx(path).sheets] == ["S"]
+        transitional, strict = list(STRICT.items())[1]
+        mine, other = (strict, transitional) if uris else (transitional, strict)
+
+        def swap(parts):
+            parts["xl/workbook.xml"] = parts["xl/workbook.xml"].replace(mine.encode(), other.encode())
+
+        with pytest.raises(MissingWorkbookPartError) as excinfo:
+            read_xlsx(rewrite_parts(path, swap))
+        assert "no relationship for sheet 'S'" in str(excinfo.value)
+
+
 class TestStreaming:
     BODY = '<row r="1"><c r="A1" t="s"><v>0</v></c><c r="B1"><f>A1*2</f></c></row>'
 
-    def test_sheets_and_shared_strings_are_never_read_whole(self, tmp_path):
+    def test_no_part_is_read_whole(self, tmp_path):
+        body = '<row r="1"><c r="A1" t="s"><v>0</v></c><c r="B1"><f>TOTAL*2</f></c><c r="C1" s="1"/></row>'
         path = build_xlsx(
-            tmp_path / "book.xlsx", [("S", self.BODY)], shared_strings=("x",), styles_xml=TestNamespaces.STYLES
+            tmp_path / "book.xlsx", [("S", body)], shared_strings=("x",), defined_names=(("TOTAL", "S!$A$1"),),
+            styles_xml=TestNamespaces.STYLES,
         )
-        read_whole = []
-        zip_read = zipfile.ZipFile.read
-
-        def read(archive, name, *args):
-            read_whole.append(name)
-            return zip_read(archive, name, *args)
-
-        with mock.patch.object(zipfile.ZipFile, "read", read):
+        with mock.patch.object(zipfile.ZipFile, "read", side_effect=zipfile.ZipFile.read, autospec=True) as read:
             with mock.patch.object(ElementTree, "fromstring", side_effect=ElementTree.fromstring) as fromstring:
-                cells = read_xlsx(path).sheets[0].cells
-        assert described(cells) == {"A1": "literal", "B1": "=A1*2"}
-        assert sorted(read_whole) == ["xl/_rels/workbook.xml.rels", "xl/styles.xml", "xl/workbook.xml"]
-        assert fromstring.call_count == 3
+                workbook = read_xlsx(path)
+        assert described(workbook.sheets[0].cells) == {"A1": "literal", "B1": "=TOTAL*2", "C1": "blank"}
+        assert workbook.defined_name("TOTAL").target == "S!$A$1"
+        assert read.call_count == fromstring.call_count == 0
 
     def test_positions_carry_across_the_chunks_a_sheet_is_read_in(self, tmp_path):
         # 3,000 rows of ten cells without an r attribute span about ten
@@ -1407,19 +1528,48 @@ class TestStreaming:
         cells = read_xlsx(build_xlsx(tmp_path / "rows.xlsx", [("S", rows)])).sheets[0].cells
         assert cells == {(r, c): LITERAL_CELL for r in range(1, 3001) for c in range(1, 11)}
 
-    @pytest.mark.parametrize("part", ["xl/worksheets/sheet1.xml", "xl/sharedStrings.xml"])
+    def test_elements_of_one_name_share_one_tag_string(self, tmp_path):
+        # The tree of a workbook part with 200,000 empty elements in
+        # <sheets> peaks at 16-17 MB traced when the elements of a name
+        # share one tag string, as ElementTree's own parser makes them do,
+        # and at 36 MB with a tag string of each element's own.
+        path = build_xlsx(tmp_path / "book.xlsx", [("S", self.BODY)], shared_strings=("x",))
+
+        def crowd(parts):
+            parts["xl/workbook.xml"] = parts["xl/workbook.xml"].replace(b"<sheets>", b"<sheets>" + b"<x/>" * 200_000)
+
+        rewrite_parts(path, crowd, zipfile.ZIP_DEFLATED)
+        tracemalloc.start()
+        try:
+            workbook = read_xlsx(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [sheet.name for sheet in workbook.sheets] == ["S"]
+        assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    # Where a bomb's whitespace goes in each part: at the "|".
+    BOMB_SITES = {
+        "xl/worksheets/sheet1.xml": b"<sheetData>|",
+        "xl/sharedStrings.xml": b"|<si>",
+        "xl/workbook.xml": b"<sheets>|",
+        "xl/_rels/workbook.xml.rels": b"|<Relationship ",
+        "xl/styles.xml": b"<fills>|",
+    }
+
+    @pytest.mark.parametrize("part", list(BOMB_SITES))
     @pytest.mark.parametrize("blank", [b" ", b"\n"], ids=["spaces", "newlines"])
     def test_whitespace_bomb_reads_in_bounded_memory(self, tmp_path, part, blank):
-        # 16 MiB of whitespace at the start of <sheetData>, or before the
-        # first <si>, deflate to a few KiB; read whole, they cost 64 MB
-        # (spaces) and 184 MB (newlines) of traced memory.
-        expected = read_xlsx(build_xlsx(tmp_path / "plain.xlsx", [("S", self.BODY)], shared_strings=("x",)))
-        path = build_xlsx(tmp_path / "bomb.xlsx", [("S", self.BODY)], shared_strings=("x",))
-        marker = b"<sheetData>" if part.endswith("sheet1.xml") else b"<si>"
+        # 16 MiB of whitespace deflate to a few KiB; read whole, they cost
+        # 64 MB (spaces) and 184 MB (newlines) of traced memory.
+        body = self.BODY + '<row r="2"><c r="A2" s="1"/></row>'
+        path = build_xlsx(tmp_path / "bomb.xlsx", [("S", body)], shared_strings=("x",), styles_xml=TestNamespaces.STYLES)
+        site = self.BOMB_SITES[part]
 
         def inflate(parts):
-            head, _, tail = parts[part].partition(marker)
-            parts[part] = head + (marker + blank * 2**24 if marker == b"<sheetData>" else blank * 2**24 + marker) + tail
+            marker = site.replace(b"|", b"")
+            assert parts[part].count(marker) == 1
+            parts[part] = parts[part].replace(marker, site.replace(b"|", blank * 2**24))
 
         rewrite_parts(path, inflate, zipfile.ZIP_DEFLATED)
         assert path.stat().st_size < 2**17
@@ -1429,6 +1579,5 @@ class TestStreaming:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert workbook.sheets[0].cells == expected.sheets[0].cells
-        assert len(workbook.sheets[0].cells) == 2
+        assert described(workbook.sheets[0].cells) == {"A1": "literal", "B1": "=A1*2", "A2": "blank"}
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
