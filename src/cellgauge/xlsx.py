@@ -12,9 +12,10 @@ the ``ref`` of an array formula of its sheet (``<f t="array" ref="...">``)
 is one of its cached results, whatever the order of the rows; it is stored
 without content, as is a cell with a solid fill and no value. Of two cells
 at one position the first is kept. Per-cell anomalies are logged, not fatal.
-Every part is streamed through expat in 64 KiB chunks; no tree of a sheet
-is built, and those of the workbook part, its relationships and the styles
-keep no text but a defined name's.
+Every part is streamed through expat in 64 KiB chunks by one element
+walker, `_walk`, which reaches only the elements its part names and keeps no
+text but that of a cell's first ``<f>`` and ``<v>`` and of a
+``<definedName>``; no part becomes a tree.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import logging
 import zipfile
 import zlib
 from pathlib import Path
-from xml.etree import ElementTree
 from xml.parsers import expat
 
 from .expressions import column_index_to_letter
@@ -45,12 +45,18 @@ from .tokens import MAX_COL, MAX_ROW
 
 logger = logging.getLogger(__name__)
 
-_REL_IDS = {  # the workbook root's namespace -> a sheet's relationship id, as expat names it: Transitional, Strict
-    "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}":
+_REL_IDS = {  # the workbook root's namespace -> a sheet's relationship id, as expat names both: Transitional, Strict
+    "http://schemas.openxmlformats.org/spreadsheetml/2006/main}":
         "http://schemas.openxmlformats.org/officeDocument/2006/relationships}id",
-    "{http://purl.oclc.org/ooxml/spreadsheetml/main}": "http://purl.oclc.org/ooxml/officeDocument/relationships}id",
+    "http://purl.oclc.org/ooxml/spreadsheetml/main}": "http://purl.oclc.org/ooxml/officeDocument/relationships}id",
 }
-_PKG_REL = "{http://schemas.openxmlformats.org/package/2006/relationships}Relationship"
+_PKG_NS = "http://schemas.openxmlformats.org/package/2006/relationships}"
+
+# What the walker reaches of a part: parent -> {child: every such child (True) or the first (False)}
+_WORKBOOK_REACH = {"": {"sheets": False, "definedNames": False}, "sheets": {"sheet": True},
+                   "definedNames": {"definedName": True}}
+_SHEET_REACH = {"": {"sheetData": False}, "sheetData": {"row": True}, "row": {"c": True},
+                "c": {"f": False, "v": False, "is": True}}
 
 _WORKBOOK_PART = "xl/workbook.xml"
 _WORKBOOK_RELS_PART = "xl/_rels/workbook.xml.rels"
@@ -90,18 +96,10 @@ _UNKNOWN_ENCODING = expat.errors.codes[expat.errors.XML_ERROR_UNKNOWN_ENCODING]
 
 
 def _undefined_entity(name: str, is_parameter_entity: bool) -> None:
-    # ElementTree refuses an entity that a document with an external DTD
-    # leaves undefined; expat alone would skip it.
+    # expat alone would skip an entity that a document with an external DTD
+    # leaves undefined; such a part is refused as malformed.
     if not is_parameter_entity:
         raise expat.ExpatError(f"undefined entity &{name};")
-
-
-def _stream_parser() -> expat.XMLParserType:
-    """An expat parser that names an element or attribute ``uri}local``."""
-    parser = expat.ParserCreate(None, "}")
-    parser.buffer_text = True
-    parser.SkippedEntityHandler = _undefined_entity
-    return parser
 
 
 def _read_chunk(stream, part: str) -> bytes:
@@ -139,93 +137,128 @@ def _stream_part(archive: zipfile.ZipFile, part: str, parser: expat.XMLParserTyp
         parser.StartElementHandler = parser.EndElementHandler = parser.CharacterDataHandler = None
 
 
-def _parse_part(archive: zipfile.ZipFile, part: str) -> ElementTree.Element:
-    """The part as ElementTree's tree, with expat's attribute names and no text but a ``<definedName>``'s."""
-    builder, parser = ElementTree.TreeBuilder(), _stream_parser()
-    names: dict[str, str] = {}  # expat's name -> ElementTree's, one string for all elements of a name
+def _walk(archive: zipfile.ZipFile, part: str, ns: str | None, reach: dict[str, dict[str, bool]], visit) -> str:
+    """Stream `part` through expat, calling ``visit(local name, attributes)``
+    on each element it reaches, and return the root's namespace as expat
+    names it: ``uri}``, or ``}``, which names no element, for none. The root
+    is reached, not visited. A child of a reached element is reached when it
+    is in namespace `ns` (None: the root's) and ``reach[the parent's local
+    name]`` (``reach[""]`` for the root) maps its local name to True (every
+    such child) or False (the first only). The list a visit returns, if any,
+    gets the element's text up to its end or first child; no other text
+    reaches Python."""
+    parser = expat.ParserCreate(None, "}")  # names an element or attribute "uri}local"
+    parser.buffer_text = True
+    parser.SkippedEntityHandler = _undefined_entity
+    # Per open reached element, the children it reaches: full name -> (local
+    # name, every, that child's own map). A first-only child is deleted once
+    # reached, so each element gets its own copy of a non-empty map.
+    frames: list[dict[str, tuple]] = [{}]
+    skipped = 0  # open elements from the innermost unreached one in
+    text: list[str] | None = None
+    root_ns = "}"
 
-    def start(tag, attrs):
-        builder.start(names.get(tag) or names.setdefault(tag, "{" + tag if "}" in tag else tag), attrs)
-        parser.CharacterDataHandler = builder.data if tag.endswith("}definedName") else None
+    def start(name, attrs):
+        nonlocal skipped, text, root_ns
+        if text is not None:
+            parser.CharacterDataHandler = text = None
+        if skipped:
+            skipped += 1
+            return
+        kids = frames[-1]
+        hit = kids.get(name)
+        if hit is None:
+            if len(frames) > 1:
+                skipped = 1
+            else:  # the root, whose namespace is now known
+                root_ns = name.rpartition("}")[0] + "}"
+                prefix = root_ns if ns is None else ns
+                maps: dict[str, dict[str, tuple]] = {parent: {} for parent in reach}
+                for parent, children in reach.items():
+                    maps[parent].update((prefix + local, (local, every, maps.get(local, {})))
+                                        for local, every in children.items())
+                frames.append(maps[""])
+            return
+        local, every, grandchildren = hit
+        if not every:
+            del kids[name]
+        frames.append(grandchildren.copy() if grandchildren else grandchildren)
+        text = visit(local, attrs)
+        if text is not None:
+            parser.CharacterDataHandler = text.append
 
-    def end(tag):
-        parser.CharacterDataHandler = None
-        builder.end(names[tag])
+    def end(name):
+        nonlocal skipped, text
+        if skipped:
+            skipped -= 1
+        else:
+            frames.pop()
+        if text is not None:
+            parser.CharacterDataHandler = text = None
 
     parser.StartElementHandler, parser.EndElementHandler = start, end
     _stream_part(archive, part, parser)
-    return builder.close()
+    return root_ns
 
 
 def _count_shared_strings(archive: zipfile.ZipFile, main: str) -> int:
-    """The number of shared strings (``<si>`` children of the root); their
-    text is never read."""
+    """The number of shared strings (``<si>`` children of the root), whose text is never read."""
     if _SHARED_STRINGS_PART not in archive.namelist():
         return 0
-    si = main[1:] + "si"
-    count = depth = 0
+    count = 0
 
-    def start(tag, attrs):
-        nonlocal count, depth
-        depth += 1
-        if depth == 2 and tag == si:
-            count += 1
+    def visit(name, attrs):
+        nonlocal count
+        count += 1
 
-    def end(tag):
-        nonlocal depth
-        depth -= 1
-
-    parser = _stream_parser()
-    parser.StartElementHandler, parser.EndElementHandler = start, end
-    _stream_part(archive, _SHARED_STRINGS_PART, parser)
+    _walk(archive, _SHARED_STRINGS_PART, main, {"": {"si": True}}, visit)
     return count
 
 
 def _read_filled_styles(archive: zipfile.ZipFile, main: str) -> set[int]:
-    """Indices of the cell styles (``cellXfs``) whose fill is solid with a
-    6- or 8-digit color; best effort, never fatal."""
+    """Indices of the cell styles (``<xf>`` of the root's first ``<cellXfs>``)
+    whose fill (of the root's first ``<fills>``) has a solid first
+    ``<patternFill>`` whose first ``<fgColor>`` has a 6- or 8-digit color;
+    best effort, never fatal."""
     if _STYLES_PART not in archive.namelist():
         return set()
+    solid: list[bool] = []  # per fill
+    fill_ids: list[int] = []  # per cell style, -1 for an unreadable one
+    pattern_solid = False  # of the last fill's first pattern
+
+    def visit(name, attrs):
+        nonlocal pattern_solid
+        if name == "xf":
+            try:
+                fill_ids.append(int(attrs.get("fillId", "")))
+            except ValueError:
+                fill_ids.append(-1)
+        elif name == "fill":
+            solid.append(False)
+        elif name == "patternFill":
+            pattern_solid = attrs.get("patternType") == "solid"
+        elif name == "fgColor" and pattern_solid:
+            solid[-1] = len(attrs.get("rgb", "")) in (6, 8)
+
+    reach = {"": {"fills": False, "cellXfs": False}, "fills": {"fill": True}, "fill": {"patternFill": False},
+             "patternFill": {"fgColor": False}, "cellXfs": {"xf": True}}
     try:
-        root = _parse_part(archive, _STYLES_PART)
+        _walk(archive, _STYLES_PART, main, reach, visit)
     except XlsxError:
         logger.warning("unreadable styles part; fills skipped")
         return set()
-    solid: list[bool] = []
-    fills = root.find(main + "fills")
-    if fills is not None:
-        for fill in fills.findall(main + "fill"):
-            pattern = fill.find(main + "patternFill")
-            fg = None
-            if pattern is not None and pattern.get("patternType") == "solid":
-                fg = pattern.find(main + "fgColor")
-            solid.append(fg is not None and len(fg.get("rgb", "")) in (6, 8))
-    filled: set[int] = set()
-    cell_xfs = root.find(main + "cellXfs")
-    if cell_xfs is not None:
-        for style, xf in enumerate(cell_xfs.findall(main + "xf")):
-            try:
-                idx = int(xf.get("fillId", ""))
-            except ValueError:
-                continue
-            if 0 <= idx < len(solid) and solid[idx]:
-                filled.add(style)
-    return filled
+    return {style for style, fill in enumerate(fill_ids) if 0 <= fill < len(solid) and solid[fill]}
 
 
 def _read_rels(archive: zipfile.ZipFile) -> dict[str, str]:
-    root = _parse_part(archive, _WORKBOOK_RELS_PART)
     rels: dict[str, str] = {}
-    for rel in root.findall(_PKG_REL):
-        rid = rel.get("Id")
-        target = rel.get("Target")
-        if not rid or not target:
-            continue
-        if target.startswith("/"):
-            target = target[1:]
-        elif not target.startswith("xl/"):
-            target = "xl/" + target
-        rels[rid] = target
+
+    def visit(name, attrs):
+        rid, target = attrs.get("Id"), attrs.get("Target")
+        if rid and target:  # "/x" names part x; any other target outside xl/ is taken as relative to it
+            rels[rid] = target[1:] if target[0] == "/" else target if target.startswith("xl/") else "xl/" + target
+
+    _walk(archive, _WORKBOOK_RELS_PART, _PKG_NS, {"": {"Relationship": True}}, visit)
     return rels
 
 
@@ -271,73 +304,35 @@ def _read_sheet(archive: zipfile.ZipFile, part: str, main: str, name: str, index
     cells: dict[tuple[int, int], Cell] = {}
     shared: dict[str, tuple[int, int, Formula]] = {}  # group id -> (anchor row, anchor col, parsed master)
     arrays: list[tuple[int, int, int, int]] = []  # the block of each readable array formula's ref
-    sheet_data_tag, row_tag, c_tag, f_tag, v_tag, is_tag = (
-        main[1:] + local for local in ("sheetData", "row", "c", "f", "v", "is")
-    )
-    # A <row> start adds its number to `pending` and a <c> end what the
-    # cell holds; `store` keeps them `_BATCH` at a time. Keeping each cell
-    # as its </c> arrives, interleaved with expat's own work, made the
-    # benchmark's xlsx_formulas workload about 5% slower end to end.
-    pending: list[int | tuple] = []
-    parser = _stream_parser()
-    depth = 0  # of the open element; the root's is 1
-    chain = 0  # depth of the innermost open element of root > first <sheetData> > <row> > <c>
-    sheet_data_seen = False
-    c_attrs: dict[str, str] = {}
-    f_attrs: dict[str, str] | None = None  # of the cell's first <f>
-    f_text: list[str] = []
-    v_text: list[str] | None = None  # of the cell's first <v>
-    inline = False
+    # A <row> adds its number to `pending` and a <c> a record that its
+    # children fill in: [attributes, first <f>'s attributes, its text, first
+    # <v>'s text, has an <is>]. `store` keeps them `_BATCH` at a time, at a
+    # <row> or <c> start, when every record is complete; keeping each cell at
+    # its </c> made the benchmark's xlsx_formulas workload 5% slower.
+    pending: list[int | list] = []
 
-    # Character data reaches a handler only from the start of a cell's
-    # first <f> or <v> to its end or the start of its first child.
-    def start(tag, attrs):
-        nonlocal depth, chain, sheet_data_seen, c_attrs, f_attrs, f_text, v_text, inline
-        depth += 1
-        if depth != chain + 1:
-            if depth == 6:
-                parser.CharacterDataHandler = None
-        elif depth == 5:
-            if tag == f_tag:
-                if f_attrs is None:
-                    f_attrs, f_text = attrs, []
-                    parser.CharacterDataHandler = f_text.append
-            elif tag == v_tag:
-                if v_text is None:
-                    v_text = []
-                    parser.CharacterDataHandler = v_text.append
-            elif tag == is_tag:
-                inline = True
-        elif depth == 4:
-            if tag == c_tag:
-                chain, c_attrs, f_attrs, v_text, inline = 4, attrs, None, None, False
-        elif depth == 3:
-            if tag == row_tag:
-                chain = 3
-                try:
-                    number = int(attrs.get("r", "0"))
-                except ValueError:
-                    number = 0
-                pending.append(number if 1 <= number <= MAX_ROW else 0)
-                if len(pending) == _BATCH:
-                    store()
-        elif depth == 2:
-            if tag == sheet_data_tag and not sheet_data_seen:
-                chain, sheet_data_seen = 2, True
-        else:
-            chain = 1
-
-    def end(tag):
-        nonlocal depth, chain
-        depth -= 1
-        if depth == 4:
-            parser.CharacterDataHandler = None
-        elif depth == chain - 1:
-            chain = depth
-            if depth == 3:
-                pending.append((c_attrs, f_attrs, f_text, v_text, inline))
-                if len(pending) == _BATCH:
-                    store()
+    def visit(name, attrs):
+        if name == "c":
+            if len(pending) >= _BATCH:
+                store()
+            pending.append([attrs, None, None, None, False])
+        elif name == "v":
+            text = pending[-1][3] = []
+            return text
+        elif name == "f":
+            cell = pending[-1]
+            cell[1], cell[2] = attrs, []
+            return cell[2]
+        elif name == "row":
+            try:
+                number = int(attrs.get("r", "0"))
+            except ValueError:
+                number = 0
+            if len(pending) >= _BATCH:
+                store()
+            pending.append(number if 1 <= number <= MAX_ROW else 0)
+        elif name == "is":
+            pending[-1][4] = True
 
     row_number = last_col = 0
 
@@ -400,8 +395,7 @@ def _read_sheet(archive: zipfile.ZipFile, part: str, main: str, name: str, index
                     pass  # not a style index: a default cell, nothing to store
         pending.clear()
 
-    parser.StartElementHandler, parser.EndElementHandler = start, end
-    _stream_part(archive, part, parser)
+    _walk(archive, part, main, _SHEET_REACH, visit)
     store()
     if arrays:  # a value in an array formula's ref is one of its cached results
         for key in covered_points(arrays, (key for key, cell in cells.items() if cell is LITERAL_CELL)):
@@ -418,48 +412,53 @@ def read_xlsx(path: str | Path) -> Workbook:
     except zipfile.BadZipFile:
         raise NotAZipError(str(path), "not a ZIP archive") from None
     with archive:
-        workbook_root = _parse_part(archive, _WORKBOOK_PART)
-        main = workbook_root.tag.rpartition("}")[0] + "}"
+        sheet_attrs: list[dict[str, str]] | None = None  # of the root's first <sheets>' <sheet> children
+        names: list[tuple[dict[str, str], list[str]]] = []  # attributes and text of each <definedName>
+
+        def visit(name, attrs):
+            nonlocal sheet_attrs
+            if name == "sheet":
+                sheet_attrs.append(attrs)
+            elif name == "definedName":
+                names.append((attrs, text := []))
+                return text
+            elif name == "sheets":
+                sheet_attrs = []
+
+        main = _walk(archive, _WORKBOOK_PART, None, _WORKBOOK_REACH, visit)
         rels = _read_rels(archive)
-        shared_string_count = _count_shared_strings(archive, main)
+        string_count = _count_shared_strings(archive, main)
         filled_styles = _read_filled_styles(archive, main)
 
-        sheets_el = workbook_root.find(main + "sheets")
-        if sheets_el is None or main not in _REL_IDS:
+        if sheet_attrs is None or main not in _REL_IDS:
             raise MalformedSheetXmlError(_WORKBOOK_PART, "no SpreadsheetML <sheets> element")
         worksheets: list[Worksheet] = []
-        for position, sheet_el in enumerate(sheets_el.findall(main + "sheet"), start=1):
-            sheet_name = sheet_el.get("name") or f"Sheet{position}"
-            part = rels.get(sheet_el.get(_REL_IDS[main]) or "")
+        for position, attrs in enumerate(sheet_attrs, start=1):
+            sheet_name = attrs.get("name") or f"Sheet{position}"
+            part = rels.get(attrs.get(_REL_IDS[main]) or "")
             if part is None:
-                raise MissingWorkbookPartError(
-                    _WORKBOOK_RELS_PART, f"no relationship for sheet {sheet_name!r}"
-                )
-            worksheets.append(
-                _read_sheet(archive, part, main, sheet_name, position, shared_string_count, filled_styles)
-            )
+                raise MissingWorkbookPartError(_WORKBOOK_RELS_PART, f"no relationship for sheet {sheet_name!r}")
+            worksheets.append(_read_sheet(archive, part, main, sheet_name, position, string_count, filled_styles))
 
         defined: dict[tuple[int | None, str], DefinedName] = {}
-        names_el = workbook_root.find(main + "definedNames")
-        if names_el is not None:
-            for dn_el in names_el.findall(main + "definedName"):
-                dn_name = dn_el.get("name")
-                target = (dn_el.text or "").strip()
-                if not dn_name or not target:
+        for attrs, text in names:
+            dn_name = attrs.get("name")
+            target = "".join(text).strip()
+            if not dn_name or not target:
+                continue
+            scope = None
+            local = attrs.get("localSheetId")
+            if local is not None:
+                # 0-based position in <sheets>; sheet indices are 1-based.
+                # The length check keeps int() off texts it refuses.
+                if not (local.isdecimal() and len(local) <= 7 and int(local) < len(worksheets)):
+                    logger.warning("skipping defined name %r: bad localSheetId %r", dn_name, local)
                     continue
-                scope = None
-                local = dn_el.get("localSheetId")
-                if local is not None:
-                    # 0-based position in <sheets>; sheet indices are 1-based.
-                    # The length check keeps int() off texts it refuses.
-                    if not (local.isdecimal() and len(local) <= 7 and int(local) < len(worksheets)):
-                        logger.warning("skipping defined name %r: bad localSheetId %r", dn_name, local)
-                        continue
-                    scope = int(local) + 1
-                key = (scope, dn_name.casefold())
-                if key in defined:
-                    continue  # first definition in each scope wins
-                defined[key] = DefinedName(dn_name, target, parse_defined_target(target), scope)
+                scope = int(local) + 1
+            key = (scope, dn_name.casefold())
+            if key in defined:
+                continue  # first definition in each scope wins
+            defined[key] = DefinedName(dn_name, target, parse_defined_target(target), scope)
 
     try:
         return Workbook(path_text(path.stem), tuple(worksheets), defined)

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import logging
+import os
 import pickle
 import random
+import re
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 import zipfile
 from collections import defaultdict
+from pathlib import Path
 from unittest import mock
-from xml.etree import ElementTree
 from xml.sax.saxutils import escape
 
 import pytest
@@ -941,6 +945,25 @@ class TestStyles:
         assert cells[(1, 1)] is LITERAL_CELL
         assert cells[(1, 2)] is cells[(1, 5)] is BLANK_CELL and not BLANK_CELL.has_content
 
+    @pytest.mark.parametrize(
+        "fill_id, filled",
+        [("1", True), (" 1", True), ("+1", True), ("01", True), ("1 ", True),
+         ("-1", False), ("1.0", False), ("", False), ("2", False), (None, False)],
+        ids=["plain", "leading_space", "plus", "leading_zero", "trailing_space",
+             "negative", "decimal", "empty", "past_the_last", "absent"],
+    )
+    def test_fill_id_is_read_by_int_then_checked_against_the_fills(self, tmp_path, fill_id, filled):
+        # Fill 1 is the only solid one and there is no fill 2.
+        fill_attr = "" if fill_id is None else f' fillId="{fill_id}"'
+        styles = (
+            f'<?xml version="1.0"?><styleSheet {NS}>'
+            '<fills><fill><patternFill patternType="none"/></fill>'
+            '<fill><patternFill patternType="solid"><fgColor rgb="FFFF0000"/></patternFill></fill></fills>'
+            f'<cellXfs><xf fillId="0"/><xf{fill_attr}/></cellXfs></styleSheet>'
+        )
+        path = build_xlsx(tmp_path / "fill.xlsx", [("S", '<row r="1"><c r="A1" s="1"/></row>')], styles_xml=styles)
+        assert read_xlsx(path).sheets[0].cells == ({(1, 1): BLANK_CELL} if filled else {})
+
     def test_unstyled_blank_cell_not_stored(self, tmp_path):
         body = '<row r="1"><c r="A1"/><c r="B1"><v>1</v></c></row>'
         path = build_xlsx(tmp_path / "blank.xlsx", [("S", body)])
@@ -1515,11 +1538,19 @@ class TestStreaming:
             styles_xml=TestNamespaces.STYLES,
         )
         with mock.patch.object(zipfile.ZipFile, "read", side_effect=zipfile.ZipFile.read, autospec=True) as read:
-            with mock.patch.object(ElementTree, "fromstring", side_effect=ElementTree.fromstring) as fromstring:
-                workbook = read_xlsx(path)
+            workbook = read_xlsx(path)
         assert described(workbook.sheets[0].cells) == {"A1": "literal", "B1": "=TOTAL*2", "C1": "blank"}
         assert workbook.defined_name("TOTAL").target == "S!$A$1"
-        assert read.call_count == fromstring.call_count == 0
+        assert read.call_count == 0
+
+    def test_the_cli_loads_no_element_tree_module(self):
+        # Every part goes through one expat walker; no part becomes a tree.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        script = "import sys, cellgauge.cli; print(sorted(m for m in sys.modules if m.startswith('xml.etree')))"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                                timeout=60, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_positions_carry_across_the_chunks_a_sheet_is_read_in(self, tmp_path):
         # 3,000 rows of ten cells without an r attribute span about ten
@@ -1527,26 +1558,6 @@ class TestStreaming:
         rows = "".join(f'<row r="{r}">' + '<c><v>1</v></c>' * 10 + "</row>" for r in range(1, 3001))
         cells = read_xlsx(build_xlsx(tmp_path / "rows.xlsx", [("S", rows)])).sheets[0].cells
         assert cells == {(r, c): LITERAL_CELL for r in range(1, 3001) for c in range(1, 11)}
-
-    def test_elements_of_one_name_share_one_tag_string(self, tmp_path):
-        # The tree of a workbook part with 200,000 empty elements in
-        # <sheets> peaks at 16-17 MB traced when the elements of a name
-        # share one tag string, as ElementTree's own parser makes them do,
-        # and at 36 MB with a tag string of each element's own.
-        path = build_xlsx(tmp_path / "book.xlsx", [("S", self.BODY)], shared_strings=("x",))
-
-        def crowd(parts):
-            parts["xl/workbook.xml"] = parts["xl/workbook.xml"].replace(b"<sheets>", b"<sheets>" + b"<x/>" * 200_000)
-
-        rewrite_parts(path, crowd, zipfile.ZIP_DEFLATED)
-        tracemalloc.start()
-        try:
-            workbook = read_xlsx(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert [sheet.name for sheet in workbook.sheets] == ["S"]
-        assert peak < 24 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     # Where a bomb's whitespace goes in each part: at the "|".
     BOMB_SITES = {
@@ -1581,3 +1592,121 @@ class TestStreaming:
             tracemalloc.stop()
         assert described(workbook.sheets[0].cells) == {"A1": "literal", "B1": "=A1*2", "A2": "blank"}
         assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize("part", list(BOMB_SITES))
+    def test_unread_elements_cost_no_memory(self, tmp_path, part):
+        # 1,000,000 empty elements the reader never reaches, at each bomb
+        # site; deflated they take a few KiB. An element tree of the part
+        # kept every one of them: 77 MB traced in xl/workbook.xml.
+        body = self.BODY + '<row r="2"><c r="A2" s="1"/></row>'
+        path = build_xlsx(tmp_path / "crowd.xlsx", [("S", body)], shared_strings=("x",),
+                          styles_xml=TestNamespaces.STYLES)
+        site = self.BOMB_SITES[part]
+
+        def crowd(parts):
+            marker = site.replace(b"|", b"")
+            assert parts[part].count(marker) == 1
+            parts[part] = parts[part].replace(marker, site.replace(b"|", b"<x/>" * 10**6))
+
+        rewrite_parts(path, crowd, zipfile.ZIP_DEFLATED)
+        assert path.stat().st_size < 2**15
+        tracemalloc.start()
+        try:
+            workbook = read_xlsx(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert described(workbook.sheets[0].cells) == {"A1": "literal", "B1": "=A1*2", "A2": "blank"}
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+# A start, end or empty-element tag: (its "/" if an end tag, its name, its "/" if empty).
+_TAG = re.compile(rb"<(/?)([^\s/>?!]+)[^>]*?(/?)>")
+
+
+def element_spans(xml):
+    """(start, end, depth) of each element of `xml`, the root's depth 1,
+    in document order; `xml` holds no ``>`` in attribute values."""
+    spans, open_tags = [], []
+    for tag in _TAG.finditer(xml):
+        if tag.group(1):
+            start, depth = open_tags.pop()
+            spans.append((start, tag.end(), depth))
+        elif tag.group(3):
+            spans.append((tag.start(), tag.end(), len(open_tags) + 1))
+        else:
+            open_tags.append((tag.start(), len(open_tags) + 1))
+    return sorted(spans)
+
+
+def mutants(xml, rng):
+    """(description, mutated xml) of one part: truncations, each element
+    dropped, duplicated, swapped with its next sibling and renamed, and an
+    unknown element inserted as the first child of an element at each
+    depth."""
+    for cut in sorted({0, len(xml) - 1, *rng.sample(range(1, len(xml) - 1), 4)}):
+        yield f"truncated at {cut}", xml[:cut]
+    spans = element_spans(xml)
+    starts = {start: (end, depth) for start, end, depth in spans}
+    for start, end, depth in spans:
+        element = xml[start:end]
+        yield f"dropped {element[:40]!r}", xml[:start] + xml[end:]
+        yield f"duplicated {element[:40]!r}", xml[:end] + element + xml[end:]
+        if starts.get(end, (0, None))[1] == depth:
+            sibling_end = starts[end][0]
+            yield f"swapped {element[:40]!r}", xml[:start] + xml[end:sibling_end] + element + xml[sibling_end:]
+        name = _TAG.match(xml, start).group(2)
+        wrong = name[:-1] + bytes([rng.choice(b"xyz")])
+        renamed = xml[:start] + element.replace(b"<" + name, b"<" + wrong, 1) + xml[end:]
+        yield f"renamed {name!r} to {wrong!r}", renamed
+        if element.endswith(b"</" + name + b">"):
+            closed = renamed[: start + len(element) - len(name) - 1] + wrong + renamed[start + len(element) - 1:]
+            yield f"renamed {name!r} and its end tag to {wrong!r}", closed
+    for depth in sorted({depth for _, _, depth in spans}):
+        holders = [(start, end) for start, end, d in spans if d == depth and not xml[start:end].endswith(b"/>")]
+        if holders:
+            start, _ = rng.choice(holders)
+            inside = xml.index(b">", start) + 1
+            for unknown in (b"<u/>", b'<o:c xmlns:o="urn:other" r="Z9"><o:v>1</o:v></o:c>', b"<u><c r=\"Z9\"/></u>"):
+                yield f"inserted {unknown!r} at depth {depth + 1}", xml[:inside] + unknown + xml[inside:]
+
+
+class TestMutants:
+    """One package holding every part kind the reader reads, mutated one
+    element at a time: every mutant reads to a Workbook or raises a typed
+    XlsxError, never another exception."""
+
+    BODY = (
+        '<row r="1"><c r="A1" t="s"><v>0</v></c><c r="B1"><v>2</v></c><c r="C1" s="1"/>'
+        '<c r="D1" t="inlineStr"><is><t>x</t></is></c></row>'
+        '<row r="2"><c r="A2"><f t="shared" ref="A2:A3" si="0">B1*2</f><v>4</v></c>'
+        '<c r="B2"><f t="array" ref="B2:B3">TOTAL+1</f><v>3</v></c><c r="C2" t="str"><f>"a"&amp;A1</f><v>a</v></c></row>'
+        '<row r="3"><c r="A3"><f t="shared" si="0"/><v>4</v></c><c r="B3"><v>3</v></c></row>'
+    )
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_mutant_reads_or_raises_a_typed_error(self, tmp_path, seed):
+        base = build_xlsx(
+            tmp_path / "base.xlsx", [("S", self.BODY), ("T", '<row r="1"><c r="A1"><f>S!A1</f></c></row>')],
+            shared_strings=("a", "b"), defined_names=(("TOTAL", "S!$B$1"), ("LOCAL", "T!$A$1", 1)),
+            styles_xml=TestNamespaces.STYLES,
+        )
+        with zipfile.ZipFile(base) as archive:
+            parts = {name: archive.read(name) for name in archive.namelist()}
+        rng = random.Random(seed)
+        path, outcomes, failures = tmp_path / "mutant.xlsx", defaultdict(int), []
+        for part in ("xl/workbook.xml", "xl/_rels/workbook.xml.rels", "xl/sharedStrings.xml", "xl/styles.xml",
+                     "xl/worksheets/sheet1.xml"):
+            for description, xml in mutants(parts[part], rng):
+                with zipfile.ZipFile(path, "w") as archive:
+                    for name, content in parts.items():
+                        archive.writestr(name, xml if name == part else content)
+                try:
+                    analyze_workbook(read_xlsx(path))
+                    outcomes["read"] += 1
+                except xlsx.XlsxError:
+                    outcomes["refused"] += 1
+                except Exception as exc:  # any other exception is a failure
+                    failures.append(f"{part}: {description}: {exc!r}")
+        assert not failures, "\n".join(failures)
+        assert outcomes["read"] > 100 and outcomes["refused"] > 50, dict(outcomes)
